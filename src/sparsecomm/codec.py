@@ -211,6 +211,13 @@ def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Mess
     return Message(count=sub.original_count, payload_index=payload, bit_length=cfg.k)
 
 
+def _check_popcount(ones: int, count: int, expected: int) -> None:
+    if ones != expected:
+        raise MalformedMessage(
+            f"payload has {ones} ones, count {count} implies {expected}"
+        )
+
+
 def decode(msg: Message, cfg: CodecConfig) -> SubsampledObservation:
     """Recover the subsampled support and the original count from a message."""
     if not 0 <= msg.count <= cfg.d:
@@ -220,11 +227,7 @@ def decode(msg: Message, cfg: CodecConfig) -> SubsampledObservation:
     if msg.bit_length != cfg.k:
         raise MalformedMessage(f"bit length {msg.bit_length} != k={cfg.k}")
     support = unrank_sparse(msg.payload_index, cfg.d, cfg.kprime)
-    if len(support) != min(msg.count, cfg.kprime):
-        raise MalformedMessage(
-            f"payload has {len(support)} ones, count {msg.count} implies "
-            f"{min(msg.count, cfg.kprime)}"
-        )
+    _check_popcount(len(support), msg.count, min(msg.count, cfg.kprime))
     return SubsampledObservation(cfg.d, np.array(support, dtype=np.int64), msg.count)
 
 
@@ -293,14 +296,41 @@ def subsample_mask(
 
     Returns a boolean mask selecting, per row, all nonzero positions when
     there are at most kprime of them, else a uniformly random kprime-subset
-    (iid uniform keys, keep the largest).
+    (iid uniform keys, one per position of ``x``, keep the largest).
     """
+    return subsample_mask_from_keys(x, kprime, rng.random(x.shape))
+
+
+def subsample_mask_from_keys(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
+    """:func:`subsample_mask` with the keys (uniforms in [0, 1), shaped like
+    ``x``) supplied by the caller."""
     nonzero = x != 0
-    counts = nonzero.sum(axis=1)
-    kept = np.minimum(counts, kprime)
-    keys = np.where(nonzero, rng.random(x.shape), -1.0)
-    order = np.argsort(np.argsort(-keys, axis=1, kind="stable"), axis=1)
-    return nonzero & (order < kept[:, None])
+    return _keep_largest_keys(nonzero, np.count_nonzero(nonzero, axis=1), kprime, keys)
+
+
+def _keep_largest_keys(
+    nonzero: np.ndarray, counts: np.ndarray, kprime: int, keys: np.ndarray
+) -> np.ndarray:
+    """Per row, the min(count, kprime) nonzero positions with the largest keys.
+
+    A row keeps the nonzero positions whose keys reach its kprime-th
+    largest nonzero key.  Rows where tied keys at that threshold would keep
+    more than kprime positions are re-ranked exactly: keys in descending
+    order, ties to the lower index.
+    """
+    d = nonzero.shape[1]
+    if kprime == 0:
+        return np.zeros_like(nonzero)
+    if kprime >= d:
+        return nonzero
+    filled = np.where(nonzero, keys, -1.0)
+    threshold = np.partition(filled, d - kprime, axis=1)[:, d - kprime]
+    mask = nonzero & (filled >= threshold[:, None])
+    if np.count_nonzero(mask) > np.minimum(counts, kprime).sum():
+        tied = np.flatnonzero(np.count_nonzero(mask, axis=1) > kprime)
+        order = np.argsort(np.argsort(-filled[tied], axis=1, kind="stable"), axis=1)
+        mask[tied] = nonzero[tied] & (order < kprime)
+    return mask
 
 
 def encode_batch(
@@ -312,57 +342,77 @@ def encode_batch(
     are the message fields per row and ``kept_mask`` marks the subsampled
     support (the encoder-side view, used to carry signs out of band).
     """
-    if x.shape[1] != cfg.d:
-        raise ValueError(f"matrix has dimension {x.shape[1]}, config wants {cfg.d}")
-    counts = (x != 0).sum(axis=1).astype(np.int64)
-    mask = subsample_mask(x, cfg.kprime, rng)
+    return encode_batch_from_keys(x, cfg, rng.random(x.shape))
+
+
+def encode_batch_from_keys(
+    x: np.ndarray, cfg: CodecConfig, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`encode_batch` with the subsample keys supplied by the caller."""
+    d, kprime = cfg.d, cfg.kprime
+    if x.shape[1] != d:
+        raise ValueError(f"matrix has dimension {x.shape[1]}, config wants {d}")
+    nonzero = x != 0
+    counts = np.count_nonzero(nonzero, axis=1).astype(np.int64)
+    mask = _keep_largest_keys(nonzero, counts, kprime, keys)
     if not batch_fits_int64(cfg):
         payloads = np.array(
-            [
-                rank_sparse(np.flatnonzero(row).tolist(), cfg.d, cfg.kprime)
-                for row in mask
-            ],
+            [rank_sparse(np.flatnonzero(row).tolist(), d, kprime) for row in mask],
             dtype=object,
         )
         return counts, payloads, mask
-    kept = mask.sum(axis=1).astype(np.int64)
-    offsets = _class_offsets(cfg.d, cfg.kprime)
-    payloads = offsets[kept].copy()
-    rows, cols = np.nonzero(mask)
-    if rows.size:
-        table = _comb_table(cfg.d, cfg.kprime)
-        starts = np.concatenate(([0], np.cumsum(kept)[:-1]))
-        pos = np.arange(rows.size) - starts[rows]
-        np.add.at(payloads, rows, table[cols, pos + 1])
+    kept = np.minimum(counts, kprime)
+    payloads = _class_offsets(d, kprime)[kept]
+    ones = np.flatnonzero(mask)  # row-major: each row's kept columns ascending
+    if ones.size:
+        rows, cols = np.divmod(ones, d)
+        ends = np.cumsum(kept)
+        position = np.arange(ones.size) - (ends - kept)[rows]
+        np.add.at(payloads, rows, _comb_table(d, kprime)[cols, position + 1])
     return counts, payloads, mask
 
 
 def decode_batch(
     counts: np.ndarray, payloads: np.ndarray, cfg: CodecConfig
 ) -> np.ndarray:
-    """Decode message fields back to a (rows, d) boolean support mask."""
+    """Decode message fields back to a (rows, d) boolean support mask.
+
+    Enforces the contract of :func:`decode` on every row: the count lies in
+    ``[0, d]`` and the payload names a support of ``min(count, kprime)`` ones.
+    """
+    d, kprime = cfg.d, cfg.kprime
     counts = np.asarray(counts)
     n = counts.shape[0]
-    mask = np.zeros((n, cfg.d), dtype=bool)
+    if n and (counts.min() < 0 or counts.max() > d):
+        raise MalformedMessage(f"count outside [0, {d}]")
+    expected = np.minimum(counts, kprime)
     if not batch_fits_int64(cfg):
+        mask = np.zeros((n, d), dtype=bool)
         for i in range(n):
-            sup = unrank_sparse(int(payloads[i]), cfg.d, cfg.kprime)
+            sup = unrank_sparse(int(payloads[i]), d, kprime)
+            _check_popcount(len(sup), counts[i], expected[i])
             mask[i, sup] = True
         return mask
     payloads = np.asarray(payloads, dtype=np.int64)
     if payloads.size and (payloads.min() < 0 or payloads.max() >= cfg.codebook):
         raise RankOutOfRange("payload outside codebook")
-    offsets = _class_offsets(cfg.d, cfg.kprime)
+    offsets = _class_offsets(d, kprime)
     m = np.searchsorted(offsets, payloads, side="right") - 1
-    rem = payloads - offsets[m]
-    table = _comb_table(cfg.d, cfg.kprime)
-    rows = np.arange(n)
-    for i in range(cfg.kprime - 1, -1, -1):
-        active = m > i
-        if not np.any(active):
-            continue
-        col = table[: cfg.d, i + 1]
-        c = np.searchsorted(col, rem[active], side="right") - 1
-        mask[rows[active], c] = True
-        rem[active] -= col[c]
-    return mask
+    bad = np.flatnonzero(m != expected)
+    if bad.size:
+        _check_popcount(m[bad[0]], counts[bad[0]], expected[bad[0]])
+    # Unrank the i-th ones of all rows holding more than i ones at once;
+    # with rows sorted by popcount, descending, those rows are a prefix.
+    order = np.argsort(-m, kind="stable")
+    rem = (payloads - offsets[m])[order]
+    starts = order * d
+    holding = np.cumsum(np.bincount(m, minlength=kprime + 1)[::-1])[::-1]
+    table = _comb_table(d, kprime)
+    flat = np.zeros(n * d, dtype=bool)
+    for i in range(kprime - 1, -1, -1):
+        active = holding[i + 1]
+        col = table[:d, i + 1]
+        c = np.searchsorted(col, rem[:active], side="right") - 1
+        flat[starts[:active] + c] = True
+        rem[:active] -= col[c]
+    return flat.reshape(n, d)

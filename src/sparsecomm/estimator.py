@@ -20,7 +20,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codec import CodecConfig, SubsampledObservation, ceil_log2, decode_batch, encode_batch
+from .codec import CodecConfig, SubsampledObservation, ceil_log2, decode_batch
+from .codec import encode_batch  # noqa: F401  (looked up here by bench/tracing.py)
+from .codec import encode_batch_from_keys
 from .model import (
     PLAIN,
     SCALED,
@@ -87,10 +89,8 @@ def estimate(
     if variant == SCALED:
         theta_hat *= scale
     if clip:
-        lo = -scale if variant == SIGNED else 0.0
+        lo = -1.0 if variant == SIGNED else 0.0
         hi = scale if variant == SCALED else 1.0
-        if variant == SIGNED:
-            lo, hi = -1.0, 1.0
         theta_hat = np.clip(theta_hat, lo, hi)
     return theta_hat
 
@@ -133,50 +133,17 @@ def monte_carlo_risk(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if n < 1:
-        raise ValueError("need at least one node")
-    if cfg.degenerate:
-        raise DegenerateCodec("config has kprime=0; estimation is impossible")
-    if theta.d != cfg.d:
-        raise ValueError("theta and config disagree on dimension")
-    p = theta.probabilities()
-    sign_vec = np.where(theta.values < 0, -1.0, 1.0)
     target = theta.estimand()
-    out_scale = theta.scale if theta.variant == SCALED else 1.0
-    kp = cfg.kprime
-
-    mean = 0.0
-    m2 = 0.0
-    for t in range(trials):
-        rng = substream(seed, t)
-        x = (rng.random((n, cfg.d)) < p).astype(np.int8)
-        if theta.variant == SIGNED:
-            signs = np.broadcast_to(sign_vec, x.shape)
-        else:
-            signs = None
-        if perturb is not None:
-            noise = rng.uniform(-perturb.halfwidth, perturb.halfwidth, x.shape)
-            if signs is not None:
-                y = x * signs + noise
-                signs = np.where(y < 0, -1.0, 1.0)
-            else:
-                y = x + noise
-            x = (np.abs(y) > 0.5).astype(np.int8)
-        counts, payloads, _ = encode_batch(x, cfg, rng)
-        mask = decode_batch(counts, payloads, cfg)
-        weights = np.where(counts > kp, counts / kp, 1.0)
-        contrib = mask * weights[:, None]
-        if signs is not None:
-            contrib = contrib * signs
-        theta_hat = contrib.mean(axis=0) * out_scale
-        err = float(np.sum((theta_hat - target) ** 2))
-        delta = err - mean
-        mean += delta / (t + 1)
-        m2 += delta * (err - mean)
-    std_error = math.sqrt(m2 / (trials - 1) / trials) if trials > 1 else 0.0
+    mean, m2, t = 0.0, 0.0, 0
+    for hats in _trial_estimates(theta, n, cfg, trials, perturb, seed):
+        for err in np.sum((hats - target) ** 2, axis=1).tolist():
+            t += 1
+            delta = err - mean
+            mean += delta / t
+            m2 += delta * (err - mean)
     return RiskEstimate(
         mean_sq_error=mean,
-        std_error=std_error,
+        std_error=math.sqrt(m2 / (trials - 1) / trials),
         trials=trials,
         n=n,
         d=cfg.d,
@@ -191,40 +158,72 @@ def monte_carlo_mean(
     cfg: CodecConfig,
     trials: int,
     seed: int = 0,
+    perturb: Optional[UniformPerturbation] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise Monte Carlo mean of the estimate and its std error.
 
-    Runs the same sample-encode-decode-estimate pipeline as
+    Runs the same sample-encode-decode-estimate trials as
     :func:`monte_carlo_risk` but aggregates the estimate vector itself;
     used to check unbiasedness (the mean must approach the estimand).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    total = np.zeros(cfg.d)
+    total_sq = np.zeros(cfg.d)
+    for hats in _trial_estimates(theta, n, cfg, trials, perturb, seed):
+        # row-by-row reductions: the same sums as adding trial after trial
+        total = np.add.reduce(np.concatenate((total[None], hats)))
+        total_sq = np.add.reduce(np.concatenate((total_sq[None], hats * hats)))
+    mean = total / trials
+    var = np.maximum(total_sq / trials - mean * mean, 0.0)
+    return mean, np.sqrt(var / trials)
+
+
+# Cap on the elements of a chunk's stacked (trials*n, d) draws: flat memory.
+_CHUNK_ELEMENTS = 1 << 14
+
+
+def _trial_estimates(theta, n, cfg, trials, perturb, seed):
+    """Yield the estimates of trials 0 .. trials-1 as (chunk, d) arrays.
+
+    Trial t draws from ``substream(seed, t)`` in this order: the (n, d)
+    sample uniforms, the (n, d) perturbation noise when ``perturb`` is set,
+    the (n, d) subsample keys.  A chunk's draws are stacked, then sampled,
+    perturbed, subsampled, ranked, decoded and reweighted as one matrix.
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
     if cfg.degenerate:
         raise DegenerateCodec("config has kprime=0; estimation is impossible")
     if theta.d != cfg.d:
         raise ValueError("theta and config disagree on dimension")
+    d, kp = cfg.d, cfg.kprime
     p = theta.probabilities()
-    sign_vec = np.where(theta.values < 0, -1.0, 1.0)
+    sign_vec = np.where(theta.values < 0, -1.0, 1.0) if theta.variant == SIGNED else None
     out_scale = theta.scale if theta.variant == SCALED else 1.0
-    kp = cfg.kprime
-    total = np.zeros(cfg.d)
-    total_sq = np.zeros(cfg.d)
-    for t in range(trials):
-        rng = substream(seed, t)
-        x = (rng.random((n, cfg.d)) < p).astype(np.int8)
-        counts, payloads, _ = encode_batch(x, cfg, rng)
+    per_chunk = max(1, _CHUNK_ELEMENTS // (n * d))
+    for start in range(0, trials, per_chunk):
+        size = min(per_chunk, trials - start)
+        uniforms, keys = np.empty((2, size, n, d))
+        noise = np.empty((size, n, d)) if perturb is not None else None
+        for j in range(size):
+            rng = substream(seed, start + j)
+            rng.random(out=uniforms[j])
+            if noise is not None:
+                noise[j] = rng.uniform(-perturb.halfwidth, perturb.halfwidth, (n, d))
+            rng.random(out=keys[j])
+        x = uniforms.reshape(-1, d) < p
+        signs = sign_vec
+        if noise is not None:
+            y = (x if signs is None else x * signs) + noise.reshape(-1, d)
+            signs = None if signs is None else np.where(y < 0, -1.0, 1.0)
+            x = np.abs(y) > 0.5
+        counts, payloads, _ = encode_batch_from_keys(x, cfg, keys.reshape(-1, d))
         mask = decode_batch(counts, payloads, cfg)
-        weights = np.where(counts > kp, counts / kp, 1.0)
-        contrib = mask * weights[:, None]
-        if theta.variant == SIGNED:
-            contrib = contrib * sign_vec
-        theta_hat = contrib.mean(axis=0) * out_scale
-        total += theta_hat
-        total_sq += theta_hat * theta_hat
-    mean = total / trials
-    var = np.maximum(total_sq / trials - mean * mean, 0.0)
-    return mean, np.sqrt(var / trials)
+        contrib = mask * np.where(counts > kp, counts / kp, 1.0)[:, None]
+        if signs is not None:
+            contrib = contrib * signs
+        yield contrib.reshape(size, n, d).mean(axis=1) * out_scale
 
 
 UPPER_ACHIEVABLE = "upper_achievable"

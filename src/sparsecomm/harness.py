@@ -499,6 +499,25 @@ def _risk_grid(params: dict) -> list[dict]:
     return grid
 
 
+def _bound_columns(n, k, d, s, theta, upper_c: float, lower_c: float) -> dict:
+    """The reference-curve columns of a risk or bounds row at (n, k, d, s).
+
+    An out-of-regime curve gets an empty value and names the failed
+    hypothesis in its regime column; ``centralized`` is empty without theta.
+    """
+    upper = bound_value(BoundCurve(UPPER_ACHIEVABLE, upper_c), n, k, d, s)
+    lower = bound_value(BoundCurve(LOWER_MINIMAX, lower_c), n, k, d, s)
+    return {
+        "upper_bound": None if isinstance(upper, OutOfRegime) else upper,
+        "upper_regime": upper.reason if isinstance(upper, OutOfRegime) else "ok",
+        "lower_bound": None if isinstance(lower, OutOfRegime) else lower,
+        "lower_regime": lower.reason if isinstance(lower, OutOfRegime) else "ok",
+        "centralized": (
+            None if theta is None else bound_value(BoundCurve(CENTRALIZED), n, k, d, s, theta=theta)
+        ),
+    }
+
+
 def _risk_point(args: tuple) -> dict:
     """One grid point of a risk sweep (top level: picklable for pools)."""
     point, trials, halfwidth, upper_c, lower_c, point_seed = args
@@ -508,16 +527,8 @@ def _risk_point(args: tuple) -> dict:
         cfg = make_config(d, k)
     except BudgetTooSmall as exc:
         raise PreconditionError(f"grid point {point}: {exc}") from exc
-    row = dict(point)
-    row["trials"] = trials
-    row["kprime"] = cfg.kprime
-    upper = bound_value(BoundCurve(UPPER_ACHIEVABLE, upper_c), n, k, d, s)
-    lower = bound_value(BoundCurve(LOWER_MINIMAX, lower_c), n, k, d, s)
-    row["upper_bound"] = None if isinstance(upper, OutOfRegime) else upper
-    row["upper_regime"] = upper.reason if isinstance(upper, OutOfRegime) else "ok"
-    row["lower_bound"] = None if isinstance(lower, OutOfRegime) else lower
-    row["lower_regime"] = lower.reason if isinstance(lower, OutOfRegime) else "ok"
-    row["centralized"] = bound_value(BoundCurve(CENTRALIZED), n, k, d, s, theta=theta)
+    row = dict(point, trials=trials, kprime=cfg.kprime)
+    row.update(_bound_columns(n, k, d, s, theta, upper_c, lower_c))
     if cfg.degenerate:
         row["risk"] = None
         row["std_err"] = None
@@ -793,23 +804,10 @@ def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
         raise PreconditionError("empty grid")
     for n, k, d, s in grid:
         theta = probe_param("flat", d, s) if s <= d / 2 else None
-        upper = bound_value(BoundCurve(UPPER_ACHIEVABLE, params["upper_constant"]), n, k, d, s)
-        lower = bound_value(BoundCurve(LOWER_MINIMAX, params["lower_constant"]), n, k, d, s)
-        central = (
-            bound_value(BoundCurve(CENTRALIZED), n, k, d, s, theta=theta)
-            if theta is not None
-            else None
+        bounds = _bound_columns(
+            n, k, d, s, theta, params["upper_constant"], params["lower_constant"]
         )
-        rows.append(
-            {
-                "n": n, "k": k, "d": d, "s": s,
-                "upper_bound": None if isinstance(upper, OutOfRegime) else upper,
-                "upper_regime": upper.reason if isinstance(upper, OutOfRegime) else "ok",
-                "lower_bound": None if isinstance(lower, OutOfRegime) else lower,
-                "lower_regime": lower.reason if isinstance(lower, OutOfRegime) else "ok",
-                "centralized": central,
-            }
-        )
+        rows.append({"n": n, "k": k, "d": d, "s": s, **bounds})
     echo(f"evaluated bounds at {len(rows)} grid points")
     return rows
 

@@ -105,3 +105,62 @@ def ols_loglog_slope(xs, ys) -> tuple[float, float]:
     else:
         se = 0.0
     return slope, se
+
+
+def double_argsort_mask(x, kprime: int, keys) -> np.ndarray:
+    """Row-wise subsample mask by full ranking: every nonzero position gets
+    its key, every zero position -1; a row keeps its min(count, kprime)
+    highest-ranked positions, keys descending, ties to the lower index."""
+    nonzero = np.asarray(x) != 0
+    kept = np.minimum(nonzero.sum(axis=1), kprime)
+    filled = np.where(nonzero, keys, -1.0)
+    order = np.argsort(np.argsort(-filled, axis=1, kind="stable"), axis=1)
+    return nonzero & (order < kept[:, None])
+
+
+def per_trial_monte_carlo(theta, n: int, kprime: int, trials: int, perturb, seed: int):
+    """Trial-by-trial Monte Carlo of the subsample-and-reweight estimate.
+
+    Trial t draws from the generator seeded with ``SeedSequence([seed, t])``
+    (64-bit words): (n, d) sample uniforms, then (n, d) noise on
+    ``[-perturb, perturb]`` when ``perturb`` is not None, then (n, d)
+    subsample keys.  The kept support is :func:`double_argsort_mask`, used
+    directly (an exact codec returns it unchanged), weighted by count/kprime
+    on subsampled rows.  Returns ``(mean_sq_error, std_error, mean,
+    mean_std_error)``: the Welford mean and standard error of the squared
+    error, and the componentwise mean of the estimate with its standard
+    error from running sums.
+    """
+    word = (1 << 64) - 1
+    p = theta.probabilities()
+    target = theta.estimand()
+    signed = theta.variant == "signed"
+    scale = theta.scale if theta.variant == "scaled" else 1.0
+    mean = m2 = 0.0
+    total = np.zeros(theta.d)
+    total_sq = np.zeros(theta.d)
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed & word, t]))
+        x = (rng.random((n, theta.d)) < p).astype(np.int8)
+        signs = np.where(theta.values < 0, -1.0, 1.0) if signed else None
+        if perturb is not None:
+            noise = rng.uniform(-perturb, perturb, x.shape)
+            y = (x * signs if signed else x) + noise
+            if signed:
+                signs = np.where(y < 0, -1.0, 1.0)
+            x = (np.abs(y) > 0.5).astype(np.int8)
+        mask = double_argsort_mask(x, kprime, rng.random(x.shape))
+        counts = (x != 0).sum(axis=1)
+        contrib = mask * np.where(counts > kprime, counts / kprime, 1.0)[:, None]
+        if signed:
+            contrib = contrib * signs
+        theta_hat = contrib.mean(axis=0) * scale
+        err = float(np.sum((theta_hat - target) ** 2))
+        delta = err - mean
+        mean += delta / (t + 1)
+        m2 += delta * (err - mean)
+        total += theta_hat
+        total_sq += theta_hat * theta_hat
+    avg = total / trials
+    var = np.maximum(total_sq / trials - avg * avg, 0.0)
+    return mean, math.sqrt(m2 / (trials - 1) / trials), avg, np.sqrt(var / trials)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsecomm.codec import (
     BudgetTooSmall,
@@ -24,12 +26,13 @@ from sparsecomm.codec import (
     serialize,
     subsample,
     subsample_mask,
+    subsample_mask_from_keys,
     unrank_sparse,
 )
 from sparsecomm.model import Observation
 from sparsecomm.seeding import substream
 
-from oracles import colex_codebook
+from oracles import colex_codebook, double_argsort_mask
 
 
 def all_observations(d):
@@ -291,7 +294,7 @@ class TestBatchEquivalence:
     def test_batch_decode_matches_scalar_unrank(self, d, k):
         cfg = make_config(d, k)
         ranks = np.arange(cfg.codebook, dtype=np.int64)
-        counts = np.zeros_like(ranks)
+        counts = np.array([len(sup) for sup in colex_codebook(d, cfg.kprime)])
         mask = decode_batch(counts, ranks, cfg)
         for rank in ranks:
             assert np.flatnonzero(mask[rank]).tolist() == unrank_sparse(
@@ -313,3 +316,48 @@ class TestBatchEquivalence:
         cfg = make_config(8, 10)
         with pytest.raises(RankOutOfRange):
             decode_batch(np.array([1]), np.array([37]), cfg)
+
+    @pytest.mark.parametrize("d,k", [(8, 10), (256, 96)])  # int64 ranks, Python-int ranks
+    def test_batch_decode_enforces_the_message_contract(self, d, k):
+        cfg = make_config(d, k)
+        support = list(range(1, 2 * cfg.kprime, 2))  # kprime ones
+        full = np.array([rank_sparse(support, d, cfg.kprime)] * 2, dtype=object)
+        subsampled = cfg.kprime + 3
+        mask = decode_batch(np.array([subsampled, cfg.kprime]), full, cfg)
+        assert np.flatnonzero(mask[0]).tolist() == np.flatnonzero(mask[1]).tolist() == support
+        for count in (-1, d + 1):
+            with pytest.raises(MalformedMessage):
+                decode_batch(np.array([subsampled, count]), full, cfg)
+        with pytest.raises(MalformedMessage):
+            # count 1 implies one decoded one; the payload names kprime >= 2
+            decode_batch(np.array([subsampled, 1]), full, cfg)
+
+
+@st.composite
+def mask_cases(draw):
+    """(x, kprime, keys): rows of up to d ones, row 0 all zero, keys drawn
+    from a few values so that ties at the threshold are common."""
+    d = draw(st.integers(2, 24))
+    rows = draw(st.integers(1, 8))
+    x = np.array(draw(st.lists(st.booleans(), min_size=rows * d, max_size=rows * d)))
+    x = x.reshape(rows, d).astype(np.int8)
+    x[0] = 0
+    pool = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+    keys = np.array(draw(st.lists(pool, min_size=rows * d, max_size=rows * d)))
+    return x, draw(st.integers(0, d + 1)), keys.reshape(rows, d)
+
+
+class TestSubsampleMaskProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(mask_cases())
+    @example((np.array([[1, 1, 1, 1], [0, 1, 1, 0], [0, 0, 0, 0]]), 2, np.full((3, 4), 0.5)))
+    @example((np.array([[1, 1, 1, 1], [0, 1, 0, 0]]), 0, np.full((2, 4), 0.25)))
+    def test_threshold_mask_equals_full_ranking(self, case):
+        x, kprime, keys = case
+        mask = subsample_mask_from_keys(x, kprime, keys)
+        assert np.array_equal(mask, double_argsort_mask(x, kprime, keys))
+
+    def test_drawn_keys_are_one_uniform_per_position(self):
+        x = (substream(12).random((40, 16)) < 0.5).astype(np.int8)
+        keys = substream(13).random(x.shape)
+        assert np.array_equal(subsample_mask(x, 3, substream(13)), double_argsort_mask(x, 3, keys))

@@ -5,6 +5,7 @@ import pytest
 
 from sparsecomm.codec import SubsampledObservation, decode, encode, make_config
 from sparsecomm.estimator import (
+    _CHUNK_ELEMENTS,
     CENTRALIZED,
     LOWER_MINIMAX,
     UPPER_ACHIEVABLE,
@@ -15,10 +16,12 @@ from sparsecomm.estimator import (
     bound_value,
     estimate,
     hardest_param,
+    monte_carlo_mean,
     monte_carlo_risk,
     subsample_fraction,
 )
 from sparsecomm.model import (
+    PLAIN,
     SCALED,
     SIGNED,
     ParamVector,
@@ -28,7 +31,7 @@ from sparsecomm.model import (
 )
 from sparsecomm.seeding import substream
 
-from oracles import exact_pipeline_risk
+from oracles import exact_pipeline_risk, per_trial_monte_carlo
 
 
 class TestSubsampleFraction:
@@ -243,6 +246,42 @@ class TestMonteCarloRisk:
         with pytest.raises(ValueError):
             monte_carlo_risk(hardest_param(8, 2), 4, make_config(8, 10), trials=50)
 
+
+def ramp_probe(variant, d, s):
+    """theta_j rising linearly from 0 to 2s/d (sum s); signed flips every third."""
+    values = np.linspace(0.0, 2.0 * s / d, d)
+    if variant == SIGNED:
+        values = values * np.where(np.arange(d) % 3 == 1, -1.0, 1.0)
+    return ParamVector(values, s=s, variant=variant, scale=3.0 if variant == SCALED else 1.0)
+
+
+class TestTrialKernel:
+    """Chunked trials give exactly the numbers of a trial-by-trial loop."""
+
+    @pytest.mark.parametrize(
+        "variant,d,k,n,trials,halfwidth",
+        [
+            (PLAIN, 8, 10, 4, 1100, None),
+            (PLAIN, 64, 26, 16, 101, 0.4),
+            (SIGNED, 16, 14, 5, 450, None),
+            (SIGNED, 32, 12, 7, 150, 0.3),
+            (SCALED, 64, 48, 128, 101, None),
+            (SCALED, 20, 12, 3, 300, 0.45),
+            (PLAIN, 256, 96, 8, 100, 0.4),  # codebook beyond int64: Python-int ranks
+        ],
+    )
+    def test_matches_per_trial_reference_bit_for_bit(self, variant, d, k, n, trials, halfwidth):
+        per_chunk = _CHUNK_ELEMENTS // (n * d)
+        assert per_chunk < trials and trials % per_chunk != 0  # straddles chunk ends
+        cfg = make_config(d, k)
+        theta = ramp_probe(variant, d, max(1, d // 8))
+        perturb = UniformPerturbation(halfwidth) if halfwidth else None
+        seed = 2**64 - 3 + trials
+        est = monte_carlo_risk(theta, n, cfg, trials, perturb=perturb, seed=seed)
+        mean, std_err = monte_carlo_mean(theta, n, cfg, trials, seed=seed, perturb=perturb)
+        ref = per_trial_monte_carlo(theta, n, cfg.kprime, trials, halfwidth, seed)
+        assert (est.mean_sq_error, est.std_error) == ref[:2]
+        assert np.array_equal(mean, ref[2]) and np.array_equal(std_err, ref[3])
 
 class TestBoundCurves:
     def test_achievable_plugin_value(self):
