@@ -11,10 +11,14 @@ onto ``0 .. sum_j C(d, j) - 1``.
 dominates the looser rule of thumb ``(k - log d) / log d`` and can be 0 for
 very small budgets, in which case the config is flagged degenerate (the
 payload can only name the empty set).
+
+Scalar and batch functions run the same algorithms and read the codebook
+sizes from one cached table of class offsets.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,9 +58,38 @@ def ceil_log2(x: int) -> int:
     return (int(x) - 1).bit_length()
 
 
+# Ranks are held in int64 when the codebook has at most this many vectors,
+# and as Python ints (object arrays) otherwise.
+_INT64_SAFE = 1 << 62
+
+
+@lru_cache(maxsize=None)
+def _class_offsets(d: int, kprime: int) -> np.ndarray:
+    """offsets[m] = number of codebook vectors with popcount < m, for
+    0 <= m <= kprime + 1, read-only; ``offsets[-1]`` is the codebook size."""
+    offsets = [0]
+    for m in range(kprime + 1):
+        offsets.append(offsets[-1] + math.comb(d, m))
+    table = np.array(offsets, dtype=np.int64 if offsets[-1] <= _INT64_SAFE else object)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _comb_table(d: int, kprime: int) -> np.ndarray:
+    """comb(i, j) for 0 <= i <= d, 0 <= j <= kprime, read-only, in the dtype
+    of :func:`_class_offsets` (no entry exceeds the codebook size)."""
+    table = np.zeros((d + 1, kprime + 1), dtype=_class_offsets(d, kprime).dtype)
+    table[:, 0] = 1
+    for i in range(1, d + 1):  # Pascal's rule, one row per step
+        table[i, 1:] = table[i - 1, 1:] + table[i - 1, :-1]
+    table.setflags(write=False)
+    return table
+
+
 def codebook_size(d: int, kprime: int) -> int:
     """Number of binary vectors of length d with at most kprime ones."""
-    return sum(math.comb(d, j) for j in range(kprime + 1))
+    return int(_class_offsets(d, kprime)[-1])
 
 
 @dataclass(frozen=True)
@@ -151,7 +184,7 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
     for i, idx in enumerate(sup):
         if idx < 0 or idx >= d or (i > 0 and idx <= sup[i - 1]):
             raise ValueError("support must be strictly increasing indices in [0, d)")
-    rank = codebook_size(d, m - 1) if m > 0 else 0
+    rank = int(_class_offsets(d, kprime)[m])
     for i, idx in enumerate(sup):
         rank += math.comb(idx, i + 1)
     return rank
@@ -160,13 +193,11 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
 def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
     """Inverse of :func:`rank_sparse` over the full codebook."""
     rank = int(rank)
-    if rank < 0 or rank >= codebook_size(d, kprime):
-        raise RankOutOfRange(f"rank {rank} outside codebook of size {codebook_size(d, kprime)}")
-    m = 0
-    rem = rank
-    while rem >= math.comb(d, m):
-        rem -= math.comb(d, m)
-        m += 1
+    offsets = _class_offsets(d, kprime)
+    if rank < 0 or rank >= offsets[-1]:
+        raise RankOutOfRange(f"rank {rank} outside codebook of size {offsets[-1]}")
+    m = bisect.bisect_right(offsets, rank) - 1  # popcount class of the rank
+    rem = rank - int(offsets[m])
     support: list[int] = []
     ceiling = d  # candidates are strictly below the previously chosen index
     for i in range(m - 1, -1, -1):
@@ -185,23 +216,19 @@ def subsample(
 ) -> SubsampledObservation:
     """Keep a uniformly random kprime-subset of the support when it is larger.
 
-    Supports with at most kprime ones pass through unchanged.  The uniform
-    subset is realized by attaching an iid uniform key to each support index
-    and keeping the kprime largest keys.
+    The uniform subset is realized by attaching an iid uniform key to each
+    support index and keeping the kprime largest keys, the rule of
+    :func:`subsample_mask`.  Keys are drawn only when the support exceeds
+    kprime > 0; smaller supports pass through unchanged, and a degenerate
+    budget (kprime = 0) keeps only the count.
     """
     if obs.d != cfg.d:
         raise ValueError(f"observation dimension {obs.d} != config dimension {cfg.d}")
     m = obs.count
-    if m <= cfg.kprime:
-        return SubsampledObservation(obs.d, obs.support, m, obs.signs)
-    if cfg.kprime == 0:  # degenerate budget: only the count survives
-        empty = np.empty(0, dtype=np.int64)
-        signs = empty if obs.signs is not None else None
-        return SubsampledObservation(obs.d, empty, m, signs)
-    keys = rng.random(m)
-    picked = np.sort(np.argpartition(keys, m - cfg.kprime)[m - cfg.kprime :])
-    signs = obs.signs[picked] if obs.signs is not None else None
-    return SubsampledObservation(obs.d, obs.support[picked], m, signs)
+    keys = rng.random((1, m)) if m > cfg.kprime > 0 else np.zeros((1, m))
+    kept = _keep_largest_keys(np.ones((1, m), dtype=bool), np.array([m]), cfg.kprime, keys)[0]
+    signs = obs.signs[kept] if obs.signs is not None else None
+    return SubsampledObservation(obs.d, obs.support[kept], m, signs)
 
 
 def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Message:
@@ -257,36 +284,9 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 #
 # The Monte Carlo harness encodes and decodes millions of observations; the
 # batch functions below run the same subsample / rank / unrank algorithms on
-# whole (rows, d) matrices at once.  Exhaustive tests pin them to the scalar
-# functions.  Ranks are held in int64, so the vectorized path requires the
-# codebook to fit; larger codebooks fall back to the scalar code per row.
-
-_INT64_SAFE = 1 << 62
-
-
-@lru_cache(maxsize=None)
-def _comb_table(d: int, kmax: int) -> np.ndarray:
-    """comb(i, j) for 0 <= i <= d, 0 <= j <= kmax, as read-only int64."""
-    table = np.zeros((d + 1, kmax + 1), dtype=np.int64)
-    for i in range(d + 1):
-        for j in range(kmax + 1):
-            table[i, j] = math.comb(i, j)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _class_offsets(d: int, kprime: int) -> np.ndarray:
-    """offsets[m] = number of codebook vectors with popcount < m."""
-    offsets = np.zeros(kprime + 2, dtype=np.int64)
-    for m in range(1, kprime + 2):
-        offsets[m] = offsets[m - 1] + math.comb(d, m - 1)
-    offsets.setflags(write=False)
-    return offsets
-
-
-def batch_fits_int64(cfg: CodecConfig) -> bool:
-    return cfg.codebook <= _INT64_SAFE
+# whole (rows, d) matrices at once.  Exhaustive and property tests pin them
+# to the scalar functions.  Ranks take the dtype of the cached tables, int64
+# or Python ints, so one code path serves every codebook size.
 
 
 def subsample_mask(
@@ -355,12 +355,6 @@ def encode_batch_from_keys(
     nonzero = x != 0
     counts = np.count_nonzero(nonzero, axis=1).astype(np.int64)
     mask = _keep_largest_keys(nonzero, counts, kprime, keys)
-    if not batch_fits_int64(cfg):
-        payloads = np.array(
-            [rank_sparse(np.flatnonzero(row).tolist(), d, kprime) for row in mask],
-            dtype=object,
-        )
-        return counts, payloads, mask
     kept = np.minimum(counts, kprime)
     payloads = _class_offsets(d, kprime)[kept]
     ones = np.flatnonzero(mask)  # row-major: each row's kept columns ascending
@@ -378,25 +372,20 @@ def decode_batch(
     """Decode message fields back to a (rows, d) boolean support mask.
 
     Enforces the contract of :func:`decode` on every row: the count lies in
-    ``[0, d]`` and the payload names a support of ``min(count, kprime)`` ones.
+    ``[0, d]`` and the payload is a rank in the codebook that names a support
+    of ``min(count, kprime)`` ones.
     """
     d, kprime = cfg.d, cfg.kprime
+    offsets = _class_offsets(d, kprime)
     counts = np.asarray(counts)
+    payloads = np.asarray(payloads)
     n = counts.shape[0]
     if n and (counts.min() < 0 or counts.max() > d):
         raise MalformedMessage(f"count outside [0, {d}]")
+    if n and (payloads.min() < 0 or payloads.max() >= offsets[-1]):
+        raise MalformedMessage("payload outside codebook")
+    payloads = np.asarray(payloads, dtype=offsets.dtype)
     expected = np.minimum(counts, kprime)
-    if not batch_fits_int64(cfg):
-        mask = np.zeros((n, d), dtype=bool)
-        for i in range(n):
-            sup = unrank_sparse(int(payloads[i]), d, kprime)
-            _check_popcount(len(sup), counts[i], expected[i])
-            mask[i, sup] = True
-        return mask
-    payloads = np.asarray(payloads, dtype=np.int64)
-    if payloads.size and (payloads.min() < 0 or payloads.max() >= cfg.codebook):
-        raise RankOutOfRange("payload outside codebook")
-    offsets = _class_offsets(d, kprime)
     m = np.searchsorted(offsets, payloads, side="right") - 1
     bad = np.flatnonzero(m != expected)
     if bad.size:

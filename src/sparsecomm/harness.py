@@ -542,10 +542,27 @@ def _risk_point(args: tuple) -> dict:
     return row
 
 
+def _check_grid_values(params: dict) -> None:
+    """Config-only preconditions of a risk or bounds grid, checked before
+    any grid point runs: every ``n >= 1``, ``d >= 2`` and ``s > 0``."""
+    for key, low in (("n", 1), ("d", 2)):
+        for value in _as_list(params[key]):
+            if value < low:
+                raise PreconditionError(f"'{key}' must be >= {low}, got {value}")
+    for s in _as_list(params["s"]):
+        if not s > 0:
+            raise PreconditionError(f"'s' must be > 0, got {s}")
+
+
 def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
     if params["trials"] < 100:
         raise PreconditionError("trials must be at least 100")
+    _check_grid_values(params)
+    if not 0 <= params["perturb_halfwidth"] <= 0.5:
+        raise PreconditionError(
+            f"'perturb_halfwidth' must lie in [0, 0.5], got {params['perturb_halfwidth']}"
+        )
     if config.command == "EstimateRisk":
         for key in ("n", "k", "d", "s"):
             if isinstance(params[key], list):
@@ -643,21 +660,22 @@ def _codec_point(d: int, k: int, samples: int, seed: int, echo) -> dict:
 
 def _run_codec(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    samples = params["samples"]
-    rows = []
-    for index, d in enumerate(_as_list(params["d"])):
+    samples, dims, k_spec = params["samples"], _as_list(params["d"]), params["k"]
+    if isinstance(k_spec, str) and k_spec != "all":
+        raise ConfigParseError(f"key 'k': expected int, list, or \"all\"")
+    if samples < 0:
+        raise PreconditionError(f"'samples' must be >= 0, got {samples}")
+    for d in dims:
+        if d < 2:
+            raise PreconditionError(f"'d' must be >= 2, got {d}")
         if samples == 0 and d > 16:
             raise PreconditionError(
                 f"exhaustive roundtrip over 2^{d} supports is infeasible; "
                 "set 'samples' for d > 16"
             )
-        k_spec = params["k"]
-        if isinstance(k_spec, str):
-            if k_spec != "all":
-                raise ConfigParseError(f"key 'k': expected int, list, or \"all\"")
-            budgets = _admissible_budgets(d)
-        else:
-            budgets = _as_list(k_spec)
+    rows = []
+    for index, d in enumerate(dims):
+        budgets = _admissible_budgets(d) if isinstance(k_spec, str) else _as_list(k_spec)
         for k in budgets:
             rows.append(_codec_point(d, k, samples, derive_seed(config.seed, index), echo))
     return rows
@@ -727,8 +745,8 @@ def _train_config(params: dict, seed: int) -> TrainConfig:
 
 def _run_train(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    obj = _build_objective(params, derive_seed(config.seed, 0))
     cfg = _train_config(params, config.seed)
+    obj = _build_objective(params, derive_seed(config.seed, 0))
     try:  # surface bad (k, r, d) combinations before running
         cfg.resolve_r(obj.d)
     except ValueError as exc:
@@ -773,8 +791,8 @@ def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
 
 def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    obj = _build_objective(params, derive_seed(config.seed, 0))
     cfg = _train_config(params, config.seed)
+    obj = _build_objective(params, derive_seed(config.seed, 0))
     try:
         specs = [parse_spec_string(s, obj.d, params["n"]) for s in params["specs"]]
         rows = compare_sparsifiers(obj, cfg, specs, params["seeds"])
@@ -793,6 +811,7 @@ def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
 
 def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
+    _check_grid_values(params)
     rows = []
     grid = list(
         itertools.product(

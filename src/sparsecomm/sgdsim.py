@@ -29,7 +29,8 @@ UNBIASED_RESCALE = "unbiased_rescale"
 _AGGREGATIONS = (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE)
 
 # Learning-rate schedules are either a constant or a piecewise-constant
-# list of (start_step, rate) breakpoints sorted by step.
+# list of (start_step, rate) breakpoints; TrainConfig requires positive
+# rates and steps that start at 0 and strictly increase.
 Schedule = Union[float, Sequence[tuple[int, float]]]
 
 
@@ -76,6 +77,12 @@ class TrainConfig:
             raise ValueError(f"unknown partition {self.partition!r}")
         if self.n < 1 or self.k < 1 or self.steps < 1 or self.batch_size < 1:
             raise ValueError("n, k, steps and batch_size must be positive")
+        breakpoints = [(0, self.eta)] if isinstance(self.eta, (int, float)) else list(self.eta)
+        starts = [start for start, _ in breakpoints]
+        if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ValueError(f"eta steps must start at 0 and strictly increase, got {starts}")
+        if not all(rate > 0 for _, rate in breakpoints):
+            raise ValueError(f"learning rates must be positive, got {self.eta}")
 
     def resolve_r(self, d: int) -> int:
         r = min(self.n * self.k, d) if self.r is None else self.r

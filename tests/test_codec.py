@@ -1,6 +1,7 @@
 """Tests for the fixed-width sparse-support codec."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ class TestBatchEquivalence:
 
     def test_batch_payload_out_of_range(self):
         cfg = make_config(8, 10)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(MalformedMessage):
             decode_batch(np.array([1]), np.array([37]), cfg)
 
     @pytest.mark.parametrize("d,k", [(8, 10), (256, 96)])  # int64 ranks, Python-int ranks
@@ -361,3 +362,50 @@ class TestSubsampleMaskProperty:
         x = (substream(12).random((40, 16)) < 0.5).astype(np.int8)
         keys = substream(13).random(x.shape)
         assert np.array_equal(subsample_mask(x, 3, substream(13)), double_argsort_mask(x, 3, keys))
+
+
+@st.composite
+def codec_cases(draw):
+    """(d, k, rows, seed): any admissible budget up to codebook saturation at
+    d <= 256, so codebooks above 2^62 (Python-int ranks) come up often."""
+    d = draw(st.integers(2, 256))
+    header = ceil_log2(d + 1)
+    k = draw(st.integers(header + 1, header + d))
+    return d, k, draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
+
+
+class TestCodecProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(codec_cases())
+    @example((256, 71, 3, 0))  # the largest int64 codebook at d=256
+    @example((256, 72, 3, 0))  # the smallest Python-int codebook at d=256
+    @example((4, 4, 3, 0))  # degenerate: kprime = 0
+    def test_batch_scalar_and_serialized_codec_agree(self, case):
+        d, k, rows, seed = case
+        cfg = make_config(d, k)
+        inputs = substream(seed)
+        x = (inputs.random((rows, d)) < inputs.random((rows, 1))).astype(np.int8)
+        counts, payloads, mask = encode_batch(x, cfg, substream(seed, 1))
+        kept = [np.flatnonzero(row).tolist() for row in mask]
+        assert [int(p) for p in payloads] == [rank_sparse(sup, d, cfg.kprime) for sup in kept]
+
+        ranks = [random.Random(seed + i).randrange(cfg.codebook) for i in range(rows)]
+        ones = [len(unrank_sparse(r, d, cfg.kprime)) for r in ranks]
+        decoded = decode_batch(
+            np.concatenate([counts, ones]), np.array([*payloads, *ranks], dtype=object), cfg
+        )
+        assert [np.flatnonzero(row).tolist() for row in decoded] == kept + [
+            unrank_sparse(r, d, cfg.kprime) for r in ranks
+        ]
+
+        for i in range(rows):
+            obs = Observation(d, np.flatnonzero(x[i]))
+            rng, replay = substream(seed, 2 + i), substream(seed, 2 + i)
+            sub = subsample(obs, cfg, rng)
+            m = obs.count
+            keys = replay.random((1, m)) if m > cfg.kprime > 0 else np.zeros((1, m))
+            expected = obs.support[double_argsort_mask(np.ones((1, m)), cfg.kprime, keys)[0]]
+            assert sub.support.tolist() == expected.tolist() and sub.original_count == m
+            assert rng.random() == replay.random()  # the same number of keys drawn
+            for msg in (encode(obs, cfg, rng), Message(m, ranks[i], k)):
+                assert deserialize(serialize(msg, cfg), cfg) == msg

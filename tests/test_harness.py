@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sparsecomm import cli
+from sparsecomm import cli, harness
 from sparsecomm.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -312,6 +312,57 @@ class TestTrainCommands:
 
         with pytest.raises(PreconditionError):
             parse_spec_string("rtop", 100, 4)
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("a grid point or training run started")
+
+
+class TestConfigOnlyPreconditions:
+    """Errors that depend only on the config exit 3 before any work runs."""
+
+    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
+    @pytest.mark.parametrize(
+        "eta",
+        ["0", "[[1, 0.2]]", "[[0, 0.2], [5, 0.1], [2, 0.3]]", "[[0, -0.2]]"],
+        ids=["constant_rate_not_positive", "first_step_not_0", "steps_not_increasing",
+             "rate_not_positive"],
+    )
+    def test_bad_eta_schedule(self, tmp_path, monkeypatch, command, eta):
+        monkeypatch.setattr(harness, "train", must_not_run)
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        out = tmp_path / "t.csv"
+        extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
+        cfg = f"command = {command}\nd = 10\nn = 2\nk = 2\nsteps = 12\neta = {eta}\n{extra}"
+        assert run(write_config(tmp_path, cfg + f"out = {out}\n")) == EXIT_PRECONDITION
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            "command = SweepRisk\nn = [4, 0]\nk = 12\nd = 16\ns = 2\ntrials = 120\n",
+            "command = SweepRisk\nn = 4\nk = 12\nd = [16, 1]\ns = 2\ntrials = 120\n",
+            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 0\ntrials = 120\n",
+            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
+            "perturb_halfwidth = 0.7\n",
+            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
+            "perturb_halfwidth = -0.1\n",
+            "command = Bounds\nn = [4, 0]\nk = 12\nd = 16\ns = 2\n",
+            "command = Bounds\nn = 4\nk = 12\nd = [16, 1]\ns = 2\n",
+            "command = Bounds\nn = 4\nk = 12\nd = 16\ns = [2, 0]\n",
+            "command = CodecRoundtrip\nd = 16\nk = 24\nsamples = -3\n",
+            "command = CodecRoundtrip\nd = [8, 1]\nk = 10\nsamples = 5\n",
+        ],
+        ids=["risk_n_0", "risk_d_1", "risk_s_0", "perturb_above_half", "perturb_negative",
+             "bounds_n_0", "bounds_d_1", "bounds_s_0", "codec_samples_negative", "codec_d_1"],
+    )
+    def test_grid_values(self, tmp_path, monkeypatch, cfg):
+        for name in ("_risk_point", "_bound_columns", "_codec_point"):
+            monkeypatch.setattr(harness, name, must_not_run)
+        out = tmp_path / "g.csv"
+        path = write_config(tmp_path, cfg + f"workers = 1\nout = {out}\n")
+        assert run(path) == EXIT_PRECONDITION
+        assert not out.exists()
 
 
 class TestBoundsCommand:
