@@ -62,8 +62,13 @@ def ceil_log2(x: int) -> int:
 # and as Python ints (object arrays) otherwise.
 _INT64_SAFE = 1 << 62
 
+# Tables kept per process: more than the distinct (d, kprime) pairs of any
+# shipped config or benchmark workload (at most 9), and few enough that a
+# sweep over large object tables does not keep every one alive.
+_TABLES_CACHED = 16
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_TABLES_CACHED)
 def _class_offsets(d: int, kprime: int) -> np.ndarray:
     """offsets[m] = number of codebook vectors with popcount < m, for
     0 <= m <= kprime + 1, read-only; ``offsets[-1]`` is the codebook size."""
@@ -75,7 +80,7 @@ def _class_offsets(d: int, kprime: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES_CACHED)
 def _comb_table(d: int, kprime: int) -> np.ndarray:
     """comb(i, j) for 0 <= i <= d, 0 <= j <= kprime, read-only, in the dtype
     of :func:`_class_offsets` (no entry exceeds the codebook size)."""

@@ -27,7 +27,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .codec import BudgetTooSmall, ceil_log2, decode, encode, make_config, serialize
+from .codec import (
+    BudgetTooSmall,
+    CodecConfig,
+    CodecError,
+    ceil_log2,
+    decode,
+    encode,
+    make_config,
+    serialize,
+)
 from .estimator import (
     CENTRALIZED,
     LOWER_MINIMAX,
@@ -518,15 +527,19 @@ def _bound_columns(n, k, d, s, theta, upper_c: float, lower_c: float) -> dict:
     }
 
 
+def _budget_config(d: int, k: int) -> CodecConfig:
+    """The codec config of (d, k); a budget below the count header is a
+    precondition error."""
+    try:
+        return make_config(d, k)
+    except BudgetTooSmall as exc:
+        raise PreconditionError(f"d={d}, k={k}: {exc}") from exc
+
+
 def _risk_point(args: tuple) -> dict:
     """One grid point of a risk sweep (top level: picklable for pools)."""
-    point, trials, halfwidth, upper_c, lower_c, point_seed = args
+    point, theta, cfg, trials, halfwidth, upper_c, lower_c, point_seed = args
     n, k, d, s = point["n"], point["k"], point["d"], point["s"]
-    theta = probe_param(point["probe"], d, s)
-    try:
-        cfg = make_config(d, k)
-    except BudgetTooSmall as exc:
-        raise PreconditionError(f"grid point {point}: {exc}") from exc
     row = dict(point, trials=trials, kprime=cfg.kprime)
     row.update(_bound_columns(n, k, d, s, theta, upper_c, lower_c))
     if cfg.degenerate:
@@ -573,16 +586,23 @@ def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
     grid = _risk_grid(params)
     if not grid:
         raise PreconditionError("empty grid")
+    # Every point's probe and codec config is built before the first point
+    # runs, so a probe range or budget error exits 3 with no work done.
+    inputs = [
+        (probe_param(p["probe"], p["d"], p["s"]), _budget_config(p["d"], p["k"])) for p in grid
+    ]
     jobs = [
         (
             point,
+            theta,
+            cfg,
             params["trials"],
             params["perturb_halfwidth"],
             params["upper_constant"],
             params["lower_constant"],
             derive_seed(config.seed, index),
         )
-        for index, point in enumerate(grid)
+        for index, (point, (theta, cfg)) in enumerate(zip(grid, inputs))
     ]
     if config.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -615,8 +635,8 @@ def _admissible_budgets(d: int) -> list[int]:
     return list(range(low, header + d + 1))
 
 
-def _codec_point(d: int, k: int, samples: int, seed: int, echo) -> dict:
-    cfg = make_config(d, k)
+def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
+    d, k = cfg.d, cfg.k
     rng_bits = np.random.default_rng(seed)
     row = {
         "d": d,
@@ -673,12 +693,12 @@ def _run_codec(config: ExperimentConfig, echo) -> list[dict]:
                 f"exhaustive roundtrip over 2^{d} supports is infeasible; "
                 "set 'samples' for d > 16"
             )
-    rows = []
-    for index, d in enumerate(dims):
-        budgets = _admissible_budgets(d) if isinstance(k_spec, str) else _as_list(k_spec)
-        for k in budgets:
-            rows.append(_codec_point(d, k, samples, derive_seed(config.seed, index), echo))
-    return rows
+    points = [
+        (_budget_config(d, k), derive_seed(config.seed, index))
+        for index, d in enumerate(dims)
+        for k in (_admissible_budgets(d) if isinstance(k_spec, str) else _as_list(k_spec))
+    ]
+    return [_codec_point(cfg, samples, seed, echo) for cfg, seed in points]
 
 
 # --- train / compare commands ------------------------------------------------
@@ -869,7 +889,7 @@ def run(
     except (PreconditionError, ConfigParseError) as exc:
         code = EXIT_CONFIG if isinstance(exc, ConfigParseError) else EXIT_PRECONDITION
         return fail(code, exc)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, CodecError) as exc:
         return fail(EXIT_RUNTIME, exc)
     if config.out is not None:
         try:

@@ -14,7 +14,7 @@ the compression-operator property with contraction coefficient k/d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,21 +26,20 @@ class BadRank(ValueError):
 
 @dataclass(eq=False)
 class SparseUpdate:
-    """Sparse vector as an index -> value map; exact zeros are not stored."""
+    """Sparse vector as int64 indices and float values in selection order;
+    exact zeros are not stored."""
 
     d: int
-    entries: dict[int, float] = field(default_factory=dict)
+    indices: np.ndarray
+    values: np.ndarray
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return int(self.indices.size)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.d)
-        if self.entries:
-            idx = np.fromiter(self.entries.keys(), dtype=np.int64, count=len(self.entries))
-            val = np.fromiter(self.entries.values(), dtype=float, count=len(self.entries))
-            out[idx] = val
+        out[self.indices] = self.values
         return out
 
 
@@ -58,9 +57,9 @@ def _top_indices(w: np.ndarray, r: int) -> np.ndarray:
     return np.argsort(-np.abs(w), kind="stable")[:r]
 
 
-def _update_from(w: np.ndarray, indices) -> SparseUpdate:
-    entries = {int(i): float(w[i]) for i in indices if w[i] != 0.0}
-    return SparseUpdate(d=int(w.size), entries=entries)
+def _update_from(w: np.ndarray, indices: np.ndarray) -> SparseUpdate:
+    kept = indices[w[indices] != 0.0]
+    return SparseUpdate(d=int(w.size), indices=kept, values=w[kept])
 
 
 def _sample_subset(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,14 +134,14 @@ def check_compression(
     standard errors, with a small absolute floor for the deterministic
     k = r case), and checks ``expected <= (1 - k/d) ||w||^2`` exactly.
     """
-    w = _as_vector(w)
-    expected = expected_sq_error(w, r, k)
+    expected = expected_sq_error(w, r, k)  # validates w, r and k
+    w = np.asarray(w, dtype=float)
     total = float(np.sum(w * w))
+    top = _top_indices(w, r)
     errors = np.empty(mc_trials)
-    for t in range(mc_trials):
-        update = rtop_k(w, r, k, rng)
-        kept = sum(v * v for v in update.entries.values())
-        errors[t] = total - kept
+    for t in range(mc_trials):  # rtop_k's draws and its kept mass, summed left to right
+        kept = w[_sample_subset(top, k, rng)]
+        errors[t] = total - sum((kept * kept).tolist())
     mc_mean = float(errors.mean())
     mc_std = float(errors.std(ddof=1)) if mc_trials > 1 else 0.0
     mc_std_error = mc_std / math.sqrt(mc_trials)

@@ -91,6 +91,33 @@ def mean_sq_error_enumeration(w, r: int, k: int) -> float:
     return float(np.mean(errors))
 
 
+def naive_rtop_k(w, r: int, k: int, rng) -> list[int]:
+    """The indices rtop-k keeps, in selection order: the top r by a stable
+    argsort of the magnitudes (ties to the lower index), then k scalar
+    Fisher-Yates swaps over a Python list, swap i drawing
+    ``rng.integers(i, r)``."""
+    pool = np.argsort(-np.abs(np.asarray(w, dtype=float)), kind="stable")[:r].tolist()
+    for i in range(k):
+        j = int(rng.integers(i, r))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def naive_rtop_k_residuals(w, r: int, k: int, trials: int, rng) -> tuple[float, float]:
+    """Mean and standard error of ``||w - rtop_k(w)||^2`` over ``trials``
+    selections by :func:`naive_rtop_k`; each residual is the total squared
+    norm minus a Python sum of the kept squares in selection order."""
+    values = [float(v) for v in w]
+    total = float(np.sum(np.asarray(values) ** 2))
+    errors = []
+    for _ in range(trials):
+        kept = naive_rtop_k(values, r, k, rng)
+        errors.append(total - sum(values[i] * values[i] for i in kept))
+    errors = np.array(errors)
+    std = float(errors.std(ddof=1)) if trials > 1 else 0.0
+    return float(errors.mean()), std / math.sqrt(trials)
+
+
 def ols_loglog_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log(y) on log(x) and its standard error."""
     lx = np.log(np.asarray(xs, dtype=float))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsecomm import codec
 from sparsecomm.codec import (
     BudgetTooSmall,
     LengthMismatch,
@@ -122,6 +123,17 @@ class TestRanking:
     def test_unsorted_support_rejected(self):
         with pytest.raises(ValueError):
             rank_sparse([3, 1], 8, 2)
+
+    def test_table_caches_stay_bounded(self):
+        cap = codec._comb_table.cache_info().maxsize
+        assert codec._class_offsets.cache_info().maxsize == cap
+        assert cap >= 9  # the distinct (d, kprime) pairs of any shipped config
+        first = codec._comb_table(40, 0).copy()
+        for kprime in range(cap + 5):
+            codec._comb_table(40, kprime)
+            assert codec._comb_table.cache_info().currsize <= cap
+            assert codec._class_offsets.cache_info().currsize <= cap
+        assert np.array_equal(codec._comb_table(40, 0), first)  # rebuilt after eviction
 
 
 class TestSubsample:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from sparsecomm import cli, harness
+from sparsecomm.codec import MalformedMessage
 from sparsecomm.harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PRECONDITION,
+    EXIT_RUNTIME,
     RISK_COLUMNS,
     ConfigParseError,
     InsufficientData,
@@ -363,6 +365,54 @@ class TestConfigOnlyPreconditions:
         path = write_config(tmp_path, cfg + f"workers = 1\nout = {out}\n")
         assert run(path) == EXIT_PRECONDITION
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "k = [12, 3]\ns = 2\nprobes = [flat]\n",
+            "k = 12\ns = [4, 40]\nprobes = [flat]\n",
+            "k = 12\ns = [4, 20]\nprobes = [half_flat]\n",
+            "k = 12\ns = [4, 0.5]\nprobes = [corner]\n",
+            "k = 12\ns = 4\nprobes = [flat, middle]\n",
+        ],
+        ids=["budget_below_header", "flat_s_above_half_d", "half_flat_s_above_d",
+             "corner_floor_s_0", "unknown_probe"],
+    )
+    def test_risk_point_inputs(self, tmp_path, monkeypatch, grid):
+        monkeypatch.setattr(harness, "monte_carlo_risk", must_not_run)
+        out = tmp_path / "r.csv"
+        cfg = f"command = SweepRisk\nn = 4\nd = 16\ntrials = 120\n{grid}workers = 1\nout = {out}\n"
+        errors = []
+        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
+        assert [e.split()[:2] for e in errors] == [["ERROR", "code=3"]]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid", ["d = 16\nk = [3]\n", "d = [16, 64]\nk = [24, 6]\n"],
+        ids=["single_point", "second_dimension"],
+    )
+    def test_codec_budget_below_header(self, tmp_path, monkeypatch, grid):
+        monkeypatch.setattr(harness, "_codec_point", must_not_run)
+        out = tmp_path / "c.csv"
+        cfg = f"command = CodecRoundtrip\n{grid}samples = 5\nout = {out}\n"
+        errors = []
+        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
+        assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
+        assert not out.exists()
+
+
+def test_stray_codec_error_is_a_runtime_error(tmp_path, monkeypatch):
+    def malformed(*args, **kwargs):
+        raise MalformedMessage("corrupt transcript")
+
+    monkeypatch.setattr(harness, "decode", malformed)
+    out = tmp_path / "c.csv"
+    cfg = f"command = CodecRoundtrip\nd = 8\nk = 10\nsamples = 3\nout = {out}\n"
+    errors = []
+    path = write_config(tmp_path, cfg)
+    assert run(path, echo=lambda _: None, errcho=errors.append) == EXIT_RUNTIME
+    assert errors == ["ERROR code=4 kind=MalformedMessage message=corrupt transcript"]
+    assert not out.exists()
 
 
 class TestBoundsCommand:

@@ -18,22 +18,64 @@ from sparsecomm.sparsify import (
     top_r,
 )
 
-from oracles import mean_sq_error_enumeration
+from oracles import mean_sq_error_enumeration, naive_rtop_k, naive_rtop_k_residuals
+
+
+def entries(update) -> dict:
+    """The update as an index -> value map."""
+    return dict(zip(update.indices.tolist(), update.values.tolist()))
+
+
+class TestSparseUpdate:
+    def test_array_contract(self):
+        rng = substream(17)
+        for _ in range(300):
+            d = int(rng.integers(1, 30))
+            w = np.round(rng.normal(size=d))  # exact zeros and tied magnitudes
+            r = int(rng.integers(1, d + 1))
+            k = int(rng.integers(1, r + 1))
+            seed = int(rng.integers(2**32))
+            ours, theirs = substream(seed), substream(seed)
+            cases = [
+                (rtop_k(w, r, k, ours), naive_rtop_k(w, r, k, theirs)),
+                # random-k is rtop-k with r = d over equal magnitudes
+                (random_k(w, k, ours), naive_rtop_k(np.ones(d), d, k, theirs)),
+                (top_r(w, r), np.argsort(-np.abs(w), kind="stable")[:r].tolist()),
+            ]
+            for upd, picked in cases:
+                kept = [i for i in picked if w[i] != 0.0]
+                assert upd.indices.dtype == np.int64
+                assert upd.indices.tolist() == kept
+                assert upd.values.tolist() == [w[i] for i in kept]
+                assert upd.nnz == upd.indices.size == len(kept)
+                dense = upd.to_dense()
+                assert dense.shape == (d,)
+                assert np.flatnonzero(dense).tolist() == sorted(kept)
+                assert dense[upd.indices].tolist() == upd.values.tolist()
+            # k scalar draws per random_k / rtop_k call, none for top_r
+            assert ours.random() == theirs.random()
+
+    def test_all_zero_selection(self):
+        upd = top_r([0.0, 3.0, 0.0], 1)
+        assert upd.nnz == 1
+        upd = top_r([0.0, 0.0, 0.0], 2)
+        assert upd.nnz == 0 and upd.indices.dtype == np.int64
+        assert upd.to_dense().tolist() == [0.0, 0.0, 0.0]
 
 
 class TestTopR:
     def test_magnitude_selection(self):
         upd = top_r([0.1, -3.0, 2.0, 0.5], 2)
-        assert upd.entries == {1: -3.0, 2: 2.0}
+        assert entries(upd) == {1: -3.0, 2: 2.0}
 
     def test_full_rank_is_identity_support(self):
         w = [0.5, -1.0, 2.0]
         upd = top_r(w, 3)
-        assert upd.entries == {0: 0.5, 1: -1.0, 2: 2.0}
+        assert entries(upd) == {0: 0.5, 1: -1.0, 2: 2.0}
 
     def test_ties_break_toward_lower_index(self):
         upd = top_r([1.0, -1.0, 1.0], 2)
-        assert upd.entries == {0: 1.0, 1: -1.0}
+        assert entries(upd) == {0: 1.0, 1: -1.0}
 
     def test_bad_rank(self):
         with pytest.raises(BadRank):
@@ -43,25 +85,25 @@ class TestTopR:
 
     def test_exact_zeros_are_not_stored(self):
         upd = top_r([1.0, 0.0, 0.0], 3)
-        assert upd.entries == {0: 1.0}
+        assert entries(upd) == {0: 1.0}
         assert upd.to_dense().tolist() == [1.0, 0.0, 0.0]
 
     def test_deterministic(self):
         w = substream(0).normal(size=50)
-        assert top_r(w, 7).entries == top_r(w, 7).entries
+        assert entries(top_r(w, 7)) == entries(top_r(w, 7))
 
 
 class TestRandomK:
     def test_full_k_keeps_everything(self):
         w = [1.0, -2.0, 3.0]
-        assert random_k(w, 3, substream(1)).entries == {0: 1.0, 1: -2.0, 2: 3.0}
+        assert entries(random_k(w, 3, substream(1))) == {0: 1.0, 1: -2.0, 2: 3.0}
 
     def test_uniform_inclusion(self):
         draws = 100_000
         rng = substream(2)
         hits = np.zeros(3)
         for _ in range(draws):
-            hits[list(random_k([1.0, 1.0, 1.0], 1, rng).entries)] += 1
+            hits[list(entries(random_k([1.0, 1.0, 1.0], 1, rng)))] += 1
         assert np.all(np.abs(hits / draws - 1 / 3) < 0.01)
 
     def test_unbiased_after_rescale(self):
@@ -80,7 +122,7 @@ class TestRTopK:
     def test_collapses_to_top_r_when_k_equals_r(self):
         w = [5.0, -4.0, 3.0, 2.0, 1.0]
         upd = rtop_k(w, 4, 4, substream(4))
-        assert upd.entries == top_r(w, 4).entries
+        assert entries(upd) == entries(top_r(w, 4))
 
     def test_inclusion_probability_on_top_window(self):
         w = [5.0, -4.0, 3.0, 2.0, 1.0]
@@ -88,7 +130,7 @@ class TestRTopK:
         rng = substream(5)
         hits = np.zeros(5)
         for _ in range(draws):
-            hits[list(rtop_k(w, 4, 2, rng).entries)] += 1
+            hits[list(entries(rtop_k(w, 4, 2, rng)))] += 1
         assert np.all(np.abs(hits[:4] / draws - 0.5) < 0.01)
         assert hits[4] == 0
 
@@ -98,8 +140,8 @@ class TestRTopK:
         hits_rtop = np.zeros(3)
         hits_rand = np.zeros(3)
         for _ in range(draws):
-            hits_rtop[list(rtop_k([1.0, 2.0, 3.0], 3, 1, rng).entries)] += 1
-            hits_rand[list(random_k([1.0, 2.0, 3.0], 1, rng).entries)] += 1
+            hits_rtop[list(entries(rtop_k([1.0, 2.0, 3.0], 3, 1, rng)))] += 1
+            hits_rand[list(entries(random_k([1.0, 2.0, 3.0], 1, rng)))] += 1
         # both uniform over singletons: frequencies within joint noise
         assert np.all(np.abs(hits_rtop - hits_rand) / draws < 0.012)
 
@@ -108,8 +150,8 @@ class TestRTopK:
         for _ in range(100):
             w = rng.normal(size=12)
             upd = rtop_k(w, 5, 3, rng)
-            top = set(top_r(w, 5).entries)
-            assert set(upd.entries) <= top
+            top = set(entries(top_r(w, 5)))
+            assert set(entries(upd)) <= top
             assert upd.nnz == 3  # no exact zeros in a continuous draw
 
     def test_bad_rank(self):
@@ -183,6 +225,23 @@ class TestCheckCompression:
         report = check_compression([3.0, 2.0, 1.0], 2, 2, 500, substream(14))
         assert report.ok and report.mc_std_error == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_naive_residual_oracle(self, data):
+        d = data.draw(st.integers(1, 24))
+        element = st.sampled_from([0.0, 1.0, -1.0, 2.5]) | st.floats(-10, 10)
+        values = data.draw(st.lists(element, min_size=d, max_size=d))
+        r = data.draw(st.integers(1, d))
+        k = data.draw(st.integers(1, r))
+        trials = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2**32))
+        ours, theirs = substream(seed), substream(seed)
+        report = check_compression(values, r, k, trials, ours)
+        assert (report.mc_mean, report.mc_std_error) == naive_rtop_k_residuals(
+            values, r, k, trials, theirs
+        )
+        assert ours.random() == theirs.random()
+
     def test_random_vector_sweep(self):
         rng = substream(15)
         for _ in range(25):
@@ -212,8 +271,8 @@ class TestSparsifierSpec:
     def test_apply_dispatch(self):
         w = np.array([5.0, -4.0, 3.0, 2.0, 1.0])
         rng = substream(16)
-        assert SparsifierSpec.top(2).apply(w, rng).entries == {0: 5.0, 1: -4.0}
-        assert set(SparsifierSpec.rtop(3, 2).apply(w, rng).entries) <= {0, 1, 2}
+        assert entries(SparsifierSpec.top(2).apply(w, rng)) == {0: 5.0, 1: -4.0}
+        assert set(entries(SparsifierSpec.rtop(3, 2).apply(w, rng))) <= {0, 1, 2}
         assert SparsifierSpec.random(5).apply(w, rng).nnz == 5
 
     def test_unbiased_rescale_factors(self):
