@@ -45,6 +45,10 @@ class QuadraticObjective:
     def grad_minibatch(self, w, indices) -> np.ndarray:
         return self.diag * w - self.b_samples[indices].mean(axis=0)
 
+    def grad_rows(self, w, picks) -> np.ndarray:
+        """``grad_minibatch`` of every row of the (n, B) ``picks``, as (n, d)."""
+        return self.diag * w - self.b_samples[picks].mean(axis=1)
+
 
 def make_quadratic(
     d: int,
@@ -134,6 +138,11 @@ class LogisticObjective:
     def grad_minibatch(self, w, indices) -> np.ndarray:
         return self._grad(w, self.features[indices], self.labels[indices])
 
+    def grad_rows(self, w, picks) -> np.ndarray:
+        """``grad_minibatch`` of every row of the (n, B) ``picks``, stacked
+        (one matmul per row, so the bits match single calls)."""
+        return np.stack([self.grad_minibatch(w, row) for row in picks])
+
 
 def make_logistic(
     d: int, n_samples: int = 512, lam: float = 1e-3, seed: int = 0
@@ -202,6 +211,11 @@ class TinyMLPObjective:
 
     def grad_minibatch(self, w, indices) -> np.ndarray:
         return self._grad(w, self.inputs[indices], self.targets[indices])
+
+    def grad_rows(self, w, picks) -> np.ndarray:
+        """``grad_minibatch`` of every row of the (n, B) ``picks``, stacked
+        (one matmul per row, so the bits match single calls)."""
+        return np.stack([self.grad_minibatch(w, row) for row in picks])
 
 
 def make_tiny_mlp(

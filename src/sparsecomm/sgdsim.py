@@ -10,6 +10,14 @@ The simulator is bitwise deterministic for a fixed seed: data draws and
 selection randomness live on separate per-node streams, nodes are reduced
 in a fixed order, and with k = r = d the trajectory coincides exactly with
 plain minibatch SGD on the same draws.
+
+Neither stream depends on the weights, so ``train`` draws each node's
+minibatch picks and Fisher-Yates swap targets ahead, one call per node and
+stream for a block of rounds, and runs every round on (n, d) arrays: the
+gradient rows come from the objective's ``grad_rows`` and the row-wise
+selection from ``SparsifierSpec.apply_rows``.  Each stream is consumed
+exactly as one round at a time would consume it, so ``train`` and repeated
+``sgd_round`` calls give the same bits.
 """
 
 from __future__ import annotations
@@ -32,6 +40,11 @@ _AGGREGATIONS = (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE)
 # list of (start_step, rate) breakpoints; TrainConfig requires positive
 # rates and steps that start at 0 and strictly increase.
 Schedule = Union[float, Sequence[tuple[int, float]]]
+
+
+# Cap on the elements of a block of pre-drawn (rounds, n, batch_size) picks
+# or (rounds, n, k) swap targets: memory stays flat however long a run is.
+_DRAW_ELEMENTS = 1 << 16
 
 
 class NonFiniteState(RuntimeError):
@@ -170,6 +183,58 @@ class RoundMetrics:
     comm_entries: int
 
 
+def _draw_rounds(
+    nodes: list[NodeState], spec: SparsifierSpec, batch_size: int, d: int, rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's minibatch picks and swap targets for the next ``rounds``
+    rounds: (rounds, n, batch_size) sample indices and (rounds, n, k)
+    targets, from one call per node and stream.  Each stream is consumed
+    exactly as ``rounds`` single rounds would consume it."""
+    picks = [
+        node.indices[node.data_rng.integers(0, node.indices.size, size=(rounds, batch_size))]
+        for node in nodes
+    ]
+    targets = [spec.swap_targets(node.selection_rng, d, rounds) for node in nodes]
+    return np.stack(picks, axis=1), np.stack(targets, axis=1)
+
+
+def _exchange(obj, spec, cfg, t, w, memories, picks, targets):
+    """One synchronous round on (n, d) node arrays, before any check.
+
+    Returns the gradients, the updates, the new memories and the new
+    weights.
+    """
+    grads = obj.grad_rows(w, picks)
+    use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
+    carried = grads + memories if use_memory else grads
+    updates = spec.apply_rows(carried, targets)
+    if use_memory:
+        memories = carried - updates
+    agg = np.zeros(obj.d)
+    for update in updates:  # fixed node order: deterministic reduction
+        agg += update
+    agg /= len(updates)
+    if cfg.aggregation == UNBIASED_RESCALE:
+        agg *= spec.unbiased_rescale(obj.d)
+    return grads, updates, memories, w - learning_rate(cfg.eta, t) * agg
+
+
+def _round_metrics(obj, spec, t, w, w_new, memories) -> RoundMetrics:
+    """The round's record at the post-step weights; raises NonFiniteState
+    when the step left the finite range."""
+    if not np.all(np.isfinite(w_new)):
+        raise NonFiniteState(
+            f"non-finite weights at step {t}; max |w| was {np.max(np.abs(w)):.3e}"
+        )
+    return RoundMetrics(
+        t=t,
+        loss=float(obj.loss(w_new)),
+        grad_sq_norm=float(np.sum(obj.full_grad(w_new) ** 2)),
+        memory_sq_norm=float(sum(np.sum(memories**2, axis=1))),
+        comm_entries=len(memories) * spec.entries_budget,
+    )
+
+
 def sgd_round(
     nodes: list[NodeState],
     obj,
@@ -190,37 +255,18 @@ def sgd_round(
     and conservation checks).
     """
     spec = cfg.resolve_sparsifier(obj.d)
-    use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
-    agg = np.zeros(obj.d)
-    if trace is not None:
-        trace["gradients"], trace["memories_before"], trace["updates"] = [], [], []
-    for node in nodes:  # fixed order: deterministic reduction
-        g = local_gradient(obj, node, w, cfg.batch_size, node.data_rng)
-        carried = g + node.memory if use_memory else g
-        update = spec.apply(carried, node.selection_rng).to_dense()
-        if trace is not None:
-            trace["gradients"].append(g)
-            trace["memories_before"].append(node.memory.copy())
-            trace["updates"].append(update)
-        if use_memory:
-            node.memory = carried - update
-        agg += update
-    agg /= len(nodes)
-    if cfg.aggregation == UNBIASED_RESCALE:
-        agg *= spec.unbiased_rescale(obj.d)
-    w_new = w - learning_rate(cfg.eta, t) * agg
-    if not np.all(np.isfinite(w_new)):
-        raise NonFiniteState(
-            f"non-finite weights at step {t}; max |w| was {np.max(np.abs(w)):.3e}"
-        )
-    metrics = RoundMetrics(
-        t=t,
-        loss=float(obj.loss(w_new)),
-        grad_sq_norm=float(np.sum(obj.full_grad(w_new) ** 2)),
-        memory_sq_norm=float(sum(np.sum(n.memory**2) for n in nodes)),
-        comm_entries=len(nodes) * spec.entries_budget,
+    picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, 1)
+    before = np.array([node.memory for node in nodes])
+    grads, updates, memories, w_new = _exchange(
+        obj, spec, cfg, t, w, before, picks[0], targets[0]
     )
-    return w_new, metrics
+    for node, memory in zip(nodes, memories):
+        node.memory = memory
+    if trace is not None:
+        trace["gradients"], trace["memories_before"], trace["updates"] = (
+            list(grads), list(before), list(updates)
+        )
+    return w_new, _round_metrics(obj, spec, t, w, w_new, memories)
 
 
 @dataclass
@@ -234,13 +280,26 @@ class TrainResult:
 
 
 def train(obj, cfg: TrainConfig) -> TrainResult:
-    """Run the full simulation; bitwise deterministic for a fixed seed."""
+    """Run the full simulation; bitwise deterministic for a fixed seed.
+
+    The same rounds as repeated ``sgd_round`` calls, on (n, d) arrays, with
+    each node's picks and swap targets drawn ahead in blocks of rounds.
+    """
     w = init_weights(obj, cfg.seed, cfg.init_scale)
     nodes = make_nodes(obj, cfg)
+    spec = cfg.resolve_sparsifier(obj.d)
+    memories = np.zeros((cfg.n, obj.d))
+    per_draw = max(1, _DRAW_ELEMENTS // (cfg.n * max(cfg.batch_size, spec.k)))
     records = []
-    for t in range(cfg.steps):
-        w, metrics = sgd_round(nodes, obj, w, cfg, t)
-        records.append(metrics)
+    for start in range(0, cfg.steps, per_draw):
+        rounds = min(per_draw, cfg.steps - start)
+        picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, rounds)
+        for t in range(start, start + rounds):
+            _, _, memories, w_new = _exchange(
+                obj, spec, cfg, t, w, memories, picks[t - start], targets[t - start]
+            )
+            records.append(_round_metrics(obj, spec, t, w, w_new, memories))
+            w = w_new
     return TrainResult(records=records, weights=w)
 
 

@@ -52,9 +52,34 @@ def _as_vector(w) -> np.ndarray:
     return w
 
 
+def _as_rows(w) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.size == 0:
+        raise ValueError("expected a nonempty 2-d array of row vectors")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("vector has non-finite components")
+    return w
+
+
 def _top_indices(w: np.ndarray, r: int) -> np.ndarray:
     """Indices of the r largest magnitudes, ties broken toward lower index."""
     return np.argsort(-np.abs(w), kind="stable")[:r]
+
+
+def _top_rows(w: np.ndarray, r: int) -> np.ndarray:
+    """``_top_indices`` of every row, as an (n, r) array.
+
+    A partition finds each row's r-th largest magnitude; only the
+    candidates at or above it are sorted, stably, so the order (ties toward
+    the lower index) is that of the full argsort.
+    """
+    mag = np.abs(w)
+    n, d = mag.shape
+    threshold = np.partition(mag, d - r, axis=1)[:, d - r, None]
+    rows, cols = np.nonzero(mag >= threshold)
+    order = np.lexsort((-mag[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(n))
+    return cols[order][starts[:, None] + np.arange(r)]
 
 
 def _update_from(w: np.ndarray, indices: np.ndarray) -> SparseUpdate:
@@ -62,14 +87,34 @@ def _update_from(w: np.ndarray, indices: np.ndarray) -> SparseUpdate:
     return SparseUpdate(d=int(w.size), indices=kept, values=w[kept])
 
 
-def _sample_subset(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform k-subset of ``pool`` by partial Fisher-Yates, O(k) swaps."""
-    buf = pool.copy()
-    m = buf.size
+def _swap_targets(rng: np.random.Generator, k: int, m: int, rows: int) -> np.ndarray:
+    """Fisher-Yates swap targets for ``rows`` k-subsets of m-element pools,
+    as a (rows, k) array; swap i draws from [i, m).  One broadcast call
+    consumes the stream exactly as ``rows * k`` scalar ``integers(i, m)``
+    calls in row-major order."""
+    return rng.integers(np.tile(np.arange(k), rows), m).reshape(rows, k)
+
+
+def _fisher_yates(pools: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row-wise partial Fisher-Yates: swap i exchanges position i of each
+    row of ``pools`` with position ``targets[row, i]``.  Returns the first
+    k = ``targets.shape[1]`` positions of every row, in selection order."""
+    buf = np.array(pools)
+    rows = np.arange(buf.shape[0])
+    k = targets.shape[1]
     for i in range(k):
-        j = int(rng.integers(i, m))
-        buf[i], buf[j] = buf[j], buf[i]
-    return buf[:k]
+        j = targets[:, i]
+        head = buf[:, i].copy()
+        buf[:, i] = buf[rows, j]
+        buf[rows, j] = head
+    return buf[:, :k]
+
+
+def _sample_subset(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform k-subset of ``pool``: the one-row case of ``_fisher_yates``,
+    with one scalar ``integers`` draw per swap."""
+    targets = np.array([[rng.integers(i, pool.size) for i in range(k)]])
+    return _fisher_yates(pool[None, :], targets)[0]
 
 
 def top_r(w, r: int) -> SparseUpdate:
@@ -134,14 +179,16 @@ def check_compression(
     standard errors, with a small absolute floor for the deterministic
     k = r case), and checks ``expected <= (1 - k/d) ||w||^2`` exactly.
     """
+    if mc_trials < 1:
+        raise ValueError(f"mc_trials must be at least 1, got {mc_trials}")
     expected = expected_sq_error(w, r, k)  # validates w, r and k
     w = np.asarray(w, dtype=float)
     total = float(np.sum(w * w))
-    top = _top_indices(w, r)
-    errors = np.empty(mc_trials)
-    for t in range(mc_trials):  # rtop_k's draws and its kept mass, summed left to right
-        kept = w[_sample_subset(top, k, rng)]
-        errors[t] = total - sum((kept * kept).tolist())
+    targets = _swap_targets(rng, k, r, mc_trials)  # rtop_k's draws, trial by trial
+    pools = np.broadcast_to(_top_indices(w, r), (mc_trials, r))
+    kept = w[_fisher_yates(pools, targets).T]
+    # each trial's kept squares summed left to right, as a Python sum would
+    errors = total - np.add.accumulate(kept * kept)[-1]
     mc_mean = float(errors.mean())
     mc_std = float(errors.std(ddof=1)) if mc_trials > 1 else 0.0
     mc_std_error = mc_std / math.sqrt(mc_trials)
@@ -204,6 +251,23 @@ class SparsifierSpec:
             return f"random_{self.k}"
         return f"rtop_r{self.r}_k{self.k}"
 
+    def window(self, d: int) -> int:
+        """How many coordinates the kept entries are chosen among: the
+        top-r window (r capped at d), or all d for random-k.  Raises
+        ``BadRank`` as the single-vector operators do."""
+        if self.kind == "top_r":
+            if not 1 <= self.k <= d:
+                raise BadRank(f"r={self.k} outside [1, {d}]")
+            return self.k
+        if self.kind == "random_k":
+            if not 1 <= self.k <= d:
+                raise BadRank(f"k={self.k} outside [1, {d}]")
+            return d
+        r = min(self.r, d)
+        if not 1 <= self.k <= r:
+            raise BadRank(f"need 1 <= k={self.k} <= r={r} <= d={d}")
+        return r
+
     def unbiased_rescale(self, d: int) -> float:
         """Inverse inclusion probability of a kept coordinate.
 
@@ -211,11 +275,7 @@ class SparsifierSpec:
         for the vector it samples from (the top-r truncation for rtop-k,
         the full vector for random-k, exact for top-r).
         """
-        if self.kind == "top_r":
-            return 1.0
-        if self.kind == "random_k":
-            return d / self.k
-        return min(self.r, d) / self.k
+        return self.window(d) / self.k
 
     def apply(self, w, rng: np.random.Generator) -> SparseUpdate:
         if self.kind == "top_r":
@@ -223,3 +283,37 @@ class SparsifierSpec:
         if self.kind == "random_k":
             return random_k(w, self.k, rng)
         return rtop_k(w, min(self.r, np.asarray(w).size), self.k, rng)
+
+    def swap_targets(self, rng: np.random.Generator, d: int, rounds: int) -> np.ndarray:
+        """The swap targets of ``rounds`` calls of ``apply`` on d-vectors,
+        as a (rounds, k) array drawn in one call that consumes ``rng``
+        exactly as those calls would; top-r draws nothing (k = 0 columns)."""
+        window = self.window(d)
+        if self.kind == "top_r":
+            return np.empty((rounds, 0), dtype=np.int64)
+        return _swap_targets(rng, self.k, window, rounds)
+
+    def select_rows(self, w, targets: np.ndarray) -> np.ndarray:
+        """Row-wise ``apply`` as an (n, entries) array of the indices each
+        row keeps, in selection order, exact zeros included; row t uses the
+        swap targets ``targets[t]`` (see ``swap_targets``)."""
+        return self._select_rows(_as_rows(w), targets)
+
+    def _select_rows(self, w: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        n, d = w.shape
+        window = self.window(d)
+        if self.kind == "random_k":
+            return _fisher_yates(np.broadcast_to(np.arange(d), (n, d)), targets)
+        top = _top_rows(w, window)
+        return top if self.kind == "top_r" else _fisher_yates(top, targets)
+
+    def apply_rows(self, w, targets: np.ndarray) -> np.ndarray:
+        """Row-wise ``apply(...).to_dense()``: the kept entries of every row
+        scattered into zeros, exact zeros dropped (so no -0.0 enters)."""
+        w = _as_rows(w)
+        kept = self._select_rows(w, targets)
+        values = w[np.arange(w.shape[0])[:, None], kept]
+        rows, cols = np.nonzero(values)
+        out = np.zeros(w.shape)
+        out[rows, kept[rows, cols]] = values[rows, cols]
+        return out

@@ -118,6 +118,94 @@ def naive_rtop_k_residuals(w, r: int, k: int, trials: int, rng) -> tuple[float, 
     return float(errors.mean()), std / math.sqrt(trials)
 
 
+def naive_train(obj, cfg):
+    """Distributed sparsified SGD, one node and one scalar swap at a time.
+
+    Streams come straight from ``SeedSequence([seed, *path])`` (64-bit
+    words): the initial weights from path (0,), node i's minibatch picks
+    from (1, i) and its swap targets from (2, i).  Each round, node i draws
+    ``integers(0, shard, size=batch_size)``, takes ``obj.grad_minibatch``,
+    adds its memory under error feedback, and keeps either the top r by a
+    stable Python sort of the magnitudes (top-r, no draws) or k entries of
+    a Python-list pool (the top r, or all d for random-k) chosen by k
+    Fisher-Yates swaps, swap s drawing ``integers(s, len(pool))``.  Kept
+    entries that are not exact zeros are written into a zero vector; the
+    remainder is the next memory.  Updates are added in node order,
+    averaged, rescaled by window/k in the unbiased mode, and stepped with
+    the schedule's rate.  Returns the final weights and, per round,
+    ``(t, loss, grad_sq_norm, memory_sq_norm, comm_entries)``.
+    """
+    word = (1 << 64) - 1
+
+    def stream(*path):
+        return np.random.default_rng(np.random.SeedSequence([cfg.seed & word, *path]))
+
+    n, d, batch = cfg.n, obj.d, cfg.batch_size
+    spec = cfg.sparsifier
+    if spec is None:
+        kind, k, r = "rtop_k", cfg.k, cfg.r if cfg.r is not None else min(n * cfg.k, d)
+    else:
+        kind, k, r = spec.kind, spec.k, spec.r
+    if kind == "top_r":
+        window = k
+    elif kind == "random_k":
+        window = d
+    else:
+        window = min(r, d)
+    if cfg.partition == "contiguous":
+        shards = [
+            list(range(i * obj.n_samples // n, (i + 1) * obj.n_samples // n)) for i in range(n)
+        ]
+    else:
+        shards = [list(range(i, obj.n_samples, n)) for i in range(n)]
+    data = [stream(1, i) for i in range(n)]
+    selection = [stream(2, i) for i in range(n)]
+    memories = [np.zeros(d) for _ in range(n)]
+    error_feedback = cfg.aggregation == "error_feedback_mean"
+    schedule = [(0, cfg.eta)] if isinstance(cfg.eta, (int, float)) else list(cfg.eta)
+    w = stream(0).normal(0.0, cfg.init_scale, d)
+    records = []
+    for t in range(cfg.steps):
+        agg = np.zeros(d)
+        for i in range(n):
+            picks = [shards[i][j] for j in data[i].integers(0, len(shards[i]), size=batch)]
+            carried = obj.grad_minibatch(w, picks)
+            if error_feedback:
+                carried = carried + memories[i]
+            values = carried.tolist()
+            by_size = sorted(range(d), key=lambda j: -abs(values[j]))
+            if kind == "top_r":
+                kept = by_size[:k]
+            else:
+                pool = list(range(d)) if kind == "random_k" else by_size[:window]
+                for s in range(k):
+                    j = int(selection[i].integers(s, len(pool)))
+                    pool[s], pool[j] = pool[j], pool[s]
+                kept = pool[:k]
+            update = np.zeros(d)
+            for j in kept:
+                if values[j] != 0.0:
+                    update[j] = values[j]
+            if error_feedback:
+                memories[i] = carried - update
+            agg += update
+        agg /= n
+        if not error_feedback:
+            agg *= window / k
+        rate = [value for start, value in schedule if t >= start][-1]
+        w = w - float(rate) * agg
+        records.append(
+            (
+                t,
+                float(obj.loss(w)),
+                float(np.sum(obj.full_grad(w) ** 2)),
+                float(sum(np.sum(m**2) for m in memories)),
+                n * k,
+            )
+        )
+    return w, records
+
+
 def ols_loglog_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log(y) on log(x) and its standard error."""
     lx = np.log(np.asarray(xs, dtype=float))

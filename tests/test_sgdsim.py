@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sparsecomm import sgdsim
 from sparsecomm.objectives import (
     LogisticObjective,
     make_logistic,
@@ -19,10 +20,12 @@ from sparsecomm.sgdsim import (
     HypothesisViolated,
     NodeState,
     NonFiniteState,
+    RoundMetrics,
     TrainConfig,
     compare_sparsifiers,
     convergence_bound,
     convergence_order_terms,
+    init_weights,
     learning_rate,
     local_gradient,
     make_nodes,
@@ -32,6 +35,8 @@ from sparsecomm.sgdsim import (
     train,
 )
 from sparsecomm.sparsify import SparsifierSpec, top_r
+
+from oracles import naive_train
 
 
 def noiseless_quadratic(d, diag=None, b_mean=None, n_samples=64):
@@ -270,6 +275,113 @@ class TestTrain:
         assert TrainConfig(n=5, k=5, steps=1).resolve_r(20) == 20
         with pytest.raises(ValueError):
             TrainConfig(n=5, k=5, r=3, steps=1).resolve_r(100)
+
+
+SMALL_OBJECTIVES = {
+    "quadratic": lambda: make_quadratic(12, n_samples=60, noise_std=0.7, seed=31),
+    "logistic": lambda: make_logistic(10, n_samples=60, seed=32),
+    "tiny_mlp": lambda: make_tiny_mlp(n_in=3, hidden=3, n_samples=60, seed=33),
+}
+
+SPECS = {
+    "rtop": lambda d: SparsifierSpec.rtop(6, 2),
+    "top": lambda d: SparsifierSpec.top(3),
+    "random": lambda d: SparsifierSpec.random(3),
+    "rtop_r=d": lambda d: SparsifierSpec.rtop(d, 4),
+    "full": lambda d: SparsifierSpec.rtop(d, d),
+}
+
+# The objective rotates against the batch size, so every (objective, batch)
+# pair appears with every spec.
+ORACLE_CASES = [
+    (spec, aggregation, partition, batch, list(SMALL_OBJECTIVES)[(i + i // 3) % 3])
+    for i, (spec, aggregation, partition, batch) in enumerate(
+        itertools.product(
+            SPECS, (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE), ("contiguous", "interleaved"), (1, 2, 17)
+        )
+    )
+]
+
+
+def signature(weights, records) -> tuple:
+    """Weights and per-round metrics as exact bytes and float hex strings;
+    ``records`` holds RoundMetrics or (t, loss, grad, memory, comm) rows."""
+    rows = [
+        (r.t, r.loss, r.grad_sq_norm, r.memory_sq_norm, r.comm_entries)
+        if isinstance(r, RoundMetrics) else r
+        for r in records
+    ]
+    return weights.tobytes(), [(t, a.hex(), b.hex(), c.hex(), comm) for t, a, b, c, comm in rows]
+
+
+class TestTrainOracle:
+    @pytest.mark.parametrize("spec,aggregation,partition,batch,objective", ORACLE_CASES)
+    def test_train_matches_naive_oracle_bitwise(self, spec, aggregation, partition, batch, objective):
+        obj = SMALL_OBJECTIVES[objective]()
+        cfg = TrainConfig(
+            n=3, k=2, steps=25, batch_size=batch, eta=[(0, 0.05), (10, 0.02)],
+            aggregation=aggregation, partition=partition, seed=41,
+            sparsifier=SPECS[spec](obj.d),
+        )
+        result = train(obj, cfg)
+        assert signature(result.weights, result.records) == signature(*naive_train(obj, cfg))
+
+    def test_default_window_matches_naive_oracle(self):
+        obj = SMALL_OBJECTIVES["quadratic"]()
+        cfg = TrainConfig(n=3, k=2, steps=30, batch_size=4, eta=0.05, seed=42)
+        result = train(obj, cfg)
+        assert signature(result.weights, result.records) == signature(*naive_train(obj, cfg))
+
+
+class TestStreams:
+    @pytest.mark.parametrize("draw_elements", [sgdsim._DRAW_ELEMENTS, 7])
+    @pytest.mark.parametrize("spec", ["rtop", "top", "random"])
+    def test_train_equals_repeated_rounds(self, monkeypatch, spec, draw_elements):
+        # train draws its streams ahead, in blocks of rounds; T public
+        # rounds on fresh nodes draw one round at a time.  Same bits, same
+        # stream positions afterwards.
+        obj = make_quadratic(15, n_samples=90, noise_std=0.6, seed=21)
+        cfg = TrainConfig(
+            n=3, k=2, steps=40, batch_size=3, eta=0.05, seed=7, sparsifier=SPECS[spec](15)
+        )
+        made = []
+
+        def recording_make_nodes(o, c):
+            made.append(make_nodes(o, c))
+            return made[-1]
+
+        monkeypatch.setattr(sgdsim, "_DRAW_ELEMENTS", draw_elements)
+        monkeypatch.setattr(sgdsim, "make_nodes", recording_make_nodes)
+        result = train(obj, cfg)
+        nodes = make_nodes(obj, cfg)
+        w = init_weights(obj, cfg.seed, cfg.init_scale)
+        records = []
+        for t in range(cfg.steps):
+            w, metrics = sgd_round(nodes, obj, w, cfg, t)
+            records.append(metrics)
+        assert signature(result.weights, result.records) == signature(w, records)
+        for ours, theirs in zip(made[0], nodes):
+            assert ours.data_rng.random() == theirs.data_rng.random()
+            assert ours.selection_rng.random() == theirs.selection_rng.random()
+
+    def test_non_finite_weights_message(self):
+        obj = make_quadratic(4, noise_std=0.0, seed=11)
+        cfg = TrainConfig(n=2, k=4, r=4, steps=200, eta=1e6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState) as caught:
+                train(obj, cfg)
+        assert str(caught.value) == "non-finite weights at step 49; max |w| was 6.664e+307"
+
+    def test_non_finite_gradient_message(self):
+        # finite weights whose gradient overflows: the sparsifier rejects
+        # the carried row before any step is taken
+        obj = make_quadratic(4, diag=np.full(4, 1e200), noise_std=1.0, seed=11)
+        cfg = TrainConfig(n=2, k=2, r=4, steps=20, eta=1e-200, init_scale=1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as caught:
+                train(obj, cfg)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "vector has non-finite components"
 
 
 class TestSchedules:

@@ -242,6 +242,26 @@ class TestCheckCompression:
         )
         assert ours.random() == theirs.random()
 
+    def test_single_trial_sums_in_selection_order(self):
+        # one trial still sums its kept squares left to right: a reduction
+        # over a length-1 trial axis would switch to pairwise summation
+        rng = substream(19)
+        for _ in range(50):
+            w = rng.normal(size=24) * 10.0 ** rng.integers(-4, 4, 24)
+            seed = int(rng.integers(2**32))
+            ours, theirs = substream(seed), substream(seed)
+            report = check_compression(w, 24, 16, 1, ours)
+            assert (report.mc_mean, report.mc_std_error) == naive_rtop_k_residuals(
+                w, 24, 16, 1, theirs
+            )
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        rng = substream(18)
+        with pytest.raises(ValueError, match="mc_trials"):
+            check_compression([1.0, 2.0], 2, 1, trials, rng)
+        assert rng.random() == substream(18).random()  # nothing drawn
+
     def test_random_vector_sweep(self):
         rng = substream(15)
         for _ in range(25):
@@ -250,6 +270,62 @@ class TestCheckCompression:
             r = int(rng.integers(1, d + 1))
             k = int(rng.integers(1, r + 1))
             assert check_compression(w, r, k, 400, rng).ok
+
+
+class TestRowwiseSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_match_naive_rtop_k(self, data):
+        # Each row of the batched selection equals one naive single-vector
+        # selection on a generator with the same seed, draws included.
+        n = data.draw(st.integers(1, 5))
+        d = data.draw(st.integers(1, 16))
+        element = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]) | st.floats(-4, 4)
+        row = st.lists(element, min_size=d, max_size=d)
+        w = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+        r = data.draw(st.integers(1, d))
+        k = data.draw(st.integers(1, r))
+        seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
+        for spec in (SparsifierSpec.rtop(r, k), SparsifierSpec.random(k), SparsifierSpec.top(r)):
+            ours = [substream(seed) for seed in seeds]
+            theirs = [substream(seed) for seed in seeds]
+            targets = np.concatenate([spec.swap_targets(rng, d, 1) for rng in ours])
+            kept = spec.select_rows(w, targets)
+            dense = spec.apply_rows(w, targets)
+            for i, values in enumerate(w):
+                if spec.kind == "rtop_k":
+                    picked = naive_rtop_k(values, r, k, theirs[i])
+                elif spec.kind == "random_k":
+                    picked = naive_rtop_k(np.ones(d), d, k, theirs[i])
+                else:
+                    picked = np.argsort(-np.abs(values), kind="stable")[:r].tolist()
+                assert kept[i].tolist() == picked
+                expected = np.zeros(d)
+                for j in picked:
+                    if values[j] != 0.0:
+                        expected[j] = values[j]
+                assert dense[i].tobytes() == expected.tobytes()  # no -0.0 enters
+                assert ours[i].random() == theirs[i].random()
+
+    def test_swap_targets_match_scalar_draws(self):
+        for seed, (m, k, rounds) in enumerate([(1, 1, 5), (10, 2, 200), (64, 32, 3), (500, 2, 9)]):
+            ours, theirs = substream(seed), substream(seed)
+            targets = SparsifierSpec.rtop(m, k).swap_targets(ours, m, rounds)
+            assert targets.shape == (rounds, k)
+            assert targets.ravel().tolist() == [
+                int(theirs.integers(i, m)) for _ in range(rounds) for i in range(k)
+            ]
+            assert ours.random() == theirs.random()
+        assert SparsifierSpec.top(3).swap_targets(ours, 5, 4).shape == (4, 0)
+        assert ours.random() == theirs.random()  # top-r draws nothing
+
+    def test_rank_and_finiteness_checks(self):
+        with pytest.raises(BadRank, match="k=6 outside"):
+            SparsifierSpec.random(6).swap_targets(substream(1), 5, 1)
+        with pytest.raises(BadRank, match="r=6 outside"):
+            SparsifierSpec.top(6).apply_rows(np.ones((2, 5)), np.empty((2, 0), dtype=int))
+        with pytest.raises(ValueError, match="non-finite"):
+            SparsifierSpec.top(2).apply_rows([[1.0, np.inf, 0.0]], np.empty((1, 0), dtype=int))
 
 
 class TestSparsifierSpec:
