@@ -12,14 +12,19 @@ dominates the looser rule of thumb ``(k - log d) / log d`` and can be 0 for
 very small budgets, in which case the config is flagged degenerate (the
 payload can only name the empty set).
 
-Scalar and batch functions run the same algorithms and read the codebook
-sizes from one cached table of class offsets.
+Scalar and batch functions run the same algorithms and read one cached
+comb table (built by Pascal's rule) and one cached table of class offsets:
+the batch paths index the table as an array, the scalar paths read its
+columns as Python lists, so a rank is a sum of table entries and each
+unrank step is a binary search in one nondecreasing column (Cover's
+enumerative code).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -90,6 +95,13 @@ def _comb_table(d: int, kprime: int) -> np.ndarray:
         table[i, 1:] = table[i - 1, 1:] + table[i - 1, :-1]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=_TABLES_CACHED)
+def _comb_columns(d: int, kprime: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of :func:`_comb_table` as tuples of Python ints, so
+    ``cols[j][c] == comb(c, j)``; the scalar rank/unrank loops read these."""
+    return tuple(map(tuple, _comb_table(d, kprime).T.tolist()))
 
 
 def codebook_size(d: int, kprime: int) -> int:
@@ -182,35 +194,37 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
     within each popcount class; the in-class rank of ``{s_0 < ... < s_{m-1}}``
     is ``sum_i C(s_i, i+1)`` (combinatorial number system).
     """
-    sup = [int(i) for i in support]
+    sup = [operator.index(i) for i in support]
     m = len(sup)
     if m > kprime:
         raise TooManyOnes(f"support has {m} ones, codebook allows {kprime}")
     for i, idx in enumerate(sup):
         if idx < 0 or idx >= d or (i > 0 and idx <= sup[i - 1]):
             raise ValueError("support must be strictly increasing indices in [0, d)")
+    cols = _comb_columns(d, kprime)
     rank = int(_class_offsets(d, kprime)[m])
     for i, idx in enumerate(sup):
-        rank += math.comb(idx, i + 1)
+        rank += cols[i + 1][idx]
     return rank
 
 
 def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
     """Inverse of :func:`rank_sparse` over the full codebook."""
-    rank = int(rank)
+    rank = operator.index(rank)
     offsets = _class_offsets(d, kprime)
     if rank < 0 or rank >= offsets[-1]:
         raise RankOutOfRange(f"rank {rank} outside codebook of size {offsets[-1]}")
     m = bisect.bisect_right(offsets, rank) - 1  # popcount class of the rank
     rem = rank - int(offsets[m])
+    cols = _comb_columns(d, kprime)
     support: list[int] = []
     ceiling = d  # candidates are strictly below the previously chosen index
     for i in range(m - 1, -1, -1):
-        c = ceiling - 1
-        while math.comb(c, i + 1) > rem:
-            c -= 1
+        # the largest c < ceiling with comb(c, i + 1) <= rem
+        col = cols[i + 1]
+        c = bisect.bisect_right(col, rem, 0, ceiling) - 1
         support.append(c)
-        rem -= math.comb(c, i + 1)
+        rem -= col[c]
         ceiling = c
     support.reverse()
     return support
@@ -260,15 +274,15 @@ def decode(msg: Message, cfg: CodecConfig) -> SubsampledObservation:
         raise MalformedMessage(f"bit length {msg.bit_length} != k={cfg.k}")
     support = unrank_sparse(msg.payload_index, cfg.d, cfg.kprime)
     _check_popcount(len(support), msg.count, min(msg.count, cfg.kprime))
-    return SubsampledObservation(cfg.d, np.array(support, dtype=np.int64), msg.count)
+    return SubsampledObservation(cfg.d, support, msg.count)
 
 
 def serialize(msg: Message, cfg: CodecConfig) -> str:
     """Fixed-width big-endian bit string: count header then payload index."""
     if msg.bit_length != cfg.k:
         raise LengthMismatch(f"message bit length {msg.bit_length} != k={cfg.k}")
-    if not 0 <= msg.count < (1 << cfg.header_bits):
-        raise MalformedMessage(f"count {msg.count} does not fit the header")
+    if not 0 <= msg.count <= cfg.d:
+        raise MalformedMessage(f"count {msg.count} outside [0, {cfg.d}]")
     if not 0 <= msg.payload_index < (1 << cfg.payload_bits):
         raise MalformedMessage(f"payload {msg.payload_index} does not fit")
     return f"{msg.count:0{cfg.header_bits}b}{msg.payload_index:0{cfg.payload_bits}b}"

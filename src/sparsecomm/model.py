@@ -93,10 +93,13 @@ class Observation:
     perturbed_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        sup = np.array(self.support, dtype=np.int64, copy=True)
+        sup = np.array(self.support, copy=True)
         if sup.ndim != 1:
             raise ValueError("support must be 1-d")
-        if sup.size and (np.any(np.diff(sup) <= 0) or sup[0] < 0 or sup[-1] >= self.d):
+        if sup.size and sup.dtype.kind not in "iu":
+            raise ValueError(f"support must hold integers, got dtype {sup.dtype}")
+        sup = sup.astype(np.int64, copy=False)
+        if sup.size and (sup[0] < 0 or sup[-1] >= self.d or (sup[1:] <= sup[:-1]).any()):
             raise ValueError("support must be strictly increasing indices in [0, d)")
         sup.setflags(write=False)
         object.__setattr__(self, "support", sup)

@@ -6,6 +6,7 @@ probability sums) and never calls the code paths under test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -50,6 +51,43 @@ def colex_codebook(d: int, kprime: int) -> list[tuple[int, ...]]:
         subsets.sort(key=lambda s: tuple(reversed(s)))
         out.extend(subsets)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _class_starts(d: int, kprime: int) -> tuple[int, ...]:
+    """starts[m] = number of supports of length d with fewer than m ones,
+    for 0 <= m <= kprime + 1."""
+    return tuple(itertools.accumulate((math.comb(d, j) for j in range(kprime + 1)), initial=0))
+
+
+def comb_walk_rank(support, d: int, kprime: int) -> int:
+    """Codebook rank of a sorted support (popcount class, then colex):
+    the class start plus sum_i C(s_i, i+1), every binomial from math.comb."""
+    assert len(support) <= kprime
+    return _class_starts(d, kprime)[len(support)] + sum(
+        math.comb(idx, i + 1) for i, idx in enumerate(support)
+    )
+
+
+def comb_walk_unrank(rank: int, d: int, kprime: int) -> list[int]:
+    """Inverse of :func:`comb_walk_rank`: find the popcount class by walking
+    the class starts up, then each index by stepping down from the previous
+    one until C(c, i+1) fits the remainder."""
+    starts = _class_starts(d, kprime)
+    assert 0 <= rank < starts[-1]
+    m = 0
+    while starts[m + 1] <= rank:
+        m += 1
+    rem = rank - starts[m]
+    support = []
+    c = d
+    for i in range(m - 1, -1, -1):
+        c -= 1
+        while math.comb(c, i + 1) > rem:
+            c -= 1
+        support.append(c)
+        rem -= math.comb(c, i + 1)
+    return support[::-1]
 
 
 def exact_pipeline_risk(probabilities, n: int, kprime: int, scale: float = 1.0) -> float:

@@ -1,6 +1,7 @@
 """Tests for the fixed-width sparse-support codec."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -34,7 +35,7 @@ from sparsecomm.codec import (
 from sparsecomm.model import Observation
 from sparsecomm.seeding import substream
 
-from oracles import colex_codebook, double_argsort_mask
+from oracles import colex_codebook, comb_walk_rank, comb_walk_unrank, double_argsort_mask
 
 
 def all_observations(d):
@@ -105,7 +106,7 @@ class TestRanking:
 
     def test_roundtrip_exhaustive(self):
         for d in range(2, 17):
-            for kprime in range(0, min(4, d) + 1):
+            for kprime in range(0, (d if d <= 12 else 4) + 1):
                 for rank, sup in enumerate(colex_codebook(d, kprime)):
                     assert rank_sparse(sup, d, kprime) == rank
                     assert tuple(unrank_sparse(rank, d, kprime)) == sup
@@ -124,16 +125,34 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_sparse([3, 1], 8, 2)
 
+    def test_non_integral_input_rejected(self):
+        with pytest.raises(TypeError):
+            unrank_sparse(3.7, 8, 2)
+        with pytest.raises(TypeError):
+            unrank_sparse(np.float64(3.0), 8, 2)
+        with pytest.raises(TypeError):
+            rank_sparse([1.5], 8, 2)
+        with pytest.raises(TypeError):
+            rank_sparse(np.array([1.0, 3.0]), 8, 2)
+        # numpy ints and object-table (Python) ints are accepted
+        assert unrank_sparse(np.int64(13), 8, 2) == [1, 3]
+        assert unrank_sparse(np.array([13], dtype=object)[0], 8, 2) == [1, 3]
+        assert rank_sparse(np.array([1, 3]), 8, 2) == 13
+        assert rank_sparse(np.array([1, 3], dtype=np.uint8), 8, 2) == 13
+
     def test_table_caches_stay_bounded(self):
+        caches = (codec._comb_table, codec._class_offsets, codec._comb_columns)
         cap = codec._comb_table.cache_info().maxsize
-        assert codec._class_offsets.cache_info().maxsize == cap
+        assert all(cache.cache_info().maxsize == cap for cache in caches)
         assert cap >= 9  # the distinct (d, kprime) pairs of any shipped config
         first = codec._comb_table(40, 0).copy()
+        first_columns = codec._comb_columns(40, 3)
         for kprime in range(cap + 5):
-            codec._comb_table(40, kprime)
-            assert codec._comb_table.cache_info().currsize <= cap
-            assert codec._class_offsets.cache_info().currsize <= cap
-        assert np.array_equal(codec._comb_table(40, 0), first)  # rebuilt after eviction
+            codec._comb_columns(40, kprime)
+            assert all(cache.cache_info().currsize <= cap for cache in caches)
+        # rebuilt after eviction
+        assert np.array_equal(codec._comb_table(40, 0), first)
+        assert codec._comb_columns(40, 3) == first_columns
 
 
 class TestSubsample:
@@ -248,6 +267,13 @@ class TestEncodeDecode:
 
 
 class TestSerialization:
+    def test_count_above_d_rejected(self):
+        cfg = make_config(8, 10)  # a 4-bit header could hold counts up to 15
+        for count in (9, 12, -1):
+            with pytest.raises(MalformedMessage):
+                serialize(Message(count, 0, 10), cfg)
+        assert serialize(Message(8, 0, 10), cfg) == "1000" + "0" * 6
+
     def test_fixed_width_example(self):
         cfg = make_config(8, 10)
         assert serialize(Message(5, 36, 10), cfg) == "0101" + "100100"
@@ -421,3 +447,28 @@ class TestCodecProperty:
             assert rng.random() == replay.random()  # the same number of keys drawn
             for msg in (encode(obs, cfg, rng), Message(m, ranks[i], k)):
                 assert deserialize(serialize(msg, cfg), cfg) == msg
+
+
+class TestScalarRankingOracle:
+    """Scalar rank/unrank against the math.comb walk of ``tests/oracles.py``,
+    which shares no table with the package."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(codec_cases())
+    @example((256, 71, 3, 0))  # the largest int64 codebook at d=256
+    @example((256, 72, 3, 0))  # the smallest Python-int codebook at d=256
+    @example((256, 265, 3, 0))  # codebook saturation: kprime = d
+    @example((4, 4, 3, 0))  # degenerate: kprime = 0
+    def test_scalar_ranking_matches_the_comb_walk(self, case):
+        d, k, rows, seed = case
+        kprime = make_config(d, k).kprime
+        offsets = list(itertools.accumulate((math.comb(d, m) for m in range(kprime + 1)), initial=0))
+        draw = random.Random(seed)
+        ranks = {0, offsets[-1] - 1}
+        ranks.update(draw.randrange(offsets[-1]) for _ in range(8 * rows))
+        ranks.update(offsets[m] for m in range(kprime + 1))  # first rank of each class
+        ranks.update(offsets[m] - 1 for m in range(1, kprime + 1))  # last of the one below
+        for rank in sorted(ranks):
+            support = comb_walk_unrank(rank, d, kprime)
+            assert unrank_sparse(rank, d, kprime) == support
+            assert rank_sparse(support, d, kprime) == rank == comb_walk_rank(support, d, kprime)

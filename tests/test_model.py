@@ -193,6 +193,19 @@ class TestObservationInvariants:
             Observation(4, [1, 1])
         with pytest.raises(ValueError):
             Observation(4, [1, 4])
+        with pytest.raises(ValueError):
+            Observation(4, [-1, 2])
+
+    def test_support_must_hold_integers(self):
+        for support in ([1.5, 2.7], [1.0, 2.0], [False, True], np.array([0.0])):
+            with pytest.raises(ValueError):
+                Observation(8, support)
+        assert Observation(8, np.array([1, 3], dtype=np.uint8)).support.tolist() == [1, 3]
+
+    def test_empty_support_of_any_dtype(self):
+        for support in ([], np.array([]), np.array([], dtype=bool), np.array([], dtype=np.int32)):
+            obs = Observation(8, support)
+            assert obs.count == 0 and obs.support.dtype == np.int64
 
     def test_indicator_dense_roundtrip(self):
         obs = Observation(5, [1, 3], signs=[-1, 1])
