@@ -26,12 +26,12 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Observation
+from .model import Observation, as_support
 
 
 class CodecError(Exception):
@@ -123,7 +123,7 @@ class CodecConfig:
     def degenerate(self) -> bool:
         return self.kprime == 0
 
-    @property
+    @cached_property
     def codebook(self) -> int:
         return codebook_size(self.d, self.kprime)
 
@@ -178,9 +178,7 @@ class SubsampledObservation:
     signs: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        sup = np.array(self.support, dtype=np.int64, copy=True)
-        sup.setflags(write=False)
-        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "support", as_support(self.support))
         if self.signs is not None:
             sg = np.array(self.signs, dtype=np.int64, copy=True)
             sg.setflags(write=False)
@@ -283,8 +281,8 @@ def serialize(msg: Message, cfg: CodecConfig) -> str:
         raise LengthMismatch(f"message bit length {msg.bit_length} != k={cfg.k}")
     if not 0 <= msg.count <= cfg.d:
         raise MalformedMessage(f"count {msg.count} outside [0, {cfg.d}]")
-    if not 0 <= msg.payload_index < (1 << cfg.payload_bits):
-        raise MalformedMessage(f"payload {msg.payload_index} does not fit")
+    if not 0 <= msg.payload_index < cfg.codebook:
+        raise MalformedMessage(f"payload {msg.payload_index} outside codebook")
     return f"{msg.count:0{cfg.header_bits}b}{msg.payload_index:0{cfg.payload_bits}b}"
 
 

@@ -1,15 +1,16 @@
 """Decoder-side unbiased mean estimation and Monte Carlo risk evaluation.
 
-The estimator averages inverse-probability-weighted subsampled supports:
-each node's decoded support is divided by its subsampling fraction
-(kprime / count when the original count exceeded kprime, else 1), which
-makes the average unbiased for the mean parameter.  Components are not
-clipped into the parameter range by default, since clipping would trade
-the unbiasedness away.
+The estimator averages reweighted subsampled supports: each node's decoded
+support is multiplied by count / kprime when its count exceeded kprime,
+else by 1, which makes the average unbiased for the mean parameter.
+Components are not clipped into the parameter range by default, since
+clipping would trade the unbiasedness away.
 
 Risk is evaluated by Monte Carlo over full sample-encode-decode-estimate
-rounds, and reference curves for the achievable and unavoidable risk are
-provided as closed-form bounds with explicit validity regimes.
+rounds, composed of the model's matrix stages, the batch codec and the
+:func:`reweight` that scalar :func:`estimate` also uses.  Reference curves
+for the achievable and unavoidable risk are closed-form bounds with
+explicit validity regimes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .model import (
     SIGNED,
     ParamVector,
     UniformPerturbation,
+    perturb_and_quantize,
+    sample_rows,
 )
 from .seeding import substream
 
@@ -41,18 +44,12 @@ class EmptyInput(ValueError):
     """No decoded observations were supplied."""
 
 
-def subsample_fraction(original_count: int, kprime: int) -> float:
-    """Fraction of ones that survived subsampling; 1 when none was needed.
-
-    A zero count vacuously maps to 1 (nothing was dropped).
-    """
-    if original_count < 0:
-        raise ValueError("count must be nonnegative")
-    if kprime < 1:
-        raise ValueError("kprime must be >= 1")
-    if original_count > kprime:
-        return kprime / original_count
-    return 1.0
+def reweight(mask: np.ndarray, counts: np.ndarray, kprime: int, signs=None) -> np.ndarray:
+    """Weight each decoded (rows, d) support mask row by ``count / kprime``
+    when its count exceeded ``kprime``, else by 1, then by ``signs`` (a
+    per-coordinate vector or a (rows, d) matrix) when given."""
+    contrib = mask * np.where(counts > kprime, counts / kprime, 1.0)[:, None]
+    return contrib if signs is None else contrib * signs
 
 
 def estimate(
@@ -62,7 +59,7 @@ def estimate(
     scale: float = 1.0,
     clip: bool = False,
 ) -> np.ndarray:
-    """Average the inverse-weighted decoded supports into a mean estimate.
+    """Average the reweighted decoded supports into a mean estimate.
 
     For the signed variant each decoded observation must carry signs; for
     the scaled variant the result is multiplied by ``scale``.  With
@@ -73,19 +70,23 @@ def estimate(
         raise DegenerateCodec("config has kprime=0; no support survives encoding")
     if len(decoded) == 0:
         raise EmptyInput("need at least one decoded observation")
-    acc = np.zeros(cfg.d)
-    for sub in decoded:
-        if sub.d != cfg.d:
-            raise ValueError("decoded observations disagree on dimension")
-        frac = subsample_fraction(sub.original_count, cfg.kprime)
-        if sub.support.size:
-            if variant == SIGNED:
-                if sub.signs is None:
-                    raise ValueError("signed estimation requires per-support signs")
-                acc[sub.support] += sub.signs / frac
-            else:
-                acc[sub.support] += 1.0 / frac
-    theta_hat = acc / len(decoded)
+    d = cfg.d
+    mask = np.zeros((len(decoded), d), dtype=bool)
+    counts = np.empty(len(decoded), dtype=np.int64)
+    signs = np.zeros(mask.shape) if variant == SIGNED else None
+    for row, sub in enumerate(decoded):
+        sup = sub.support
+        if sub.d != d or sub.original_count < 0:
+            raise ValueError(f"need dimension {d} and a nonnegative count")
+        if sup.size and (sup.min() < 0 or sup.max() >= d):
+            raise ValueError(f"support index outside [0, {d})")
+        mask[row, sup] = True
+        counts[row] = sub.original_count
+        if signs is not None and sup.size:
+            if sub.signs is None:
+                raise ValueError("signed estimation requires per-support signs")
+            signs[row, sup] = sub.signs
+    theta_hat = reweight(mask, counts, cfg.kprime, signs).mean(axis=0)
     if variant == SCALED:
         theta_hat *= scale
     if clip:
@@ -197,9 +198,7 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
         raise DegenerateCodec("config has kprime=0; estimation is impossible")
     if theta.d != cfg.d:
         raise ValueError("theta and config disagree on dimension")
-    d, kp = cfg.d, cfg.kprime
-    p = theta.probabilities()
-    sign_vec = np.where(theta.values < 0, -1.0, 1.0) if theta.variant == SIGNED else None
+    d = cfg.d
     out_scale = theta.scale if theta.variant == SCALED else 1.0
     per_chunk = max(1, _CHUNK_ELEMENTS // (n * d))
     for start in range(0, trials, per_chunk):
@@ -212,17 +211,12 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
             if noise is not None:
                 noise[j] = rng.uniform(-perturb.halfwidth, perturb.halfwidth, (n, d))
             rng.random(out=keys[j])
-        x = uniforms.reshape(-1, d) < p
-        signs = sign_vec
+        hits, signs = sample_rows(theta, uniforms.reshape(-1, d))
         if noise is not None:
-            y = (x if signs is None else x * signs) + noise.reshape(-1, d)
-            signs = None if signs is None else np.where(y < 0, -1.0, 1.0)
-            x = np.abs(y) > 0.5
-        counts, payloads, _ = encode_batch_from_keys(x, cfg, keys.reshape(-1, d))
+            hits, signs = perturb_and_quantize(hits, signs, noise.reshape(-1, d))
+        counts, payloads, _ = encode_batch_from_keys(hits, cfg, keys.reshape(-1, d))
         mask = decode_batch(counts, payloads, cfg)
-        contrib = mask * np.where(counts > kp, counts / kp, 1.0)[:, None]
-        if signs is not None:
-            contrib = contrib * signs
+        contrib = reweight(mask, counts, cfg.kprime, signs)
         yield contrib.reshape(size, n, d).mean(axis=1) * out_scale
 
 

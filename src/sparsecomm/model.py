@@ -6,7 +6,8 @@ independent Bernoulli coordinates.  Three variants are supported: plain
 of the mean), and scaled (the estimand is ``scale * theta`` for a known
 positive scale).  Observations may additionally be perturbed by bounded
 zero-mean continuous noise; a half-unit threshold quantizer maps perturbed
-observations back to binary ones.
+observations back to binary ones.  Sampling and perturbation plus
+quantization are matrix stages on caller-drawn uniforms and noise.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ SIGNED = "signed"
 SCALED = "scaled"
 
 VARIANTS = (PLAIN, SIGNED, SCALED)
-
-
-class MissingPerturbation(ValueError):
-    """Quantization was requested for an observation with no noise payload."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,31 +74,35 @@ class UniformPerturbation:
             raise ValueError("halfwidth must lie in (0, 0.5]")
 
 
+def as_support(values) -> np.ndarray:
+    """A fresh read-only 1-d int64 copy of ``values``; ValueError unless
+    they are integers (an empty support may have any dtype)."""
+    sup = np.array(values, copy=True)
+    if sup.ndim != 1:
+        raise ValueError("support must be 1-d")
+    if sup.size and sup.dtype.kind not in "iu":
+        raise ValueError(f"support must hold integers, got dtype {sup.dtype}")
+    sup = sup.astype(np.int64, copy=False)
+    sup.setflags(write=False)
+    return sup
+
+
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """One node's sample: a sorted support set plus optional payloads.
+    """One node's sample: a sorted support set plus optional signs.
 
     ``signs`` is present exactly when the generating parameter is signed
-    and holds one entry in {-1, +1} per support index.  ``perturbed_values``
-    is the full noisy vector when continuous perturbations were applied;
-    the support then still refers to the underlying binary sample.
+    and holds one entry in {-1, +1} per support index.
     """
 
     d: int
     support: np.ndarray
     signs: Optional[np.ndarray] = None
-    perturbed_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        sup = np.array(self.support, copy=True)
-        if sup.ndim != 1:
-            raise ValueError("support must be 1-d")
-        if sup.size and sup.dtype.kind not in "iu":
-            raise ValueError(f"support must hold integers, got dtype {sup.dtype}")
-        sup = sup.astype(np.int64, copy=False)
+        sup = as_support(self.support)
         if sup.size and (sup[0] < 0 or sup[-1] >= self.d or (sup[1:] <= sup[:-1]).any()):
             raise ValueError("support must be strictly increasing indices in [0, d)")
-        sup.setflags(write=False)
         object.__setattr__(self, "support", sup)
         if self.signs is not None:
             sg = np.array(self.signs, dtype=np.int64, copy=True)
@@ -136,15 +137,9 @@ def validate_param(theta: ParamVector) -> ValidityReport:
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         violations.append(f"component {bad} is not finite")
     else:
-        if theta.variant == SIGNED:
-            lo, hi = -1.0, 1.0
-        else:
-            lo, hi = 0.0, 1.0
-        out = np.flatnonzero((v < lo) | (v > hi))
-        for j in out:
-            violations.append(
-                f"component {int(j)}={v[j]:g} outside [{lo:g}, {hi:g}]"
-            )
+        lo = -1.0 if theta.variant == SIGNED else 0.0
+        for j in np.flatnonzero((v < lo) | (v > 1.0)):
+            violations.append(f"component {int(j)}={v[j]:g} outside [{lo:g}, 1]")
         total = float(np.sum(np.abs(v)))
         if total > theta.s + 1e-12:
             label = "sum|theta|" if theta.variant == SIGNED else "sum(theta)"
@@ -156,60 +151,30 @@ def validate_param(theta: ParamVector) -> ValidityReport:
     return ValidityReport(ok=not violations, violations=violations)
 
 
-def sample_binary_matrix(
-    theta: ParamVector, rng: np.random.Generator, rows: int
-) -> np.ndarray:
-    """Draw ``rows`` independent samples as a (rows, d) matrix.
+def sample_rows(
+    theta: ParamVector, uniforms: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sample one row per row of the (rows, d) ``uniforms`` in [0, 1).
 
-    Entries are 0/1 for plain and scaled parameters and 0/+-1 for signed
-    ones.  Uses one uniform per cell, so degenerate probabilities 0 and 1
-    are exact.
+    Returns ``(hits, signs)``: the boolean matrix ``uniforms < |theta|``
+    (exact for probabilities 0 and 1) and, for signed parameters, the
+    per-coordinate vector Sign(theta_j) in {-1.0, +1.0}, else ``None``.
     """
-    p = theta.probabilities()
-    hits = rng.random((rows, theta.d)) < p
-    x = hits.astype(np.int8)
-    if theta.variant == SIGNED:
-        x *= np.where(theta.values < 0, -1, 1).astype(np.int8)
-    return x
+    hits = uniforms < theta.probabilities()
+    signs = np.where(theta.values < 0, -1.0, 1.0) if theta.variant == SIGNED else None
+    return hits, signs
 
 
-def sample_observation(
-    theta: ParamVector,
-    perturb: Optional[UniformPerturbation],
-    rng: np.random.Generator,
-) -> Observation:
-    """Draw one sample from the model.
-
-    Coordinate j is nonzero with probability |theta_j|; signed parameters
-    attach Sign(theta_j) to each hit.  With a perturbation spec, iid
-    uniform noise is added to the (signed) binary vector and kept in
-    ``perturbed_values``; noise is drawn for every coordinate.
-    """
-    x = sample_binary_matrix(theta, rng, 1)[0]
-    support = np.flatnonzero(x)
-    signs = x[support].astype(np.int64) if theta.variant == SIGNED else None
-    perturbed = None
-    if perturb is not None:
-        noise = rng.uniform(-perturb.halfwidth, perturb.halfwidth, theta.d)
-        perturbed = x.astype(float) + noise
-    return Observation(theta.d, support, signs, perturbed)
-
-
-def quantize_perturbed(obs: Observation) -> Observation:
-    """Threshold a perturbed observation back to a binary one.
-
-    Coordinate j maps to 1 iff |y_j| > 1/2; the boundary |y_j| = 1/2 maps
-    to 0.  Signs are recovered from the noisy values when the source
-    observation carried signs.
-    """
-    if obs.perturbed_values is None:
-        raise MissingPerturbation("observation has no perturbed values")
-    y = obs.perturbed_values
-    support = np.flatnonzero(np.abs(y) > 0.5)
-    signs = None
-    if obs.signs is not None:
-        signs = np.where(y[support] < 0, -1, 1).astype(np.int64)
-    return Observation(obs.d, support, signs, None)
+def perturb_and_quantize(
+    hits: np.ndarray, signs: Optional[np.ndarray], noise: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Add ``noise`` to the (signed) binary rows and threshold them back:
+    with ``y = hits * signs + noise``, j is a hit iff |y_j| > 1/2 (the
+    boundary maps to 0), and signs, when present, are re-read from ``y``."""
+    y = (hits if signs is None else hits * signs) + noise
+    if signs is not None:
+        signs = np.where(y < 0, -1.0, 1.0)
+    return np.abs(y) > 0.5, signs
 
 
 def poisson_binomial_moments(theta: ParamVector) -> tuple[float, float]:

@@ -16,6 +16,7 @@ from sparsecomm.codec import (
     MalformedMessage,
     Message,
     RankOutOfRange,
+    SubsampledObservation,
     TooManyOnes,
     ceil_log2,
     codebook_size,
@@ -201,6 +202,14 @@ class TestSubsample:
         tol = 5 * np.sqrt(0.1 / draws)
         assert np.all(np.abs(counts / draws - 0.1) < tol)
 
+    def test_subsampled_support_must_hold_integers(self):
+        for support in ([1.5, 2.7], [1.0, 2.0], [False, True]):
+            with pytest.raises(ValueError, match="integers"):
+                SubsampledObservation(8, support, 3)
+        for support in ([], np.array([]), np.array([1, 3], dtype=np.uint8)):
+            sub = SubsampledObservation(8, support, 3)
+            assert sub.support.dtype == np.int64 and not sub.support.flags.writeable
+
     def test_signs_travel_with_kept_indices(self):
         cfg = make_config(8, 10)
         obs = Observation(8, [0, 2, 4, 6], signs=[1, -1, 1, -1])
@@ -273,6 +282,14 @@ class TestSerialization:
             with pytest.raises(MalformedMessage):
                 serialize(Message(count, 0, 10), cfg)
         assert serialize(Message(8, 0, 10), cfg) == "1000" + "0" * 6
+
+    def test_payload_outside_codebook_rejected(self):
+        cfg = make_config(8, 10)  # 37 codewords, a 6-bit payload field holds 64
+        for payload in (cfg.codebook, 40, 63, -1):
+            with pytest.raises(MalformedMessage, match="outside codebook"):
+                serialize(Message(0, payload, 10), cfg)
+        last = Message(2, cfg.codebook - 1, 10)
+        assert deserialize(serialize(last, cfg), cfg) == last
 
     def test_fixed_width_example(self):
         cfg = make_config(8, 10)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from sparsecomm.codec import SubsampledObservation, decode, encode, make_config
+from sparsecomm.codec import (
+    SubsampledObservation,
+    decode,
+    decode_batch,
+    encode,
+    encode_batch_from_keys,
+    make_config,
+)
 from sparsecomm.estimator import (
     _CHUNK_ELEMENTS,
     CENTRALIZED,
@@ -13,20 +20,23 @@ from sparsecomm.estimator import (
     DegenerateCodec,
     EmptyInput,
     OutOfRegime,
+    _trial_estimates,
     bound_value,
     estimate,
     hardest_param,
     monte_carlo_mean,
     monte_carlo_risk,
-    subsample_fraction,
+    reweight,
 )
 from sparsecomm.model import (
     PLAIN,
     SCALED,
     SIGNED,
+    Observation,
     ParamVector,
     UniformPerturbation,
-    sample_observation,
+    perturb_and_quantize,
+    sample_rows,
     validate_param,
 )
 from sparsecomm.seeding import substream
@@ -34,21 +44,19 @@ from sparsecomm.seeding import substream
 from oracles import exact_pipeline_risk, per_trial_monte_carlo
 
 
-class TestSubsampleFraction:
-    def test_direct_formula(self):
-        assert subsample_fraction(10, 4) == pytest.approx(0.4)
+class TestReweight:
+    def test_subsampled_rows_scale_by_count_over_kprime(self):
+        mask = np.array([[True, False, True], [False, True, False], [False] * 3])
+        out = reweight(mask, np.array([5, 1, 0]), kprime=2)
+        assert out.tolist() == [[2.5, 0.0, 2.5], [0.0, 1.0, 0.0], [0.0] * 3]
 
-    def test_no_subsampling_branch(self):
-        assert subsample_fraction(3, 4) == 1.0
-
-    def test_zero_count_is_vacuous(self):
-        assert subsample_fraction(0, 2) == 1.0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            subsample_fraction(-1, 2)
-        with pytest.raises(ValueError):
-            subsample_fraction(3, 0)
+    def test_signs_vector_or_matrix(self):
+        mask = np.array([[True, True], [True, False]])
+        counts = np.array([4, 1])
+        by_coordinate = reweight(mask, counts, 2, signs=np.array([-1.0, 1.0]))
+        assert by_coordinate.tolist() == [[-2.0, 2.0], [-1.0, 0.0]]
+        by_row = reweight(mask, counts, 2, signs=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert by_row.tolist() == [[2.0, -2.0], [-1.0, 0.0]]
 
 
 class TestEstimate:
@@ -80,6 +88,16 @@ class TestEstimate:
         with pytest.raises(EmptyInput):
             estimate([], make_config(8, 10))
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            estimate([SubsampledObservation(8, [1], original_count=-1)], make_config(8, 10))
+
+    def test_support_outside_dimension_rejected(self):
+        cfg = make_config(8, 10)
+        for support in ([-1], [8], [2, 9]):
+            with pytest.raises(ValueError, match="outside"):
+                estimate([SubsampledObservation(8, support, original_count=5)], cfg)
+
     def test_signed_requires_signs(self):
         cfg = make_config(8, 10)
         decoded = [SubsampledObservation(8, [1], original_count=1)]
@@ -110,7 +128,8 @@ class TestEstimate:
         assert cfg.kprime == d
         theta = ParamVector([0.3, 0.8, 0.1, 0.5, 0.0, 1.0], s=3)
         rng = substream(11)
-        observations = [sample_observation(theta, None, rng) for _ in range(40)]
+        hits, _ = sample_rows(theta, rng.random((40, d)))
+        observations = [Observation(d, np.flatnonzero(row)) for row in hits]
         decoded = [decode(encode(o, cfg, rng), cfg) for o in observations]
         hat = estimate(decoded, cfg)
         mean = np.mean([o.indicator() for o in observations], axis=0)
@@ -138,20 +157,20 @@ class TestHardestParam:
 
 
 def unbiasedness_probe(theta, cfg, n, trials, seed):
-    """Componentwise Monte Carlo mean of the estimate via the scalar API."""
+    """Componentwise Monte Carlo mean of the estimate via the scalar API:
+    rows from ``sample_rows``, then scalar encode, decode and estimate."""
     rng = substream(seed)
     total = np.zeros(cfg.d)
     total_sq = np.zeros(cfg.d)
     for _ in range(trials):
+        hits, signs = sample_rows(theta, rng.random((n, cfg.d)))
         decoded = []
-        for _ in range(n):
-            obs = sample_observation(theta, None, rng)
+        for row in hits:
+            obs = Observation(cfg.d, np.flatnonzero(row))
             sub = decode(encode(obs, cfg, rng), cfg)
-            if theta.variant == SIGNED:
-                lookup = dict(zip(obs.support.tolist(), obs.signs.tolist()))
-                signs = [lookup[int(i)] for i in sub.support]
+            if signs is not None:
                 sub = SubsampledObservation(
-                    sub.d, sub.support, sub.original_count, signs
+                    sub.d, sub.support, sub.original_count, signs[sub.support]
                 )
             decoded.append(sub)
         hat = estimate(decoded, cfg, variant=theta.variant, scale=theta.scale)
@@ -282,6 +301,45 @@ class TestTrialKernel:
         ref = per_trial_monte_carlo(theta, n, cfg.kprime, trials, halfwidth, seed)
         assert (est.mean_sq_error, est.std_error) == ref[:2]
         assert np.array_equal(mean, ref[2]) and np.array_equal(std_err, ref[3])
+
+
+def as_observations(mask, counts, signs):
+    """A decoded batch as SubsampledObservations, with the signs (a
+    per-coordinate vector or a per-row matrix) read at each support."""
+    signs = None if signs is None else np.broadcast_to(signs, mask.shape)
+    return [
+        SubsampledObservation(
+            mask.shape[1],
+            np.flatnonzero(kept),
+            int(count),
+            None if signs is None else signs[r, kept],
+        )
+        for r, (kept, count) in enumerate(zip(mask, counts))
+    ]
+
+
+class TestScalarEstimateMatchesKernel:
+    """Scalar ``estimate`` on trial 0's decoded rows gives the kernel's bits."""
+
+    @pytest.mark.parametrize("halfwidth", [None, 0.4])
+    @pytest.mark.parametrize("variant", [PLAIN, SIGNED, SCALED])
+    @pytest.mark.parametrize("d,k,n", [(8, 10, 4), (64, 26, 16), (32, 12, 7), (256, 96, 8)])
+    def test_same_draws_same_estimate(self, d, k, n, variant, halfwidth):
+        cfg = make_config(d, k)
+        theta = ramp_probe(variant, d, max(1, d // 8))
+        perturb = UniformPerturbation(halfwidth) if halfwidth else None
+        for seed in range(20):
+            (kernel,) = _trial_estimates(theta, n, cfg, 1, perturb, seed)
+            rng = substream(seed, 0)
+            hits, signs = sample_rows(theta, rng.random((n, d)))
+            if perturb:
+                noise = rng.uniform(-halfwidth, halfwidth, (n, d))
+                hits, signs = perturb_and_quantize(hits, signs, noise)
+            counts, payloads, _ = encode_batch_from_keys(hits, cfg, rng.random((n, d)))
+            decoded = as_observations(decode_batch(counts, payloads, cfg), counts, signs)
+            hat = estimate(decoded, cfg, variant=variant, scale=theta.scale)
+            assert hat.tobytes() == kernel[0].tobytes(), seed
+
 
 class TestBoundCurves:
     def test_achievable_plugin_value(self):

@@ -9,14 +9,12 @@ from sparsecomm.model import (
     PLAIN,
     SCALED,
     SIGNED,
-    MissingPerturbation,
     Observation,
     ParamVector,
     UniformPerturbation,
+    perturb_and_quantize,
     poisson_binomial_moments,
-    quantize_perturbed,
-    sample_binary_matrix,
-    sample_observation,
+    sample_rows,
     validate_param,
 )
 from sparsecomm.seeding import substream
@@ -57,26 +55,32 @@ class TestValidateParam:
         assert validate_param(good).ok
 
 
+def draw_rows(theta, rng, rows):
+    return sample_rows(theta, rng.random((rows, theta.d)))
+
+
 class TestSampling:
     def test_degenerate_probabilities_are_exact(self):
         theta = ParamVector([1.0, 1.0, 0.0, 0.0], s=2)
-        rng = substream(1)
-        for _ in range(200):
-            obs = sample_observation(theta, None, rng)
-            assert obs.support.tolist() == [0, 1]
+        hits, _ = draw_rows(theta, substream(1), 200)
+        assert (hits == [True, True, False, False]).all()
 
     def test_zero_parameter_gives_empty_support(self):
-        theta = ParamVector([0.0, 0.0, 0.0], s=1)
-        rng = substream(2)
-        for _ in range(100):
-            assert sample_observation(theta, None, rng).count == 0
+        hits, _ = draw_rows(ParamVector([0.0, 0.0, 0.0], s=1), substream(2), 100)
+        assert not hits.any()
+
+    def test_boundary_uniform_is_a_miss(self):
+        # a hit needs u < |theta_j| strictly, so u = p is a miss
+        theta = ParamVector([0.25, 0.5], s=1)
+        hits, _ = sample_rows(theta, np.array([[0.25, 0.4999], [0.0, 0.5]]))
+        assert hits.tolist() == [[False, True], [True, False]]
 
     def test_empirical_frequencies_match_means(self):
         # 1e5 draws; each component within 4 * sqrt(p(1-p)/N) of its mean.
         theta = ParamVector([0.5, 0.5], s=1)
         draws = 100_000
-        x = sample_binary_matrix(theta, substream(3), draws)
-        freq = np.abs(x).mean(axis=0)
+        hits, _ = draw_rows(theta, substream(3), draws)
+        freq = hits.mean(axis=0)
         tol = 4 * np.sqrt(0.25 / draws)
         assert np.all(np.abs(freq - 0.5) < tol)
 
@@ -84,68 +88,60 @@ class TestSampling:
         values = [0.0, 0.05, 0.3, 0.7, 1.0]
         theta = ParamVector(values, s=3)
         draws = 100_000
-        x = sample_binary_matrix(theta, substream(4), draws)
-        freq = np.abs(x).mean(axis=0)
+        hits, _ = draw_rows(theta, substream(4), draws)
+        freq = hits.mean(axis=0)
         p = np.array(values)
         tol = 5 * np.sqrt(p * (1 - p) / draws)
         assert np.all(np.abs(freq - p) <= tol)  # exact for the degenerate 0/1
 
     def test_signed_sampling_signs_follow_theta(self):
         theta = ParamVector([0.8, -0.6, 0.0, -1.0], s=3, variant=SIGNED)
-        rng = substream(5)
-        for _ in range(300):
-            obs = sample_observation(theta, None, rng)
-            assert obs.signs is not None
-            for idx, sg in zip(obs.support, obs.signs):
-                assert sg == (1 if theta.values[idx] > 0 else -1)
+        hits, signs = draw_rows(theta, substream(5), 300)
+        assert signs.tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert hits[:, 3].all() and not hits[:, 2].any()
+        # signed probabilities are |theta_j|: same hits as the plain magnitudes
+        plain, _ = draw_rows(ParamVector(np.abs(theta.values), s=3), substream(5), 300)
+        assert np.array_equal(hits, plain)
 
-    def test_plain_sampling_has_no_signs(self):
-        obs = sample_observation(ParamVector([0.5, 0.5], s=1), None, substream(6))
-        assert obs.signs is None
-
-    def test_perturbed_values_stay_within_halfwidth(self):
-        theta = ParamVector([0.4, 0.9, 0.1], s=2)
-        perturb = UniformPerturbation(halfwidth=0.3)
-        rng = substream(7)
-        for _ in range(200):
-            obs = sample_observation(theta, perturb, rng)
-            binary = np.zeros(3)
-            binary[obs.support] = 1.0
-            assert np.all(np.abs(obs.perturbed_values - binary) <= 0.3)
+    def test_plain_and_scaled_sampling_have_no_signs(self):
+        for variant in (PLAIN, SCALED):
+            theta = ParamVector([0.5, 0.5], s=1, variant=variant, scale=2.0)
+            assert draw_rows(theta, substream(6), 3)[1] is None
 
 
 class TestQuantize:
     def test_threshold_keeps_strictly_above_half(self):
-        obs = Observation(3, [1], perturbed_values=np.array([0.3, 0.9, -0.2]))
-        assert quantize_perturbed(obs).support.tolist() == [1]
+        hits = np.array([[False, True, False]])
+        noise = np.array([[0.3, -0.1, -0.2]])
+        assert perturb_and_quantize(hits, None, noise)[0].tolist() == [[False, True, False]]
 
     def test_boundary_value_maps_to_zero(self):
-        obs = Observation(1, [0], perturbed_values=np.array([0.5]))
-        assert quantize_perturbed(obs).support.size == 0
+        hits = np.array([[True, False]])
+        out, _ = perturb_and_quantize(hits, None, np.array([[-0.5, 0.5]]))
+        assert not out.any()
 
-    def test_requires_perturbation(self):
-        with pytest.raises(MissingPerturbation):
-            quantize_perturbed(Observation(3, [0, 2]))
+    def test_signs_are_read_from_the_noisy_values(self):
+        hits = np.array([[True, True, False]])
+        out, signs = perturb_and_quantize(hits, np.array([1.0, -1.0, -1.0]), np.full((1, 3), 0.2))
+        assert out.tolist() == [[True, True, False]]
+        assert signs.tolist() == [[1.0, -1.0, 1.0]]
 
     def test_noise_below_half_roundtrips_exactly(self):
         theta = ParamVector([0.5, 0.2, 0.9, 0.0], s=2)
-        perturb = UniformPerturbation(halfwidth=0.49)
         rng = substream(8)
-        for _ in range(500):
-            obs = sample_observation(theta, perturb, rng)
-            recovered = quantize_perturbed(obs)
-            assert recovered.support.tolist() == obs.support.tolist()
-            assert recovered.perturbed_values is None
+        hits, _ = draw_rows(theta, rng, 500)
+        noise = rng.uniform(-0.49, 0.49, hits.shape)
+        recovered, signs = perturb_and_quantize(hits, None, noise)
+        assert np.array_equal(recovered, hits) and signs is None
 
     def test_signed_roundtrip_recovers_signs(self):
         theta = ParamVector([0.7, -0.7, 0.3], s=2, variant=SIGNED)
-        perturb = UniformPerturbation(halfwidth=0.49)
         rng = substream(9)
-        for _ in range(500):
-            obs = sample_observation(theta, perturb, rng)
-            recovered = quantize_perturbed(obs)
-            assert recovered.support.tolist() == obs.support.tolist()
-            assert np.array_equal(recovered.signs, obs.signs)
+        hits, signs = draw_rows(theta, rng, 500)
+        noise = rng.uniform(-0.49, 0.49, hits.shape)
+        recovered, noisy_signs = perturb_and_quantize(hits, signs, noise)
+        assert np.array_equal(recovered, hits)
+        assert np.array_equal(noisy_signs[hits], np.broadcast_to(signs, hits.shape)[hits])
 
     def test_halfwidth_capped_at_half(self):
         with pytest.raises(ValueError):
