@@ -9,28 +9,11 @@ configs/.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
 from . import harness
-
-_SUBCOMMANDS = {
-    "estimate-risk": "EstimateRisk",
-    "sweep-risk": "SweepRisk",
-    "codec-roundtrip": "CodecRoundtrip",
-    "train": "Train",
-    "compare-sparsifiers": "CompareSparsifiers",
-    "bounds": "Bounds",
-}
-
-_DESCRIPTIONS = {
-    "estimate-risk": "Monte Carlo risk of the pipeline at a single parameter point",
-    "sweep-risk": "risk over a (probe, n, k, d, s) grid with bound-curve columns",
-    "codec-roundtrip": "encode/decode/serialize roundtrip check over supports",
-    "train": "distributed SGD simulation, one metrics row per round",
-    "compare-sparsifiers": "train per sparsifier and seed at an equal entries budget",
-    "bounds": "reference bound curves over a parameter grid",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="<command>")
-    for name, command in _SUBCOMMANDS.items():
-        cmd = sub.add_parser(name, help=_DESCRIPTIONS[name], description=_DESCRIPTIONS[name])
+    for command, entry in harness.COMMANDS.items():
+        name = re.sub(r"(?<!^)(?=[A-Z])", "-", command).lower()  # SweepRisk -> sweep-risk
+        cmd = sub.add_parser(name, help=entry.summary, description=entry.summary)
         cmd.add_argument("--config", required=True, help="path to the experiment config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the CSV output path")

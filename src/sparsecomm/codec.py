@@ -127,6 +127,15 @@ class CodecConfig:
     def codebook(self) -> int:
         return codebook_size(self.d, self.kprime)
 
+    @cached_property
+    def payload_ranges(self) -> tuple[tuple[int, int], ...]:
+        """``payload_ranges[count]`` is the ``[low, high)`` range of payloads
+        a message with that count may carry, for counts 0..d: the ranks of
+        the vectors with min(count, kprime) ones."""
+        offsets = _class_offsets(self.d, self.kprime).tolist()
+        classes = [min(count, self.kprime) for count in range(self.d + 1)]
+        return tuple((offsets[m], offsets[m + 1]) for m in classes)
+
 
 def make_config(d: int, k: int) -> CodecConfig:
     """Build the codec config for dimension ``d`` and bit budget ``k``.
@@ -276,13 +285,22 @@ def decode(msg: Message, cfg: CodecConfig) -> SubsampledObservation:
 
 
 def serialize(msg: Message, cfg: CodecConfig) -> str:
-    """Fixed-width big-endian bit string: count header then payload index."""
+    """Fixed-width big-endian bit string: count header then payload index.
+
+    Raises instead of writing a message that :func:`decode` would reject.
+    """
     if msg.bit_length != cfg.k:
         raise LengthMismatch(f"message bit length {msg.bit_length} != k={cfg.k}")
     if not 0 <= msg.count <= cfg.d:
         raise MalformedMessage(f"count {msg.count} outside [0, {cfg.d}]")
-    if not 0 <= msg.payload_index < cfg.codebook:
-        raise MalformedMessage(f"payload {msg.payload_index} outside codebook")
+    low, high = cfg.payload_ranges[msg.count]
+    if not low <= msg.payload_index < high:
+        if not 0 <= msg.payload_index < cfg.codebook:
+            raise MalformedMessage(f"payload {msg.payload_index} outside codebook")
+        raise MalformedMessage(
+            f"payload {msg.payload_index} does not have the "
+            f"{min(msg.count, cfg.kprime)} ones count {msg.count} implies"
+        )
     return f"{msg.count:0{cfg.header_bits}b}{msg.payload_index:0{cfg.payload_bits}b}"
 
 

@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -62,15 +62,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_RUNTIME = 4
-
-COMMANDS = (
-    "EstimateRisk",
-    "SweepRisk",
-    "CodecRoundtrip",
-    "Train",
-    "CompareSparsifiers",
-    "Bounds",
-)
 
 RISK_COLUMNS = [
     "n", "k", "d", "s", "trials", "risk", "std_err",
@@ -192,13 +183,6 @@ def parse_config_text(text: str) -> dict:
 
 _REQUIRED = object()
 
-_COMMON_SCHEMA = {
-    "command": ("str", None),
-    "seed": ("int", 0),
-    "out": ("str", None),
-    "workers": ("int", None),
-}
-
 _RISK_SCHEMA = {
     "n": ("int_or_list", _REQUIRED),
     "k": ("int_or_list", _REQUIRED),
@@ -251,21 +235,7 @@ _COMPARE_SCHEMA.update(
 )
 
 _BOUNDS_SCHEMA = {
-    "n": ("int_or_list", _REQUIRED),
-    "k": ("int_or_list", _REQUIRED),
-    "d": ("int_or_list", _REQUIRED),
-    "s": ("num_or_list", _REQUIRED),
-    "upper_constant": ("float", 1.0),
-    "lower_constant": ("float", 1.0),
-}
-
-_SCHEMAS = {
-    "EstimateRisk": _RISK_SCHEMA,
-    "SweepRisk": _RISK_SCHEMA,
-    "CodecRoundtrip": _CODEC_SCHEMA,
-    "Train": _TRAIN_SCHEMA,
-    "CompareSparsifiers": _COMPARE_SCHEMA,
-    "Bounds": _BOUNDS_SCHEMA,
+    key: _RISK_SCHEMA[key] for key in ("n", "k", "d", "s", "upper_constant", "lower_constant")
 }
 
 
@@ -367,7 +337,7 @@ def load_experiment(
     if not _is_int(workers) or workers < 1:
         raise ConfigParseError(f"key 'workers': expected positive int, got {workers!r}")
 
-    schema = _SCHEMAS[resolved]
+    schema = COMMANDS[resolved].schema
     params = {}
     for key, value in raw.items():
         if key not in schema:
@@ -763,10 +733,28 @@ def _train_config(params: dict, seed: int) -> TrainConfig:
         raise PreconditionError(str(exc)) from exc
 
 
+def _training_setup(params: dict, seed: int) -> tuple[TrainConfig, object]:
+    """The training config and objective of a Train or CompareSparsifiers
+    config.  Both are built from the config alone, so any error here is a
+    precondition error, raised before training."""
+    cfg = _train_config(params, seed)
+    d, noise = params["d"], params["obj_noise"]
+    if d < 1:
+        raise PreconditionError(f"'d' must be >= 1, got {d}")
+    if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
+        raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
+    try:  # the builders check their own parameter ranges
+        obj = _build_objective(params, derive_seed(seed, 0))
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from exc
+    if obj.n_samples < cfg.n:
+        raise PreconditionError(f"'obj_samples' must be >= n={cfg.n}, got {obj.n_samples}")
+    return cfg, obj
+
+
 def _run_train(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    cfg = _train_config(params, config.seed)
-    obj = _build_objective(params, derive_seed(config.seed, 0))
+    cfg, obj = _training_setup(params, config.seed)
     try:  # surface bad (k, r, d) combinations before running
         cfg.resolve_r(obj.d)
     except ValueError as exc:
@@ -811,13 +799,18 @@ def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
 
 def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    cfg = _train_config(params, config.seed)
-    obj = _build_objective(params, derive_seed(config.seed, 0))
-    try:
-        specs = [parse_spec_string(s, obj.d, params["n"]) for s in params["specs"]]
-        rows = compare_sparsifiers(obj, cfg, specs, params["seeds"])
+    cfg, obj = _training_setup(params, config.seed)
+    specs = [parse_spec_string(s, obj.d, params["n"]) for s in params["specs"]]
+    try:  # every spec must fit d-vectors
+        for spec in specs:
+            spec.window(obj.d)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
+    budgets = sorted({spec.entries_budget for spec in specs})
+    if len(budgets) != 1:
+        raise PreconditionError(f"specs must share one entries budget, got {budgets}")
+    # outside any catch: a run that diverges mid-training is a runtime error
+    rows = compare_sparsifiers(obj, cfg, specs, params["seeds"])
     for row in rows:
         echo(
             f"{row['spec']}: final loss {row['mean_final_loss']:.6g} "
@@ -833,14 +826,9 @@ def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
     _check_grid_values(params)
     rows = []
-    grid = list(
-        itertools.product(
-            _as_list(params["n"]), _as_list(params["k"]),
-            _as_list(params["d"]), _as_list(params["s"]),
-        )
+    grid = itertools.product(
+        _as_list(params["n"]), _as_list(params["k"]), _as_list(params["d"]), _as_list(params["s"])
     )
-    if not grid:
-        raise PreconditionError("empty grid")
     for n, k, d, s in grid:
         theta = probe_param("flat", d, s) if s <= d / 2 else None
         bounds = _bound_columns(
@@ -851,15 +839,45 @@ def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
     return rows
 
 
-# --- entry point -------------------------------------------------------------
+# --- command table and entry point ------------------------------------------
 
-_RUNNERS = {
-    "EstimateRisk": (_run_risk, RISK_COLUMNS),
-    "SweepRisk": (_run_risk, RISK_COLUMNS),
-    "CodecRoundtrip": (_run_codec, CODEC_COLUMNS),
-    "Train": (_run_train, TRAIN_COLUMNS),
-    "CompareSparsifiers": (_run_compare, COMPARE_COLUMNS),
-    "Bounds": (_run_bounds, BOUNDS_COLUMNS),
+
+class Command(NamedTuple):
+    """One experiment command: its config keys, its runner, the CSV columns
+    of the runner's rows, and the one-line summary its CLI subcommand shows."""
+
+    schema: dict
+    runner: Callable[[ExperimentConfig, Callable[[str], None]], list[dict]]
+    columns: list[str]
+    summary: str
+
+
+# Every command, in the CLI's order; its subcommand is the name in kebab case.
+COMMANDS = {
+    "EstimateRisk": Command(
+        _RISK_SCHEMA, _run_risk, RISK_COLUMNS,
+        "Monte Carlo risk of the pipeline at a single parameter point",
+    ),
+    "SweepRisk": Command(
+        _RISK_SCHEMA, _run_risk, RISK_COLUMNS,
+        "risk over a (probe, n, k, d, s) grid with bound-curve columns",
+    ),
+    "CodecRoundtrip": Command(
+        _CODEC_SCHEMA, _run_codec, CODEC_COLUMNS,
+        "encode/decode/serialize roundtrip check over supports",
+    ),
+    "Train": Command(
+        _TRAIN_SCHEMA, _run_train, TRAIN_COLUMNS,
+        "distributed SGD simulation, one metrics row per round",
+    ),
+    "CompareSparsifiers": Command(
+        _COMPARE_SCHEMA, _run_compare, COMPARE_COLUMNS,
+        "train per sparsifier and seed at an equal entries budget",
+    ),
+    "Bounds": Command(
+        _BOUNDS_SCHEMA, _run_bounds, BOUNDS_COLUMNS,
+        "reference bound curves over a parameter grid",
+    ),
 }
 
 
@@ -883,9 +901,9 @@ def run(
         config = load_experiment(config_path, command=command, seed=seed, out=out)
     except ConfigParseError as exc:
         return fail(EXIT_CONFIG, exc)
-    runner, columns = _RUNNERS[config.command]
+    entry = COMMANDS[config.command]
     try:
-        rows = runner(config, echo)
+        rows = entry.runner(config, echo)
     except (PreconditionError, ConfigParseError) as exc:
         code = EXIT_CONFIG if isinstance(exc, ConfigParseError) else EXIT_PRECONDITION
         return fail(code, exc)
@@ -893,7 +911,7 @@ def run(
         return fail(EXIT_RUNTIME, exc)
     if config.out is not None:
         try:
-            write_csv_atomic(config.out, columns, rows)
+            write_csv_atomic(config.out, entry.columns, rows)
         except OSError as exc:
             return fail(EXIT_RUNTIME, exc)
         echo(f"wrote {len(rows)} rows to {config.out}")

@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError(f"eta steps must start at 0 and strictly increase, got {starts}")
         if not all(rate > 0 for _, rate in breakpoints):
             raise ValueError(f"learning rates must be positive, got {self.eta}")
+        if not self.init_scale >= 0:
+            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale}")
 
     def resolve_r(self, d: int) -> int:
         r = min(self.n * self.k, d) if self.r is None else self.r

@@ -281,7 +281,8 @@ class TestSerialization:
         for count in (9, 12, -1):
             with pytest.raises(MalformedMessage):
                 serialize(Message(count, 0, 10), cfg)
-        assert serialize(Message(8, 0, 10), cfg) == "1000" + "0" * 6
+        # count 8 > kprime = 2: the payload ranks a two-ones vector (ranks 9..36)
+        assert serialize(Message(8, 9, 10), cfg) == "1000" + "001001"
 
     def test_payload_outside_codebook_rejected(self):
         cfg = make_config(8, 10)  # 37 codewords, a 6-bit payload field holds 64
@@ -290,6 +291,16 @@ class TestSerialization:
                 serialize(Message(0, payload, 10), cfg)
         last = Message(2, cfg.codebook - 1, 10)
         assert deserialize(serialize(last, cfg), cfg) == last
+
+    def test_payload_popcount_must_match_count(self):
+        cfg = make_config(8, 10)  # kprime 2; ranks 0 | 1..8 | 9..36 have 0 | 1 | 2 ones
+        for count, payload in [(5, 0), (5, 8), (1, 0), (1, 9), (0, 1), (2, 8)]:
+            with pytest.raises(MalformedMessage, match="ones count"):
+                serialize(Message(count, payload, 10), cfg)
+        for count, payload in [(5, 9), (2, 36), (1, 1), (1, 8), (0, 0)]:
+            msg = Message(count, payload, 10)
+            sub = decode(deserialize(serialize(msg, cfg), cfg), cfg)
+            assert sub.support.size == min(count, cfg.kprime)
 
     def test_fixed_width_example(self):
         cfg = make_config(8, 10)
@@ -312,7 +323,7 @@ class TestSerialization:
         rng = substream(7)
         for _ in range(10_000):
             count = int(rng.integers(0, cfg.d + 1))
-            payload = int(rng.integers(0, cfg.codebook))
+            payload = int(rng.integers(*cfg.payload_ranges[count]))
             msg = Message(count, payload, cfg.k)
             assert deserialize(serialize(msg, cfg), cfg) == msg
 
@@ -462,7 +473,7 @@ class TestCodecProperty:
             expected = obs.support[double_argsort_mask(np.ones((1, m)), cfg.kprime, keys)[0]]
             assert sub.support.tolist() == expected.tolist() and sub.original_count == m
             assert rng.random() == replay.random()  # the same number of keys drawn
-            for msg in (encode(obs, cfg, rng), Message(m, ranks[i], k)):
+            for msg in (encode(obs, cfg, rng), Message(ones[i], ranks[i], k)):
                 assert deserialize(serialize(msg, cfg), cfg) == msg
 
 

@@ -1,6 +1,7 @@
 """Tests for the config parser, experiment runner, CSV output, and CLI."""
 
 import csv
+import glob
 import os
 
 import numpy as np
@@ -26,6 +27,9 @@ from sparsecomm.harness import (
     run,
     write_csv_atomic,
 )
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -297,6 +301,26 @@ class TestTrainCommands:
         assert run(path) == EXIT_OK
         assert len(read_rows(out)) == 10
 
+    @pytest.mark.parametrize("objective", ["logistic", "tiny_mlp"])
+    def test_other_objectives_train(self, tmp_path, objective):
+        cfg = f"command = Train\nobjective = {objective}\nd = 12\nn = 2\nk = 2\nsteps = 4\n"
+        out = tmp_path / "t.csv"
+        assert run(write_config(tmp_path, cfg + f"obj_samples = 40\nout = {out}\n")) == EXIT_OK
+        assert [int(r["t"]) for r in read_rows(out)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
+    def test_divergence_is_a_runtime_error(self, tmp_path, command):
+        # eta = 1.65 on the top 4 coordinates overshoots until the weights overflow
+        extra = "specs = [top:4]\nseeds = [1]\n" if command == "CompareSparsifiers" else "r = 4\n"
+        cfg = f"command = {command}\nd = 10\nn = 2\nk = 4\nsteps = 3000\neta = 1.65\n{extra}"
+        out = tmp_path / "x.csv"
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(write_config(tmp_path, cfg + f"out = {out}\n"), errcho=errors.append)
+        assert code == EXIT_RUNTIME
+        assert [e.split()[:2] for e in errors] == [["ERROR", "code=4"]]
+        assert not out.exists()
+
     def test_mismatched_budgets_pre(self, tmp_path):
         cfg = (
             "command = CompareSparsifiers\nd = 30\nn = 2\nk = 3\nsteps = 5\n"
@@ -337,6 +361,44 @@ class TestConfigOnlyPreconditions:
         extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
         cfg = f"command = {command}\nd = 10\nn = 2\nk = 2\nsteps = 12\neta = {eta}\n{extra}"
         assert run(write_config(tmp_path, cfg + f"out = {out}\n")) == EXIT_PRECONDITION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            "obj_samples = 3\nn = 5\n",
+            "objective = concentrated_quadratic\nobj_heavy = 20\n",
+            "obj_eig_min = 0.0\n",
+            "objective = logistic\nobj_reg = -1.0\n",
+            "init_scale = -1.0\n",
+            "obj_noise = [0.5, 0.5]\n",
+            "d = 0\n",
+            "objective = bogus\n",
+        ],
+        ids=["samples_below_nodes", "heavy_above_d", "eig_min_0", "negative_reg",
+             "negative_init_scale", "noise_list_not_d", "d_0", "unknown_objective"],
+    )
+    def test_training_values(self, tmp_path, monkeypatch, command, keys):
+        monkeypatch.setattr(harness, "train", must_not_run)
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        out = tmp_path / "t.csv"
+        extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
+        if not keys.startswith("d = "):
+            extra += "d = 10\n"
+        cfg = f"command = {command}\nk = 2\nsteps = 3\n{keys}{extra}out = {out}\n"
+        errors = []
+        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
+        assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("specs", ["[top:20]", "[random:11]", "[rtop:4:6]"])
+    def test_spec_wider_than_d(self, tmp_path, monkeypatch, specs):
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        out = tmp_path / "c.csv"
+        cfg = f"command = CompareSparsifiers\nd = 10\nk = 2\nsteps = 3\nspecs = {specs}\n"
+        path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
+        assert run(path) == EXIT_PRECONDITION
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -497,6 +559,11 @@ class TestGoldenFile:
         assert open(out, "rb").read() == open(golden, "rb").read()
 
 
+def subcommand_action():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "subcommand"]
+    return action
+
+
 class TestCli:
     def test_subcommand_runs_config(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
@@ -515,6 +582,28 @@ class TestCli:
     def test_subcommand_must_match_config(self, tmp_path):
         path = write_config(tmp_path, "command = Bounds\nn=1\nk=12\nd=16\ns=4\nout=x.csv\n")
         assert cli.main(["train", "--config", path]) == EXIT_CONFIG
+
+    def test_subcommands_and_help(self):
+        action = subcommand_action()
+        assert [(a.dest, a.help) for a in action._choices_actions] == [
+            ("estimate-risk", "Monte Carlo risk of the pipeline at a single parameter point"),
+            ("sweep-risk", "risk over a (probe, n, k, d, s) grid with bound-curve columns"),
+            ("codec-roundtrip", "encode/decode/serialize roundtrip check over supports"),
+            ("train", "distributed SGD simulation, one metrics row per round"),
+            ("compare-sparsifiers", "train per sparsifier and seed at an equal entries budget"),
+            ("bounds", "reference bound curves over a parameter grid"),
+        ]
+        assert [p.get_default("command") for p in action.choices.values()] == [
+            "EstimateRisk", "SweepRisk", "CodecRoundtrip", "Train", "CompareSparsifiers", "Bounds",
+        ]
+
+    def test_shipped_configs_load(self):
+        subcommands = subcommand_action().choices.values()
+        served = {p.get_default("command") for p in subcommands}
+        paths = glob.glob(os.path.join(CONFIGS, "*.cfg"))
+        commands = {load_experiment(path).command for path in paths}
+        assert commands <= served
+        assert commands == set(harness.COMMANDS)  # one example per command
 
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == EXIT_CONFIG
