@@ -806,9 +806,10 @@ def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
             spec.window(obj.d)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
-    budgets = sorted({spec.entries_budget for spec in specs})
-    if len(budgets) != 1:
-        raise PreconditionError(f"specs must share one entries budget, got {budgets}")
+    if not specs or any(spec.entries_budget != cfg.k for spec in specs):
+        raise PreconditionError(
+            f"'specs' must be nonempty with every entries budget k={cfg.k}, got {params['specs']}"
+        )
     # outside any catch: a run that diverges mid-training is a runtime error
     rows = compare_sparsifiers(obj, cfg, specs, params["seeds"])
     for row in rows:

@@ -4,6 +4,13 @@ Each objective exposes the empirical risk over a finite synthetic dataset,
 its full gradient, and unbiased minibatch gradients over sample indices.
 All three families keep per-sample gradients cheap and exact so simulator
 properties can be checked against closed forms or finite differences.
+
+The simulator trains S seeds in lockstep and evaluates them through the
+row methods (``grad_rows``, ``loss_rows``, ``full_grad_rows``), which must
+give every seed the bits of its single-vector call.  The defaults loop
+over the seeds; the quadratic stacks them, with dot products as stacked
+``np.matmul`` (BLAS ddot, as ``np.dot``) and never as ``W @ b`` (a gemv,
+which sums in another order).
 """
 
 from __future__ import annotations
@@ -11,6 +18,25 @@ from __future__ import annotations
 import numpy as np
 
 from .seeding import substream
+
+
+class _RowsByLoop:
+    """Row methods that call the single-vector methods once per row."""
+
+    def grad_rows(self, weights, picks) -> np.ndarray:
+        """``grad_minibatch`` of every node's picks at its seed's weights:
+        (S, d) weights and (S, n, B) picks give (S, n, d) gradients."""
+        return np.array(
+            [[self.grad_minibatch(w, row) for row in rows] for w, rows in zip(weights, picks)]
+        )
+
+    def loss_rows(self, weights) -> np.ndarray:
+        """``loss`` of every row of (S, d) weights, as (S,)."""
+        return np.array([self.loss(w) for w in weights])
+
+    def full_grad_rows(self, weights) -> np.ndarray:
+        """``full_grad`` of every row of (S, d) weights, as (S, d)."""
+        return np.array([self.full_grad(w) for w in weights])
 
 
 class QuadraticObjective:
@@ -45,9 +71,24 @@ class QuadraticObjective:
     def grad_minibatch(self, w, indices) -> np.ndarray:
         return self.diag * w - self.b_samples[indices].mean(axis=0)
 
-    def grad_rows(self, w, picks) -> np.ndarray:
-        """``grad_minibatch`` of every row of the (n, B) ``picks``, as (n, d)."""
-        return self.diag * w - self.b_samples[picks].mean(axis=1)
+    def grad_rows(self, weights, picks) -> np.ndarray:
+        """``grad_minibatch`` of every node's picks at its seed's weights:
+        (S, d) weights and (S, n, B) picks give (S, n, d) gradients."""
+        seeds, n, batch = picks.shape
+        means = self.b_samples[picks.reshape(seeds * n, batch)].mean(axis=1)
+        return (self.diag * weights)[:, None, :] - means.reshape(seeds, n, self.d)
+
+    def loss_rows(self, weights) -> np.ndarray:
+        """``loss`` of every row of (S, d) weights, as (S,): each dot
+        product is a stacked 1 x d by d x 1 matmul, the ddot of ``np.dot``."""
+        w = np.asarray(weights, dtype=float)
+        quadratic = np.matmul(w[:, None, :], (self.diag * w)[:, :, None])[:, 0, 0]
+        linear = np.matmul(self.b_mean[None, :], w[:, :, None])[:, 0, 0]
+        return 0.5 * quadratic - linear + self._offset
+
+    def full_grad_rows(self, weights) -> np.ndarray:
+        """``full_grad`` of every row of (S, d) weights, as (S, d)."""
+        return self.diag * weights - self.b_mean
 
 
 def make_quadratic(
@@ -104,7 +145,7 @@ def make_concentrated_quadratic(
     )
 
 
-class LogisticObjective:
+class LogisticObjective(_RowsByLoop):
     """L2-regularized logistic regression over a finite dataset."""
 
     def __init__(self, features, labels, lam: float = 0.0):
@@ -138,11 +179,6 @@ class LogisticObjective:
     def grad_minibatch(self, w, indices) -> np.ndarray:
         return self._grad(w, self.features[indices], self.labels[indices])
 
-    def grad_rows(self, w, picks) -> np.ndarray:
-        """``grad_minibatch`` of every row of the (n, B) ``picks``, stacked
-        (one matmul per row, so the bits match single calls)."""
-        return np.stack([self.grad_minibatch(w, row) for row in picks])
-
 
 def make_logistic(
     d: int, n_samples: int = 512, lam: float = 1e-3, seed: int = 0
@@ -156,7 +192,7 @@ def make_logistic(
     return LogisticObjective(x, y, lam)
 
 
-class TinyMLPObjective:
+class TinyMLPObjective(_RowsByLoop):
     """One-hidden-layer tanh network under squared loss, manual backprop.
 
     Parameters are a flat vector packing (W1, b1, W2, b2).  Gradients are
@@ -211,11 +247,6 @@ class TinyMLPObjective:
 
     def grad_minibatch(self, w, indices) -> np.ndarray:
         return self._grad(w, self.inputs[indices], self.targets[indices])
-
-    def grad_rows(self, w, picks) -> np.ndarray:
-        """``grad_minibatch`` of every row of the (n, B) ``picks``, stacked
-        (one matmul per row, so the bits match single calls)."""
-        return np.stack([self.grad_minibatch(w, row) for row in picks])
 
 
 def make_tiny_mlp(

@@ -11,13 +11,24 @@ selection randomness live on separate per-node streams, nodes are reduced
 in a fixed order, and with k = r = d the trajectory coincides exactly with
 plain minibatch SGD on the same draws.
 
-Neither stream depends on the weights, so ``train`` draws each node's
+Neither stream depends on the weights, so training draws each node's
 minibatch picks and Fisher-Yates swap targets ahead, one call per node and
-stream for a block of rounds, and runs every round on (n, d) arrays: the
-gradient rows come from the objective's ``grad_rows`` and the row-wise
-selection from ``SparsifierSpec.apply_rows``.  Each stream is consumed
-exactly as one round at a time would consume it, so ``train`` and repeated
-``sgd_round`` calls give the same bits.
+stream for a block of rounds.  Each stream is consumed exactly as one
+round at a time would consume it, so ``train`` and repeated ``sgd_round``
+calls give the same bits.
+
+Seeds run in lockstep: ``train_seeds`` advances S seeds of one config
+together, as (S, d) weights and (S, n, d) memories, with one
+``SparsifierSpec.apply_rows`` call per round on the (S*n, d) carried rows
+and the gradient rows from the objective's ``grad_rows``.  ``train`` is
+its S = 1 case and ``compare_sparsifiers`` calls it once per spec.  Every
+seed keeps its own streams, initial weights, node-ordered aggregation and
+records, so each seed's bits are those of a lone run.  The round metrics
+hold to the same rule: the objectives' ``loss_rows`` and ``full_grad_rows``
+reduce each seed's row as the single-vector call does (a stacked
+``np.matmul`` for a dot product is BLAS ddot like ``np.dot``; ``W @ b``
+is a gemv and gives other bits), and sums of squares reduce along the
+contiguous last axis.
 """
 
 from __future__ import annotations
@@ -189,7 +200,7 @@ def _draw_rounds(
     nodes: list[NodeState], spec: SparsifierSpec, batch_size: int, d: int, rounds: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every node's minibatch picks and swap targets for the next ``rounds``
-    rounds: (rounds, n, batch_size) sample indices and (rounds, n, k)
+    rounds: (rounds, nodes, batch_size) sample indices and (rounds, nodes, k)
     targets, from one call per node and stream.  Each stream is consumed
     exactly as ``rounds`` single rounds would consume it."""
     picks = [
@@ -200,41 +211,50 @@ def _draw_rounds(
     return np.stack(picks, axis=1), np.stack(targets, axis=1)
 
 
-def _exchange(obj, spec, cfg, t, w, memories, picks, targets):
-    """One synchronous round on (n, d) node arrays, before any check.
+def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
+    """One synchronous round of S seeds on (S, n, d) node arrays, before
+    any check; ``weights`` is (S, d), ``picks`` (S, n, B) and ``targets``
+    (S, n, k).
 
     Returns the gradients, the updates, the new memories and the new
     weights.
     """
-    grads = obj.grad_rows(w, picks)
+    seeds, n, d = memories.shape
+    grads = obj.grad_rows(weights, picks)
     use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
     carried = grads + memories if use_memory else grads
-    updates = spec.apply_rows(carried, targets)
+    updates = spec.apply_rows(
+        carried.reshape(seeds * n, d), targets.reshape(seeds * n, -1)
+    ).reshape(seeds, n, d)
     if use_memory:
         memories = carried - updates
-    agg = np.zeros(obj.d)
-    for update in updates:  # fixed node order: deterministic reduction
-        agg += update
-    agg /= len(updates)
+    agg = np.zeros((seeds, d))
+    for i in range(n):  # fixed node order: deterministic reduction
+        agg += updates[:, i]
+    agg /= n
     if cfg.aggregation == UNBIASED_RESCALE:
-        agg *= spec.unbiased_rescale(obj.d)
-    return grads, updates, memories, w - learning_rate(cfg.eta, t) * agg
+        agg *= spec.unbiased_rescale(d)
+    return grads, updates, memories, weights - learning_rate(cfg.eta, t) * agg
 
 
-def _round_metrics(obj, spec, t, w, w_new, memories) -> RoundMetrics:
-    """The round's record at the post-step weights; raises NonFiniteState
+def _round_metrics(obj, spec, t, weights, new_weights, memories) -> list[RoundMetrics]:
+    """Each seed's record at its post-step weights; raises NonFiniteState
     when the step left the finite range."""
-    if not np.all(np.isfinite(w_new)):
+    finite = np.isfinite(new_weights).all(axis=1)
+    if not finite.all():
+        w = weights[np.argmin(finite)]
         raise NonFiniteState(
             f"non-finite weights at step {t}; max |w| was {np.max(np.abs(w)):.3e}"
         )
-    return RoundMetrics(
-        t=t,
-        loss=float(obj.loss(w_new)),
-        grad_sq_norm=float(np.sum(obj.full_grad(w_new) ** 2)),
-        memory_sq_norm=float(sum(np.sum(memories**2, axis=1))),
-        comm_entries=len(memories) * spec.entries_budget,
-    )
+    losses = obj.loss_rows(new_weights)
+    grad_sq = np.sum(obj.full_grad_rows(new_weights) ** 2, axis=1)
+    # the nodes' row sums added left to right; a reduce over nodes sums pairwise
+    memory_sq = np.add.accumulate(np.sum(memories**2, axis=2), axis=1)[:, -1]
+    comm = memories.shape[1] * spec.entries_budget
+    return [
+        RoundMetrics(t=t, loss=loss, grad_sq_norm=grad, memory_sq_norm=memory, comm_entries=comm)
+        for loss, grad, memory in zip(losses.tolist(), grad_sq.tolist(), memory_sq.tolist())
+    ]
 
 
 def sgd_round(
@@ -258,17 +278,19 @@ def sgd_round(
     """
     spec = cfg.resolve_sparsifier(obj.d)
     picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, 1)
-    before = np.array([node.memory for node in nodes])
-    grads, updates, memories, w_new = _exchange(
-        obj, spec, cfg, t, w, before, picks[0], targets[0]
+    weights = np.asarray(w, dtype=float)[None]
+    before = np.array([[node.memory for node in nodes]])
+    grads, updates, memories, new_weights = _exchange(
+        obj, spec, cfg, t, weights, before, picks, targets
     )
-    for node, memory in zip(nodes, memories):
+    for node, memory in zip(nodes, memories[0]):
         node.memory = memory
     if trace is not None:
         trace["gradients"], trace["memories_before"], trace["updates"] = (
-            list(grads), list(before), list(updates)
+            list(grads[0]), list(before[0]), list(updates[0])
         )
-    return w_new, _round_metrics(obj, spec, t, w, w_new, memories)
+    (metrics,) = _round_metrics(obj, spec, t, weights, new_weights, memories)
+    return new_weights[0], metrics
 
 
 @dataclass
@@ -281,28 +303,61 @@ class TrainResult:
         return self.records[-1]
 
 
+def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int]) -> list[TrainResult]:
+    """The rounds of every seed in ``seeds``, advanced together."""
+    weights = np.array([init_weights(obj, seed, cfg.init_scale) for seed in seeds])
+    nodes = [node for seed in seeds for node in make_nodes(obj, replace(cfg, seed=seed))]
+    spec = cfg.resolve_sparsifier(obj.d)
+    shape = (len(seeds), cfg.n)
+    memories = np.zeros((*shape, obj.d))
+    per_draw = max(1, _DRAW_ELEMENTS // (len(nodes) * max(cfg.batch_size, spec.k)))
+    records = [[] for _ in seeds]
+    with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteState reports divergence
+        for start in range(0, cfg.steps, per_draw):
+            rounds = min(per_draw, cfg.steps - start)
+            picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, rounds)
+            picks = picks.reshape(rounds, *shape, -1)
+            targets = targets.reshape(rounds, *shape, -1)
+            for t in range(start, start + rounds):
+                _, _, memories, new_weights = _exchange(
+                    obj, spec, cfg, t, weights, memories, picks[t - start], targets[t - start]
+                )
+                metrics = _round_metrics(obj, spec, t, weights, new_weights, memories)
+                for seed_records, record in zip(records, metrics):
+                    seed_records.append(record)
+                weights = new_weights
+    return [TrainResult(records=rec, weights=w) for rec, w in zip(records, weights)]
+
+
+def train_seeds(obj, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainResult]:
+    """Run the full simulation once per seed (``cfg.seed`` is not read),
+    all seeds in lockstep; each result is bitwise that of a lone run.
+
+    If the lockstep run fails, the seeds are rerun one at a time, so the
+    error raised is the one the first failing seed raises on its own.
+    """
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    try:
+        return _train_lockstep(obj, cfg, seeds)
+    except (ValueError, ArithmeticError, RuntimeError):
+        if len(seeds) == 1:
+            raise
+        for seed in seeds:
+            _train_lockstep(obj, cfg, [seed])
+        raise
+
+
 def train(obj, cfg: TrainConfig) -> TrainResult:
     """Run the full simulation; bitwise deterministic for a fixed seed.
 
-    The same rounds as repeated ``sgd_round`` calls, on (n, d) arrays, with
-    each node's picks and swap targets drawn ahead in blocks of rounds.
+    The S = 1 case of ``train_seeds``: the same rounds as repeated
+    ``sgd_round`` calls, with each node's picks and swap targets drawn
+    ahead in blocks of rounds.
     """
-    w = init_weights(obj, cfg.seed, cfg.init_scale)
-    nodes = make_nodes(obj, cfg)
-    spec = cfg.resolve_sparsifier(obj.d)
-    memories = np.zeros((cfg.n, obj.d))
-    per_draw = max(1, _DRAW_ELEMENTS // (cfg.n * max(cfg.batch_size, spec.k)))
-    records = []
-    for start in range(0, cfg.steps, per_draw):
-        rounds = min(per_draw, cfg.steps - start)
-        picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, rounds)
-        for t in range(start, start + rounds):
-            _, _, memories, w_new = _exchange(
-                obj, spec, cfg, t, w, memories, picks[t - start], targets[t - start]
-            )
-            records.append(_round_metrics(obj, spec, t, w, w_new, memories))
-            w = w_new
-    return TrainResult(records=records, weights=w)
+    (result,) = train_seeds(obj, cfg, [cfg.seed])
+    return result
 
 
 def reference_sgd(obj, cfg: TrainConfig) -> TrainResult:
@@ -411,7 +466,7 @@ def compare_sparsifiers(
     specs: Sequence[SparsifierSpec],
     seeds: Sequence[int],
 ) -> list[dict]:
-    """Train once per (spec, seed) at a shared entries budget.
+    """Train every seed of each spec, in lockstep, at a shared entries budget.
 
     Returns one row per spec with mean and std of the final loss and final
     squared gradient norm across seeds.
@@ -421,14 +476,9 @@ def compare_sparsifiers(
         raise ValueError(f"specs disagree on the entries budget: {sorted(budgets)}")
     rows = []
     for spec in specs:
-        losses, grads = [], []
-        for seed in seeds:
-            cfg = replace(base_cfg, sparsifier=spec, seed=int(seed))
-            result = train(obj, cfg)
-            losses.append(result.final.loss)
-            grads.append(result.final.grad_sq_norm)
-        losses = np.asarray(losses)
-        grads = np.asarray(grads)
+        results = train_seeds(obj, replace(base_cfg, sparsifier=spec), seeds)
+        losses = np.asarray([result.final.loss for result in results])
+        grads = np.asarray([result.final.grad_sq_norm for result in results])
         rows.append(
             {
                 "spec": spec.label,

@@ -321,6 +321,18 @@ class TestTrainCommands:
         assert [e.split()[:2] for e in errors] == [["ERROR", "code=4"]]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
+    def test_divergence_prints_one_stderr_line(self, tmp_path, capfd, command):
+        # no errstate here: training itself must keep numpy's overflow
+        # warnings off stderr, which holds only the ERROR line
+        extra = "specs = [top:4]\nseeds = [1]\n" if command == "CompareSparsifiers" else "r = 4\n"
+        cfg = f"command = {command}\nd = 10\nn = 2\nk = 4\nsteps = 3000\neta = 1.65\n{extra}"
+        out = tmp_path / "x.csv"
+        assert run(write_config(tmp_path, cfg + f"out = {out}\n")) == EXIT_RUNTIME
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ERROR code=4 ")
+
     def test_mismatched_budgets_pre(self, tmp_path):
         cfg = (
             "command = CompareSparsifiers\nd = 30\nn = 2\nk = 3\nsteps = 5\n"
@@ -390,6 +402,18 @@ class TestConfigOnlyPreconditions:
         errors = []
         assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
         assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("specs", ["[top:5, random:5]", "[rtop:10:5]", "[]"])
+    def test_specs_must_spend_budget_k(self, tmp_path, monkeypatch, specs):
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        out = tmp_path / "c.csv"
+        cfg = f"command = CompareSparsifiers\nd = 30\nn = 2\nk = 3\nsteps = 3\nspecs = {specs}\n"
+        errors = []
+        path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
+        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
+        assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
+        assert "k=3" in errors[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("specs", ["[top:20]", "[random:11]", "[rtop:4:6]"])
@@ -556,6 +580,25 @@ class TestGoldenFile:
         path = write_config(tmp_path, cfg)
         assert run(path, out=out) == EXIT_OK
         golden = os.path.join(os.path.dirname(__file__), "golden", "sweep_small.csv")
+        assert open(out, "rb").read() == open(golden, "rb").read()
+
+    @pytest.mark.parametrize(
+        "aggregation,name",
+        [("error_feedback_mean", "compare_small.csv"),
+         ("unbiased_rescale", "compare_small_unbiased.csv")],
+    )
+    def test_compare_matches_golden_bytes(self, tmp_path, aggregation, name):
+        # the shipped concentrated-quadratic shape, cut to 40 rounds and 3 seeds
+        cfg = (
+            "command = CompareSparsifiers\nobjective = concentrated_quadratic\nd = 500\n"
+            "obj_heavy = 10\nobj_heavy_noise = 0.8\nobj_light_noise = 0.004\n"
+            "obj_samples = 400\nn = 5\nbatch_size = 2\nk = 2\nsteps = 40\neta = 0.15\n"
+            f"aggregation = {aggregation}\nspecs = [rtop:10:2, top:2, random:2]\n"
+            "seeds = [1, 2, 3]\nseed = 0\nworkers = 1\n"
+        )
+        out = str(tmp_path / "compare.csv")
+        assert run(write_config(tmp_path, cfg), out=out) == EXIT_OK
+        golden = os.path.join(os.path.dirname(__file__), "golden", name)
         assert open(out, "rb").read() == open(golden, "rb").read()
 
 

@@ -1,6 +1,7 @@
 """Tests for the distributed SGD simulator and convergence-bound evaluators."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sparsecomm import sgdsim
 from sparsecomm.objectives import (
     LogisticObjective,
+    make_concentrated_quadratic,
     make_logistic,
     make_quadratic,
     make_tiny_mlp,
@@ -33,6 +35,7 @@ from sparsecomm.sgdsim import (
     sgd_round,
     sqrt_horizon_schedule,
     train,
+    train_seeds,
 )
 from sparsecomm.sparsify import SparsifierSpec, top_r
 
@@ -384,6 +387,68 @@ class TestStreams:
         assert str(caught.value) == "vector has non-finite components"
 
 
+LOCKSTEP_OBJECTIVES = {
+    **SMALL_OBJECTIVES,
+    "concentrated": lambda: make_concentrated_quadratic(12, heavy=3, n_samples=60, seed=34),
+}
+
+
+class TestLockstep:
+    """``train_seeds`` runs seeds together; each seed must keep the bits of
+    a lone ``train`` call and of the naive oracle."""
+
+    @pytest.mark.parametrize("spec", ["rtop", "top", "random"])
+    @pytest.mark.parametrize("partition", ["contiguous", "interleaved"])
+    @pytest.mark.parametrize("aggregation", [ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE])
+    @pytest.mark.parametrize("objective", list(LOCKSTEP_OBJECTIVES))
+    def test_each_seed_matches_lone_run_and_oracle(self, objective, aggregation, partition, spec):
+        obj = LOCKSTEP_OBJECTIVES[objective]()
+        cfg = TrainConfig(
+            n=3, k=2, steps=12, batch_size=2, eta=[(0, 0.05), (6, 0.02)],
+            aggregation=aggregation, partition=partition, sparsifier=SPECS[spec](obj.d),
+        )
+        seeds = [3, 1, 1]  # a repeated seed must give repeated results
+        results = train_seeds(obj, cfg, seeds)
+        assert len(results) == len(seeds)
+        for seed, result in zip(seeds, results):
+            lone = train(obj, replace(cfg, seed=seed))
+            expected = signature(lone.weights, lone.records)
+            assert signature(result.weights, result.records) == expected
+            assert signature(*naive_train(obj, replace(cfg, seed=seed))) == expected
+
+    @pytest.mark.parametrize("spec", ["rtop", "top", "random"])
+    def test_blocks_of_rounds_do_not_change_bits(self, monkeypatch, spec):
+        obj = make_quadratic(15, n_samples=90, noise_std=0.6, seed=21)
+        cfg = TrainConfig(n=3, k=2, steps=30, batch_size=3, eta=0.05, sparsifier=SPECS[spec](15))
+        seeds = [5, 6, 7, 8]
+        lone = [train(obj, replace(cfg, seed=seed)) for seed in seeds]
+        monkeypatch.setattr(sgdsim, "_DRAW_ELEMENTS", 7)
+        for ours, theirs in zip(train_seeds(obj, cfg, seeds), lone):
+            assert signature(ours.weights, ours.records) == signature(theirs.weights, theirs.records)
+
+    def test_divergence_raises_first_sequential_error(self):
+        # Plain gradient descent that grows the first coordinate by 1.5x a
+        # step: when the weights overflow depends only on each seed's
+        # initial draw.  Seed 4 (third) diverges at step 45, seed 3
+        # (fourth) already at step 42, seeds 0 and 1 not at all.
+        obj = make_quadratic(2, n_samples=8, diag=[2.0, 0.5], b_mean=[0.0, 0.0], noise_std=0.0)
+        cfg = TrainConfig(n=2, k=2, r=2, steps=47, eta=1.25, init_scale=1e300)
+        seeds = [0, 1, 4, 3]
+        lone_errors = []
+        for seed in seeds:
+            try:
+                train(obj, replace(cfg, seed=seed))
+            except NonFiniteState as exc:
+                lone_errors.append(str(exc))
+        assert [e.split(";")[0] for e in lone_errors] == [
+            "non-finite weights at step 45", "non-finite weights at step 42"
+        ]
+        with pytest.raises(NonFiniteState) as caught:
+            train_seeds(obj, cfg, seeds)
+        assert type(caught.value) is NonFiniteState
+        assert str(caught.value) == lone_errors[0]
+
+
 class TestSchedules:
     def test_constant(self):
         assert learning_rate(0.25, 999) == 0.25
@@ -505,6 +570,12 @@ class TestCompareSparsifiers:
             compare_sparsifiers(
                 obj, cfg, [SparsifierSpec.top(2), SparsifierSpec.random(3)], [0]
             )
+
+    def test_seeds_required(self):
+        obj = make_quadratic(6, seed=17)
+        cfg = TrainConfig(n=2, k=2, steps=3)
+        with pytest.raises(ValueError, match="at least one seed"):
+            compare_sparsifiers(obj, cfg, [SparsifierSpec.top(2)], [])
 
     def test_full_budget_specs_coincide(self):
         obj = make_quadratic(5, noise_std=0.4, seed=18)
