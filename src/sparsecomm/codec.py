@@ -104,9 +104,16 @@ def _comb_columns(d: int, kprime: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _comb_table(d, kprime).T.tolist()))
 
 
+@lru_cache(maxsize=_TABLES_CACHED)
+def _class_offset_ints(d: int, kprime: int) -> tuple[int, ...]:
+    """:func:`_class_offsets` as a tuple of Python ints, so the scalar
+    paths index and bisect it without comparing numpy scalars."""
+    return tuple(_class_offsets(d, kprime).tolist())
+
+
 def codebook_size(d: int, kprime: int) -> int:
     """Number of binary vectors of length d with at most kprime ones."""
-    return int(_class_offsets(d, kprime)[-1])
+    return _class_offset_ints(d, kprime)[-1]
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ class CodecConfig:
         """``payload_ranges[count]`` is the ``[low, high)`` range of payloads
         a message with that count may carry, for counts 0..d: the ranks of
         the vectors with min(count, kprime) ones."""
-        offsets = _class_offsets(self.d, self.kprime).tolist()
+        offsets = _class_offset_ints(self.d, self.kprime)
         classes = [min(count, self.kprime) for count in range(self.d + 1)]
         return tuple((offsets[m], offsets[m + 1]) for m in classes)
 
@@ -201,28 +208,29 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
     within each popcount class; the in-class rank of ``{s_0 < ... < s_{m-1}}``
     is ``sum_i C(s_i, i+1)`` (combinatorial number system).
     """
-    sup = [operator.index(i) for i in support]
+    sup = list(map(operator.index, support))
     m = len(sup)
     if m > kprime:
         raise TooManyOnes(f"support has {m} ones, codebook allows {kprime}")
-    for i, idx in enumerate(sup):
-        if idx < 0 or idx >= d or (i > 0 and idx <= sup[i - 1]):
-            raise ValueError("support must be strictly increasing indices in [0, d)")
     cols = _comb_columns(d, kprime)
-    rank = int(_class_offsets(d, kprime)[m])
-    for i, idx in enumerate(sup):
-        rank += cols[i + 1][idx]
+    rank = _class_offset_ints(d, kprime)[m]
+    prev = -1
+    for i, idx in enumerate(sup, 1):
+        if not prev < idx < d:
+            raise ValueError("support must be strictly increasing indices in [0, d)")
+        rank += cols[i][idx]
+        prev = idx
     return rank
 
 
 def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
     """Inverse of :func:`rank_sparse` over the full codebook."""
     rank = operator.index(rank)
-    offsets = _class_offsets(d, kprime)
+    offsets = _class_offset_ints(d, kprime)
     if rank < 0 or rank >= offsets[-1]:
         raise RankOutOfRange(f"rank {rank} outside codebook of size {offsets[-1]}")
     m = bisect.bisect_right(offsets, rank) - 1  # popcount class of the rank
-    rem = rank - int(offsets[m])
+    rem = rank - offsets[m]
     cols = _comb_columns(d, kprime)
     support: list[int] = []
     ceiling = d  # candidates are strictly below the previously chosen index
@@ -243,16 +251,25 @@ def subsample(
     """Keep a uniformly random kprime-subset of the support when it is larger.
 
     The uniform subset is realized by attaching an iid uniform key to each
-    support index and keeping the kprime largest keys, the rule of
-    :func:`subsample_mask`.  Keys are drawn only when the support exceeds
-    kprime > 0; smaller supports pass through unchanged, and a degenerate
-    budget (kprime = 0) keeps only the count.
+    support index and keeping the kprime largest keys, ties to the lower
+    position: the rule of :func:`subsample_mask`.  As there, the keys that
+    reach the kprime-th largest key are kept; only when ties at that
+    threshold would keep more is the row re-ranked exactly (a stable sort
+    of the keys, descending), as ``_keep_largest_keys`` re-ranks tied rows.
+    Keys are drawn only when the support exceeds kprime > 0; smaller
+    supports pass through unchanged, and a degenerate budget (kprime = 0)
+    keeps only the count.
     """
     if obs.d != cfg.d:
         raise ValueError(f"observation dimension {obs.d} != config dimension {cfg.d}")
-    m = obs.count
-    keys = rng.random((1, m)) if m > cfg.kprime > 0 else np.zeros((1, m))
-    kept = _keep_largest_keys(np.ones((1, m), dtype=bool), np.array([m]), cfg.kprime, keys)[0]
+    m, kprime = obs.count, cfg.kprime
+    if m > kprime > 0:
+        keys = rng.random(m)
+        kept = keys >= np.partition(keys, m - kprime)[m - kprime]
+        if np.count_nonzero(kept) > kprime:
+            kept = np.sort(np.argsort(-keys, kind="stable")[:kprime])
+    else:
+        kept = slice(None) if kprime else slice(0)
     signs = obs.signs[kept] if obs.signs is not None else None
     return SubsampledObservation(obs.d, obs.support[kept], m, signs)
 
@@ -264,6 +281,15 @@ def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Mess
     return Message(count=sub.original_count, payload_index=payload, bit_length=cfg.k)
 
 
+def _check_integral(msg: Message) -> None:
+    """MalformedMessage unless every field of ``msg`` is an integer."""
+    try:
+        for field in (msg.count, msg.payload_index, msg.bit_length):
+            operator.index(field)
+    except TypeError:
+        raise MalformedMessage(f"message fields must be integers: {msg}") from None
+
+
 def _check_popcount(ones: int, count: int, expected: int) -> None:
     if ones != expected:
         raise MalformedMessage(
@@ -273,6 +299,7 @@ def _check_popcount(ones: int, count: int, expected: int) -> None:
 
 def decode(msg: Message, cfg: CodecConfig) -> SubsampledObservation:
     """Recover the subsampled support and the original count from a message."""
+    _check_integral(msg)
     if not 0 <= msg.count <= cfg.d:
         raise MalformedMessage(f"count {msg.count} outside [0, {cfg.d}]")
     if not 0 <= msg.payload_index < cfg.codebook:
@@ -289,6 +316,7 @@ def serialize(msg: Message, cfg: CodecConfig) -> str:
 
     Raises instead of writing a message that :func:`decode` would reject.
     """
+    _check_integral(msg)
     if msg.bit_length != cfg.k:
         raise LengthMismatch(f"message bit length {msg.bit_length} != k={cfg.k}")
     if not 0 <= msg.count <= cfg.d:

@@ -605,9 +605,32 @@ def _admissible_budgets(d: int) -> list[int]:
     return list(range(low, header + d + 1))
 
 
+# Supports are drawn or enumerated in blocks of at most this many entries:
+# enough to take the per-support numpy calls out of the loop, small enough
+# that the block stays out of the peak RSS.
+_SUPPORT_BLOCK = 1 << 12
+
+
+def _support_blocks(d: int, samples: int, rng: np.random.Generator):
+    """(rows, d) blocks whose rows are the roundtrip supports, in order.
+
+    With ``samples`` > 0 each row holds ``rng.random(d) < 0.5``, the same
+    draws as one ``random(d)`` call per sample; with 0 the rows are the bit
+    patterns 0 .. 2^d - 1, most significant bit first, which is the order of
+    ``itertools.product((0, 1), repeat=d)``.
+    """
+    total = samples or 1 << d
+    rows = max(1, _SUPPORT_BLOCK // d)
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
+        if samples:
+            yield rng.random((hi - lo, d)) < 0.5
+        else:
+            yield (np.arange(lo, hi)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+
+
 def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
     d, k = cfg.d, cfg.k
-    rng_bits = np.random.default_rng(seed)
     row = {
         "d": d,
         "k": k,
@@ -617,26 +640,21 @@ def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
     }
     failures = 0
     total = 0
-    if samples == 0:
-        supports = (
-            np.flatnonzero(np.array(bits))
-            for bits in itertools.product((0, 1), repeat=d)
-        )
-    else:
-        supports = (
-            np.flatnonzero(rng_bits.random(d) < 0.5) for _ in range(samples)
-        )
+    blocks = _support_blocks(d, samples, np.random.default_rng(seed))
     rng = substream(seed, 7)
-    for support in supports:
+    for support in (pattern.nonzero()[0] for block in blocks for pattern in block):
         total += 1
         obs = Observation(d, support)
         msg = encode(obs, cfg, rng)
         bits = serialize(msg, cfg)
-        ok = len(bits) == cfg.k
         sub = decode(msg, cfg)
-        ok = ok and sub.original_count == obs.count
-        ok = ok and set(sub.support.tolist()) <= set(obs.support.tolist())
-        ok = ok and sub.support.size == min(obs.count, cfg.kprime)
+        kept = sub.support.tolist()
+        ok = (
+            len(bits) == k
+            and sub.original_count == obs.count
+            and len(kept) == min(obs.count, cfg.kprime)
+            and set(kept) <= set(support.tolist())
+        )
         if not ok:
             failures += 1
     row["roundtrips"] = total

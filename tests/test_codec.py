@@ -210,6 +210,24 @@ class TestSubsample:
             sub = SubsampledObservation(8, support, 3)
             assert sub.support.dtype == np.int64 and not sub.support.flags.writeable
 
+    def test_tied_keys_keep_the_lower_positions(self):
+        class TiedKeys:
+            def __init__(self, keys):
+                self.keys = np.array(keys)
+
+            def random(self, size):
+                assert size == self.keys.size
+                return self.keys
+
+        cfg = make_config(8, 10)  # kprime 2
+        obs = Observation(8, [1, 2, 4, 6, 7])
+        for keys, lower in [([0.5] * 5, [0, 1]), ([0.9, 0.5, 0.5, 0.5, 0.1], [0, 1])]:
+            row = np.array([keys])
+            mask = subsample_mask_from_keys(np.ones((1, 5)), cfg.kprime, row)[0]
+            assert np.array_equal(mask, double_argsort_mask(np.ones((1, 5)), cfg.kprime, row)[0])
+            sub = subsample(obs, cfg, TiedKeys(keys))
+            assert sub.support.tolist() == obs.support[lower].tolist() == obs.support[mask].tolist()
+
     def test_signs_travel_with_kept_indices(self):
         cfg = make_config(8, 10)
         obs = Observation(8, [0, 2, 4, 6], signs=[1, -1, 1, -1])
@@ -275,6 +293,14 @@ class TestEncodeDecode:
             decode(Message(5, rank_sparse([1], 8, 2), 10), cfg)
 
 
+    def test_non_integral_fields_rejected(self):
+        cfg = make_config(8, 10)
+        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10)):
+            with pytest.raises(MalformedMessage, match="integers"):
+                decode(msg, cfg)
+        assert decode(Message(np.int64(1), np.int64(1), 10), cfg).support.tolist() == [0]
+
+
 class TestSerialization:
     def test_count_above_d_rejected(self):
         cfg = make_config(8, 10)  # a 4-bit header could hold counts up to 15
@@ -301,6 +327,13 @@ class TestSerialization:
             msg = Message(count, payload, 10)
             sub = decode(deserialize(serialize(msg, cfg), cfg), cfg)
             assert sub.support.size == min(count, cfg.kprime)
+
+    def test_non_integral_fields_rejected(self):
+        cfg = make_config(8, 10)
+        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10)):
+            with pytest.raises(MalformedMessage, match="integers"):
+                serialize(msg, cfg)
+        assert serialize(Message(np.int64(1), np.int64(1), 10), cfg) == "0001" + "000001"
 
     def test_fixed_width_example(self):
         cfg = make_config(8, 10)

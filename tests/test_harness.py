@@ -2,6 +2,7 @@
 
 import csv
 import glob
+import itertools
 import os
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from sparsecomm import cli, harness
 from sparsecomm.codec import MalformedMessage
+from sparsecomm.model import Observation
+from sparsecomm.seeding import derive_seed
 from sparsecomm.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -247,6 +250,37 @@ class TestCodecRoundtripCommand:
         path = write_config(tmp_path, cfg)
         assert run(path) == EXIT_OK
         assert capsys.readouterr().out.count("roundtrips: 64/64 ok") == 2
+
+
+    @staticmethod
+    def observed_supports(tmp_path, monkeypatch, cfg):
+        """Run a CodecRoundtrip config; the supports its Observations got."""
+        seen = []
+
+        def recording(d, support, signs=None):
+            seen.append(np.array(support))
+            return Observation(d, support, signs)
+
+        monkeypatch.setattr(harness, "Observation", recording)
+        assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
+        return seen
+
+    def test_sampled_supports_cross_block_boundaries(self, tmp_path, monkeypatch):
+        d = 256
+        samples = 2 * (harness._SUPPORT_BLOCK // d) + 3
+        cfg = f"command = CodecRoundtrip\nd = {d}\nk = 24\nsamples = {samples}\nseed = 5\n"
+        seen = self.observed_supports(tmp_path, monkeypatch, cfg)
+        g = np.random.default_rng(derive_seed(5, 0))
+        expected = [np.flatnonzero(g.random(d) < 0.5) for _ in range(samples)]
+        assert len(seen) == samples
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+    def test_exhaustive_supports_in_product_order(self, tmp_path, monkeypatch):
+        cfg = "command = CodecRoundtrip\nd = 6\nk = 9\nsamples = 0\n"
+        seen = self.observed_supports(tmp_path, monkeypatch, cfg)
+        expected = [np.flatnonzero(bits) for bits in itertools.product((0, 1), repeat=6)]
+        assert len(seen) == len(expected) == 64
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
 
 class TestTrainCommands:
