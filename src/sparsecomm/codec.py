@@ -206,16 +206,19 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
 
     Vectors are ordered by popcount ascending, then colexicographically
     within each popcount class; the in-class rank of ``{s_0 < ... < s_{m-1}}``
-    is ``sum_i C(s_i, i+1)`` (combinatorial number system).
+    is ``sum_i C(s_i, i+1)`` (combinatorial number system).  Indices must
+    be integers; floats and bools raise ``TypeError``.
     """
-    sup = list(map(operator.index, support))
-    m = len(sup)
+    m = len(support)
     if m > kprime:
         raise TooManyOnes(f"support has {m} ones, codebook allows {kprime}")
     cols = _comb_columns(d, kprime)
     rank = _class_offset_ints(d, kprime)[m]
     prev = -1
-    for i, idx in enumerate(sup, 1):
+    for i, idx in enumerate(support, 1):
+        if idx.__class__ is bool:
+            raise TypeError("support indices must be integers, not bool")
+        idx = operator.index(idx)
         if not prev < idx < d:
             raise ValueError("support must be strictly increasing indices in [0, d)")
         rank += cols[i][idx]
@@ -282,9 +285,12 @@ def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Mess
 
 
 def _check_integral(msg: Message) -> None:
-    """MalformedMessage unless every field of ``msg`` is an integer."""
+    """MalformedMessage unless every field of ``msg`` is an integer (bools
+    are not)."""
     try:
         for field in (msg.count, msg.payload_index, msg.bit_length):
+            if field.__class__ is bool:
+                raise TypeError("bool field")
             operator.index(field)
     except TypeError:
         raise MalformedMessage(f"message fields must be integers: {msg}") from None

@@ -183,104 +183,119 @@ def parse_config_text(text: str) -> dict:
 
 _REQUIRED = object()
 
-_RISK_SCHEMA = {
-    "n": ("int_or_list", _REQUIRED),
-    "k": ("int_or_list", _REQUIRED),
-    "d": ("int_or_list", _REQUIRED),
-    "s": ("num_or_list", _REQUIRED),
-    "trials": ("int", 1000),
-    "probes": ("str_list", ["flat"]),
-    "perturb_halfwidth": ("float", 0.0),
-    "upper_constant": ("float", 1.0),
-    "lower_constant": ("float", 1.0),
-}
 
-_CODEC_SCHEMA = {
-    "d": ("int_or_list", _REQUIRED),
-    "k": ("any", "all"),  # int, list of ints, or the word "all"
-    "samples": ("int", 0),  # 0 = exhaustive over all 2^d supports
-}
+class Range(NamedTuple):
+    """The values a key accepts: ``holds(v)``, described as ``text``."""
 
-_TRAIN_SCHEMA = {
-    "objective": ("str", "quadratic"),
-    "d": ("int", 100),
-    "n": ("int", 5),
-    "batch_size": ("int", 8),
-    "k": ("int", _REQUIRED),
-    "r": ("int", None),
-    "steps": ("int", _REQUIRED),
-    "eta": ("schedule", 0.1),
-    "aggregation": ("str", "error_feedback_mean"),
-    "partition": ("str", "contiguous"),
-    "init_scale": ("float", 1.0),
-    "obj_samples": ("int", 1000),
-    "obj_noise": ("num_or_list", 0.5),
-    "obj_eig_min": ("float", 0.5),
-    "obj_eig_max": ("float", 2.0),
-    "obj_reg": ("float", 1e-3),
-    "obj_hidden": ("int", 8),
-    "obj_in": ("int", 4),
-    "obj_out": ("int", 1),
-    "obj_heavy": ("int", 10),
-    "obj_heavy_noise": ("float", 0.8),
-    "obj_light_noise": ("float", 0.004),
-}
-
-_COMPARE_SCHEMA = dict(_TRAIN_SCHEMA)
-_COMPARE_SCHEMA.update(
-    {
-        "specs": ("str_list", _REQUIRED),
-        "seeds": ("int_list", _REQUIRED),
-    }
-)
-
-_BOUNDS_SCHEMA = {
-    key: _RISK_SCHEMA[key] for key in ("n", "k", "d", "s", "upper_constant", "lower_constant")
-}
+    holds: Callable[[object], bool]
+    text: str
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _at_least(low) -> Range:
+    return Range(lambda v: v >= low, f">= {low}")
+
+
+def _above(low) -> Range:
+    return Range(lambda v: v > low, f"> {low}")
+
+
+class Key(NamedTuple):
+    """One config key: its kind (a predicate in ``_KINDS``, checked by
+    ``load_experiment``), its default (``_REQUIRED`` if the config must set
+    it, ``None`` if the runner computes it) and the range every value, or
+    every list element, must lie in (checked by ``check_ranges``)."""
+
+    kind: str
+    default: object = _REQUIRED
+    check: Optional[Range] = None
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_type(key: str, value, expected: str):
-    ok = True
-    if expected == "str":
-        ok = isinstance(value, str)
-    elif expected == "int":
-        ok = _is_int(value)
-    elif expected == "float":
-        ok = _is_num(value)
-    elif expected == "int_or_list":
-        ok = _is_int(value) or (
-            isinstance(value, list) and value and all(_is_int(v) for v in value)
-        )
-    elif expected == "num_or_list":
-        ok = _is_num(value) or (
-            isinstance(value, list) and value and all(_is_num(v) for v in value)
-        )
-    elif expected == "str_list":
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    elif expected == "int_list":
-        ok = isinstance(value, list) and value and all(_is_int(v) for v in value)
-    elif expected == "schedule":
-        ok = _is_num(value) or (
-            isinstance(value, list)
-            and value
-            and all(
-                isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_num(p[1])
-                for p in value
-            )
-        )
-    elif expected == "any":
-        ok = True
-    if not ok:
-        raise ConfigParseError(f"key '{key}': expected {expected}, got {value!r}")
-    return value
+def _is_num(v) -> bool:
+    """An int or float that converts to a finite float (not nan, inf or 10**400)."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _is_list_of(pred: Callable[[object], bool], v) -> bool:
+    return isinstance(v, list) and bool(v) and all(map(pred, v))
+
+
+def _is_step(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and _is_num(v[1])
+
+
+# Each kind's predicate.
+_KINDS: dict[str, Callable[[object], bool]] = {
+    "int": _is_int,
+    "positive_int": lambda v: _is_int(v) and v >= 1,
+    "float": _is_num,
+    "str": lambda v: isinstance(v, str),
+    "int_or_list": lambda v: _is_int(v) or _is_list_of(_is_int, v),
+    "num_or_list": lambda v: _is_num(v) or _is_list_of(_is_num, v),
+    "str_list": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "int_list": lambda v: _is_list_of(_is_int, v),
+    "schedule": lambda v: _is_num(v) or _is_list_of(_is_step, v),
+    "budgets": lambda v: v == "all" or _is_int(v) or _is_list_of(_is_int, v),
+}
+
+# Keys every command takes; ``command`` itself is resolved first.
+_COMMON_SCHEMA = {
+    "seed": Key("int", 0),
+    "out": Key("str", None),
+    "workers": Key("positive_int", None),  # None: the cpu count
+}
+
+_RISK_SCHEMA = {
+    "n": Key("int_or_list", check=_at_least(1)),
+    "k": Key("int_or_list"),
+    "d": Key("int_or_list", check=_at_least(2)),
+    "s": Key("num_or_list", check=_above(0)),
+    "trials": Key("int", 1000, _at_least(100)),
+    "probes": Key("str_list", ["flat"]),
+    "perturb_halfwidth": Key("float", 0.0, Range(lambda v: 0 <= v <= 0.5, "in [0, 0.5]")),
+    "upper_constant": Key("float", 1.0, _above(0)),
+    "lower_constant": Key("float", 1.0, _above(0)),
+}
+
+_CODEC_SCHEMA = {
+    "d": Key("int_or_list", check=_at_least(2)),
+    "k": Key("budgets", "all"),
+    "samples": Key("int", 0, _at_least(0)),  # 0 = exhaustive over all 2^d supports
+}
+
+_TRAIN_SCHEMA = {
+    "objective": Key("str", "quadratic"),
+    "d": Key("int", 100, _at_least(1)),
+    "n": Key("int", 5),
+    "batch_size": Key("int", 8),
+    "k": Key("int"),
+    "r": Key("int", None),  # None: min(n*k, d)
+    "steps": Key("int"),
+    "eta": Key("schedule", 0.1),
+    "aggregation": Key("str", "error_feedback_mean"),
+    "partition": Key("str", "contiguous"),
+    "init_scale": Key("float", 1.0),
+    "obj_samples": Key("int", 1000),
+    "obj_noise": Key("num_or_list", 0.5),
+    "obj_eig_min": Key("float", 0.5),
+    "obj_eig_max": Key("float", 2.0),
+    "obj_reg": Key("float", 1e-3),
+    "obj_hidden": Key("int", 8),
+    "obj_in": Key("int", 4),
+    "obj_out": Key("int", 1),
+    "obj_heavy": Key("int", 10),
+    "obj_heavy_noise": Key("float", 0.8),
+    "obj_light_noise": Key("float", 0.004),
+}
+
+_COMPARE_SCHEMA = dict(_TRAIN_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
+
+_BOUNDS_SCHEMA = {
+    key: _RISK_SCHEMA[key] for key in ("n", "k", "d", "s", "upper_constant", "lower_constant")
+}
 
 
 class ExperimentConfig:
@@ -304,7 +319,7 @@ def load_experiment(
 
     ``command``, ``seed`` and ``out`` given here (e.g. from the CLI)
     override or complete the file's values; a command that contradicts
-    the file is a config error.
+    the file is a config error.  Ranges are left to :func:`check_ranges`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -325,35 +340,34 @@ def load_experiment(
         raise ConfigParseError(
             f"config says command={file_command!r} but {command!r} was requested"
         )
-    cfg_seed = raw.pop("seed", 0)
-    if not _is_int(cfg_seed):
-        raise ConfigParseError(f"key 'seed': expected int, got {cfg_seed!r}")
-    cfg_out = raw.pop("out", None)
-    if cfg_out is not None and not isinstance(cfg_out, str):
-        raise ConfigParseError(f"key 'out': expected string, got {cfg_out!r}")
-    workers = raw.pop("workers", None)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if not _is_int(workers) or workers < 1:
-        raise ConfigParseError(f"key 'workers': expected positive int, got {workers!r}")
 
-    schema = COMMANDS[resolved].schema
-    params = {}
+    schema = {**_COMMON_SCHEMA, **COMMANDS[resolved].schema}
     for key, value in raw.items():
         if key not in schema:
             raise ConfigParseError(f"unknown key '{key}' for command {resolved}")
-        params[key] = _check_type(key, value, schema[key][0])
-    for key, (_, default) in schema.items():
-        if key not in params:
-            if default is _REQUIRED:
-                raise ConfigParseError(f"missing required key '{key}' for {resolved}")
-            params[key] = default
-
-    final_seed = seed if seed is not None else cfg_seed
+        if not _KINDS[schema[key].kind](value):
+            raise ConfigParseError(f"key '{key}': expected {schema[key].kind}, got {value!r}")
+    for key, spec in schema.items():
+        if key not in raw and spec.default is _REQUIRED:
+            raise ConfigParseError(f"missing required key '{key}' for {resolved}")
+        raw.setdefault(key, spec.default)
+    cfg_seed, cfg_out, workers = (raw.pop(key) for key in _COMMON_SCHEMA)
     final_out = out if out is not None else cfg_out
     if resolved != "CodecRoundtrip" and final_out is None:
         raise ConfigParseError(f"command {resolved} requires an output path ('out' or --out)")
-    return ExperimentConfig(resolved, params, final_seed, final_out, workers)
+    final_seed = seed if seed is not None else cfg_seed
+    return ExperimentConfig(resolved, raw, final_seed, final_out, workers or os.cpu_count() or 1)
+
+
+def check_ranges(config: ExperimentConfig) -> None:
+    """PreconditionError unless every value of ``config`` (each element of
+    a list) lies in its key's range; ``run`` calls it before any work."""
+    schema = COMMANDS[config.command].schema
+    for key, value in config.params.items():
+        check = schema[key].check
+        for item in _as_list(value) if check else ():
+            if not check.holds(item):
+                raise PreconditionError(f"'{key}' must be {check.text}, got {item}")
 
 
 # --- CSV output -------------------------------------------------------------
@@ -525,27 +539,8 @@ def _risk_point(args: tuple) -> dict:
     return row
 
 
-def _check_grid_values(params: dict) -> None:
-    """Config-only preconditions of a risk or bounds grid, checked before
-    any grid point runs: every ``n >= 1``, ``d >= 2`` and ``s > 0``."""
-    for key, low in (("n", 1), ("d", 2)):
-        for value in _as_list(params[key]):
-            if value < low:
-                raise PreconditionError(f"'{key}' must be >= {low}, got {value}")
-    for s in _as_list(params["s"]):
-        if not s > 0:
-            raise PreconditionError(f"'s' must be > 0, got {s}")
-
-
 def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    if params["trials"] < 100:
-        raise PreconditionError("trials must be at least 100")
-    _check_grid_values(params)
-    if not 0 <= params["perturb_halfwidth"] <= 0.5:
-        raise PreconditionError(
-            f"'perturb_halfwidth' must lie in [0, 0.5], got {params['perturb_halfwidth']}"
-        )
     if config.command == "EstimateRisk":
         for key in ("n", "k", "d", "s"):
             if isinstance(params[key], list):
@@ -669,22 +664,15 @@ def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
 def _run_codec(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
     samples, dims, k_spec = params["samples"], _as_list(params["d"]), params["k"]
-    if isinstance(k_spec, str) and k_spec != "all":
-        raise ConfigParseError(f"key 'k': expected int, list, or \"all\"")
-    if samples < 0:
-        raise PreconditionError(f"'samples' must be >= 0, got {samples}")
-    for d in dims:
-        if d < 2:
-            raise PreconditionError(f"'d' must be >= 2, got {d}")
-        if samples == 0 and d > 16:
-            raise PreconditionError(
-                f"exhaustive roundtrip over 2^{d} supports is infeasible; "
-                "set 'samples' for d > 16"
-            )
+    if samples == 0 and max(dims) > 16:
+        raise PreconditionError(
+            f"exhaustive roundtrip over 2^{max(dims)} supports is infeasible; "
+            "set 'samples' for d > 16"
+        )
     points = [
         (_budget_config(d, k), derive_seed(config.seed, index))
         for index, d in enumerate(dims)
-        for k in (_admissible_budgets(d) if isinstance(k_spec, str) else _as_list(k_spec))
+        for k in (_admissible_budgets(d) if k_spec == "all" else _as_list(k_spec))
     ]
     return [_codec_point(cfg, samples, seed, echo) for cfg, seed in points]
 
@@ -757,8 +745,6 @@ def _training_setup(params: dict, seed: int) -> tuple[TrainConfig, object]:
     precondition error, raised before training."""
     cfg = _train_config(params, seed)
     d, noise = params["d"], params["obj_noise"]
-    if d < 1:
-        raise PreconditionError(f"'d' must be >= 1, got {d}")
     if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
         raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
     try:  # the builders check their own parameter ranges
@@ -843,7 +829,6 @@ def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
 
 def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    _check_grid_values(params)
     rows = []
     grid = itertools.product(
         _as_list(params["n"]), _as_list(params["k"]), _as_list(params["d"]), _as_list(params["s"])
@@ -918,14 +903,13 @@ def run(
 
     try:
         config = load_experiment(config_path, command=command, seed=seed, out=out)
+        check_ranges(config)
+        entry = COMMANDS[config.command]
+        rows = entry.runner(config, echo)
     except ConfigParseError as exc:
         return fail(EXIT_CONFIG, exc)
-    entry = COMMANDS[config.command]
-    try:
-        rows = entry.runner(config, echo)
-    except (PreconditionError, ConfigParseError) as exc:
-        code = EXIT_CONFIG if isinstance(exc, ConfigParseError) else EXIT_PRECONDITION
-        return fail(code, exc)
+    except PreconditionError as exc:
+        return fail(EXIT_PRECONDITION, exc)
     except (ValueError, ArithmeticError, RuntimeError, CodecError) as exc:
         return fail(EXIT_RUNTIME, exc)
     if config.out is not None:

@@ -135,6 +135,10 @@ class TestRanking:
             rank_sparse([1.5], 8, 2)
         with pytest.raises(TypeError):
             rank_sparse(np.array([1.0, 3.0]), 8, 2)
+        with pytest.raises(TypeError):
+            rank_sparse([False, True], 8, 2)
+        with pytest.raises(TypeError):
+            rank_sparse([0, True], 8, 2)
         # numpy ints and object-table (Python) ints are accepted
         assert unrank_sparse(np.int64(13), 8, 2) == [1, 3]
         assert unrank_sparse(np.array([13], dtype=object)[0], 8, 2) == [1, 3]
@@ -295,7 +299,8 @@ class TestEncodeDecode:
 
     def test_non_integral_fields_rejected(self):
         cfg = make_config(8, 10)
-        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10)):
+        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10),
+                    Message(True, 1, 10), Message(1, True, 10), Message(1, 1, True)):
             with pytest.raises(MalformedMessage, match="integers"):
                 decode(msg, cfg)
         assert decode(Message(np.int64(1), np.int64(1), 10), cfg).support.tolist() == [0]
@@ -330,7 +335,8 @@ class TestSerialization:
 
     def test_non_integral_fields_rejected(self):
         cfg = make_config(8, 10)
-        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10)):
+        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10),
+                    Message(True, 1, 10), Message(1, True, 10), Message(1, 1, True)):
             with pytest.raises(MalformedMessage, match="integers"):
                 serialize(msg, cfg)
         assert serialize(Message(np.int64(1), np.int64(1), 10), cfg) == "0001" + "000001"

@@ -4,6 +4,7 @@ import csv
 import glob
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from sparsecomm.harness import (
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SCHEMA_DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config-schema.md")
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -135,6 +137,30 @@ class TestLoadExperiment:
     def test_missing_file(self):
         with pytest.raises(ConfigParseError, match="cannot read"):
             load_experiment("/nonexistent/path.cfg")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            "command = Train\nd = 10\nk = 2\nsteps = 3\nobj_eig_max = inf\n",
+            "command = Train\nd = 10\nk = 2\nsteps = 3\nobj_eig_max = nan\n",
+            "command = Train\nd = 10\nk = 2\nsteps = 3\ninit_scale = 1e400\n",
+            "command = Train\nd = 10\nk = 2\nsteps = 3\neta = [[0, inf]]\n",
+            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = nan\n",
+            "command = SweepRisk\nn = 4\nk = 12\nd = 16\ns = [2, inf]\n",
+            "command = Train\nd = 10\nk = 2\nsteps = 3\nobj_eig_max = 1" + "0" * 400 + "\n",
+        ],
+        ids=["eig_max_inf", "eig_max_nan", "init_scale_1e400", "eta_rate_inf", "s_nan",
+             "s_list_inf", "eig_max_int_beyond_float"],
+    )
+    def test_non_finite_floats_are_config_errors(self, tmp_path, monkeypatch, cfg):
+        for name in ("train", "_risk_point"):
+            monkeypatch.setattr(harness, name, must_not_run)
+        out = tmp_path / "x.csv"
+        errors = []
+        code = run(write_config(tmp_path, cfg + f"out = {out}\n"), errcho=errors.append)
+        assert code == EXIT_CONFIG
+        assert [e.split()[:3] for e in errors] == [["ERROR", "code=2", "kind=ConfigParseError"]]
+        assert not out.exists()
 
 
 class TestRiskCommands:
@@ -251,6 +277,18 @@ class TestCodecRoundtripCommand:
         assert run(path) == EXIT_OK
         assert capsys.readouterr().out.count("roundtrips: 64/64 ok") == 2
 
+    @pytest.mark.parametrize(
+        "k", ["[10, x]", "10.5", "[[10]]", "true", "[]", "some"],
+        ids=["list_with_word", "float", "nested_list", "bool", "empty_list", "word"],
+    )
+    def test_untyped_budgets_are_config_errors(self, tmp_path, capsys, k):
+        out = tmp_path / "c.csv"
+        path = write_config(tmp_path, f"command = CodecRoundtrip\nd = 8\nk = {k}\nout = {out}\n")
+        assert cli.main(["codec-roundtrip", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR code=2 kind=ConfigParseError message=key 'k'")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @staticmethod
     def observed_supports(tmp_path, monkeypatch, cfg):
@@ -474,9 +512,15 @@ class TestConfigOnlyPreconditions:
             "command = Bounds\nn = 4\nk = 12\nd = 16\ns = [2, 0]\n",
             "command = CodecRoundtrip\nd = 16\nk = 24\nsamples = -3\n",
             "command = CodecRoundtrip\nd = [8, 1]\nk = 10\nsamples = 5\n",
+            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
+            "upper_constant = 0.0\n",
+            "command = SweepRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
+            "lower_constant = -1.0\n",
+            "command = Bounds\nn = 4\nk = 12\nd = 16\ns = 2\nupper_constant = 0\n",
         ],
         ids=["risk_n_0", "risk_d_1", "risk_s_0", "perturb_above_half", "perturb_negative",
-             "bounds_n_0", "bounds_d_1", "bounds_s_0", "codec_samples_negative", "codec_d_1"],
+             "bounds_n_0", "bounds_d_1", "bounds_s_0", "codec_samples_negative", "codec_d_1",
+             "risk_upper_c_0", "risk_lower_c_neg", "bounds_upper_c_0"],
     )
     def test_grid_values(self, tmp_path, monkeypatch, cfg):
         for name in ("_risk_point", "_bound_columns", "_codec_point"):
@@ -695,3 +739,84 @@ class TestCli:
         # same seed through either route gives identical bytes
         assert cli.main(["sweep-risk", "--config", path]) == EXIT_OK
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+
+# The type word docs/config-schema.md uses for each kind of key.
+KIND_WORDS = {
+    "int": "int",
+    "positive_int": "positive int",
+    "float": "float",
+    "str": "string",
+    "int_or_list": "int / list",
+    "num_or_list": "num / list",
+    "str_list": "list of strings",
+    "int_list": "list of ints",
+    "schedule": "float / `[[step, rate], …]`",
+    "budgets": 'int / list / `"all"`',
+}
+
+# The doc sections whose key tables make up each command's keys.
+DOC_SECTIONS = {
+    "EstimateRisk": ["EstimateRisk / SweepRisk"],
+    "SweepRisk": ["EstimateRisk / SweepRisk"],
+    "CodecRoundtrip": ["CodecRoundtrip"],
+    "Train": ["Train"],
+    "CompareSparsifiers": ["Train", "CompareSparsifiers"],
+    "Bounds": ["Bounds"],
+}
+
+
+def doc_key_tables():
+    """{section heading: {key: (type word, default text)}} from the key
+    tables of docs/config-schema.md; a row may name several keys, with one
+    backquoted default each."""
+    sections = {}
+    with open(SCHEMA_DOC, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("## "):
+                table = sections.setdefault(line[3:].strip(), {})
+            elif line.startswith("| `"):
+                names, word, default = [c.strip() for c in line.strip().strip("|").split("|")][:3]
+                keys = re.findall(r"`(\w+)`", names)
+                defaults = re.findall(r"`([^`]*)`", default) or [default] * len(keys)
+                assert len(defaults) == len(keys), line
+                table.update((key, (word, text)) for key, text in zip(keys, defaults))
+    return sections
+
+
+class TestConfigTable:
+    def test_every_kind_has_a_doc_word(self):
+        assert set(KIND_WORDS) == set(harness._KINDS)
+
+    @pytest.mark.parametrize("command", [None, *harness.COMMANDS])
+    def test_defaults_pass_their_own_checks(self, command):
+        schema = harness._COMMON_SCHEMA if command is None else harness.COMMANDS[command].schema
+        for name, key in schema.items():
+            if key.default is harness._REQUIRED or key.default is None:
+                continue
+            assert harness._KINDS[key.kind](key.default), name
+            if key.check is not None:
+                assert all(map(key.check.holds, harness._as_list(key.default))), name
+
+    @pytest.mark.parametrize("command", [None, *harness.COMMANDS])
+    def test_docs_match_the_table(self, command):
+        """Each key's type word and default in docs/config-schema.md match
+        the table; a default the code computes (``None``) is only documented."""
+        sections = doc_key_tables()
+        if command is None:
+            schema, documented = harness._COMMON_SCHEMA, dict(sections["Common keys"])
+            assert documented.pop("command")[1] == "—"  # resolved before the table
+        else:
+            schema = harness.COMMANDS[command].schema
+            documented = {}
+            for section in DOC_SECTIONS[command]:
+                documented.update(sections[section])
+        assert list(documented) == list(schema)
+        for name, key in schema.items():
+            word, default = documented[name]
+            assert word == KIND_WORDS[key.kind], name
+            if key.default is harness._REQUIRED:
+                assert default == "required", name
+            elif key.default is not None:
+                value = parse_value(default)
+                assert (type(value), value) == (type(key.default), key.default), name
