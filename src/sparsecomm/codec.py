@@ -353,26 +353,21 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 #
 # The Monte Carlo harness encodes and decodes millions of observations; the
 # batch functions below run the same subsample / rank / unrank algorithms on
-# whole (rows, d) matrices at once.  Exhaustive and property tests pin them
-# to the scalar functions.  Ranks take the dtype of the cached tables, int64
-# or Python ints, so one code path serves every codebook size.
+# whole (rows, d) matrices at once.  The caller draws the subsample keys
+# (uniforms in [0, 1), one per position), so each stage has one definition
+# and draws nothing itself.  Exhaustive and property tests pin them to the
+# scalar functions.  Ranks take the dtype of the cached tables, int64 or
+# Python ints, so one code path serves every codebook size.
 
 
-def subsample_mask(
-    x: np.ndarray, kprime: int, rng: np.random.Generator
-) -> np.ndarray:
+def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
     """Row-wise uniform subsampling of nonzero positions down to kprime.
 
     Returns a boolean mask selecting, per row, all nonzero positions when
-    there are at most kprime of them, else a uniformly random kprime-subset
-    (iid uniform keys, one per position of ``x``, keep the largest).
+    there are at most kprime of them, else a uniformly random kprime-subset:
+    the nonzero positions with the largest ``keys`` (uniforms in [0, 1),
+    shaped like ``x``).
     """
-    return subsample_mask_from_keys(x, kprime, rng.random(x.shape))
-
-
-def subsample_mask_from_keys(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
-    """:func:`subsample_mask` with the keys (uniforms in [0, 1), shaped like
-    ``x``) supplied by the caller."""
     nonzero = x != 0
     return _keep_largest_keys(nonzero, np.count_nonzero(nonzero, axis=1), kprime, keys)
 
@@ -403,21 +398,15 @@ def _keep_largest_keys(
 
 
 def encode_batch(
-    x: np.ndarray, cfg: CodecConfig, rng: np.random.Generator
+    x: np.ndarray, cfg: CodecConfig, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode a (rows, d) matrix of binary/signed samples.
 
-    Returns ``(counts, payloads, kept_mask)`` where the first two columns
-    are the message fields per row and ``kept_mask`` marks the subsampled
-    support (the encoder-side view, used to carry signs out of band).
+    ``keys`` are the subsample keys of :func:`subsample_mask`.  Returns
+    ``(counts, payloads, kept_mask)`` where the first two columns are the
+    message fields per row and ``kept_mask`` marks the subsampled support
+    (the encoder-side view, used to carry signs out of band).
     """
-    return encode_batch_from_keys(x, cfg, rng.random(x.shape))
-
-
-def encode_batch_from_keys(
-    x: np.ndarray, cfg: CodecConfig, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`encode_batch` with the subsample keys supplied by the caller."""
     d, kprime = cfg.d, cfg.kprime
     if x.shape[1] != d:
         raise ValueError(f"matrix has dimension {x.shape[1]}, config wants {d}")

@@ -21,9 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codec import CodecConfig, SubsampledObservation, ceil_log2, decode_batch
-from .codec import encode_batch  # noqa: F401  (looked up here by bench/tracing.py)
-from .codec import encode_batch_from_keys
+from .codec import CodecConfig, SubsampledObservation, ceil_log2, decode_batch, encode_batch
 from .model import (
     PLAIN,
     SCALED,
@@ -214,7 +212,7 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
         hits, signs = sample_rows(theta, uniforms.reshape(-1, d))
         if noise is not None:
             hits, signs = perturb_and_quantize(hits, signs, noise.reshape(-1, d))
-        counts, payloads, _ = encode_batch_from_keys(hits, cfg, keys.reshape(-1, d))
+        counts, payloads, _ = encode_batch(hits, cfg, keys.reshape(-1, d))
         mask = decode_batch(counts, payloads, cfg)
         contrib = reweight(mask, counts, cfg.kprime, signs)
         yield contrib.reshape(size, n, d).mean(axis=1) * out_scale

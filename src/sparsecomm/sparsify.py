@@ -5,6 +5,12 @@ largest-magnitude coordinates ("rtop-k"); top-r and random-k are its k=r
 and r=d extremes.  Ties in magnitude are always broken toward the lower
 index, so the deterministic part of every operator is reproducible.
 
+Every selection goes through one row kernel: ``SparsifierSpec.swap_targets``
+draws the Fisher-Yates swap targets, and ``_select_rows`` takes the top-r
+window of each row and applies the swaps.  ``top_r``, ``random_k``,
+``rtop_k`` and ``SparsifierSpec.apply`` are its one-row case, and
+``check_compression`` runs its trials through it.
+
 The expected squared residual of rtop-k has the closed form
 ``(1 - k/r) * sum_{j<=r} w_(j)^2 + sum_{j>r} w_(j)^2`` over the
 magnitude-sorted coordinates, which is at most ``(1 - k/d) ||w||^2`` --
@@ -61,17 +67,13 @@ def _as_rows(w) -> np.ndarray:
     return w
 
 
-def _top_indices(w: np.ndarray, r: int) -> np.ndarray:
-    """Indices of the r largest magnitudes, ties broken toward lower index."""
-    return np.argsort(-np.abs(w), kind="stable")[:r]
-
-
 def _top_rows(w: np.ndarray, r: int) -> np.ndarray:
-    """``_top_indices`` of every row, as an (n, r) array.
+    """Indices of the r largest magnitudes of every row, as an (n, r) array,
+    ties broken toward the lower index.
 
     A partition finds each row's r-th largest magnitude; only the
-    candidates at or above it are sorted, stably, so the order (ties toward
-    the lower index) is that of the full argsort.
+    candidates at or above it are sorted, stably, so the order is that of
+    a full stable argsort of the negated magnitudes.
     """
     mag = np.abs(w)
     n, d = mag.shape
@@ -80,19 +82,6 @@ def _top_rows(w: np.ndarray, r: int) -> np.ndarray:
     order = np.lexsort((-mag[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(n))
     return cols[order][starts[:, None] + np.arange(r)]
-
-
-def _update_from(w: np.ndarray, indices: np.ndarray) -> SparseUpdate:
-    kept = indices[w[indices] != 0.0]
-    return SparseUpdate(d=int(w.size), indices=kept, values=w[kept])
-
-
-def _swap_targets(rng: np.random.Generator, k: int, m: int, rows: int) -> np.ndarray:
-    """Fisher-Yates swap targets for ``rows`` k-subsets of m-element pools,
-    as a (rows, k) array; swap i draws from [i, m).  One broadcast call
-    consumes the stream exactly as ``rows * k`` scalar ``integers(i, m)``
-    calls in row-major order."""
-    return rng.integers(np.tile(np.arange(k), rows), m).reshape(rows, k)
 
 
 def _fisher_yates(pools: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -110,35 +99,25 @@ def _fisher_yates(pools: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return buf[:, :k]
 
 
-def _sample_subset(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform k-subset of ``pool``: the one-row case of ``_fisher_yates``,
-    with one scalar ``integers`` draw per swap."""
-    targets = np.array([[rng.integers(i, pool.size) for i in range(k)]])
-    return _fisher_yates(pool[None, :], targets)[0]
-
-
 def top_r(w, r: int) -> SparseUpdate:
     """Keep exactly the r components of largest magnitude."""
-    w = _as_vector(w)
-    if not 1 <= r <= w.size:
-        raise BadRank(f"r={r} outside [1, {w.size}]")
-    return _update_from(w, _top_indices(w, r))
+    return SparsifierSpec.top(r).apply(w, None)
 
 
 def random_k(w, k: int, rng: np.random.Generator) -> SparseUpdate:
     """Keep a uniformly random k-subset of all coordinates."""
-    w = _as_vector(w)
-    if not 1 <= k <= w.size:
-        raise BadRank(f"k={k} outside [1, {w.size}]")
-    return _update_from(w, _sample_subset(np.arange(w.size), k, rng))
+    return SparsifierSpec.random(k).apply(w, rng)
 
 
 def rtop_k(w, r: int, k: int, rng: np.random.Generator) -> SparseUpdate:
-    """Keep a uniformly random k-subset of the top-r magnitude coordinates."""
+    """Keep a uniformly random k-subset of the top-r magnitude coordinates.
+
+    Unlike :class:`SparsifierSpec`, which caps r at d, an r above d is a
+    ``BadRank`` here."""
     w = _as_vector(w)
     if not 1 <= k <= r <= w.size:
         raise BadRank(f"need 1 <= k={k} <= r={r} <= d={w.size}")
-    return _update_from(w, _sample_subset(_top_indices(w, r), k, rng))
+    return SparsifierSpec.rtop(r, k).apply(w, rng)
 
 
 def expected_sq_error(w, r: int, k: int) -> float:
@@ -184,8 +163,8 @@ def check_compression(
     expected = expected_sq_error(w, r, k)  # validates w, r and k
     w = np.asarray(w, dtype=float)
     total = float(np.sum(w * w))
-    targets = _swap_targets(rng, k, r, mc_trials)  # rtop_k's draws, trial by trial
-    pools = np.broadcast_to(_top_indices(w, r), (mc_trials, r))
+    targets = SparsifierSpec.rtop(r, k).swap_targets(rng, w.size, mc_trials)
+    pools = np.broadcast_to(_top_rows(w[None], r), (mc_trials, r))
     kept = w[_fisher_yates(pools, targets).T]
     # each trial's kept squares summed left to right, as a Python sum would
     errors = total - np.add.accumulate(kept * kept)[-1]
@@ -254,7 +233,7 @@ class SparsifierSpec:
     def window(self, d: int) -> int:
         """How many coordinates the kept entries are chosen among: the
         top-r window (r capped at d), or all d for random-k.  Raises
-        ``BadRank`` as the single-vector operators do."""
+        ``BadRank`` unless 1 <= k <= window <= d."""
         if self.kind == "top_r":
             if not 1 <= self.k <= d:
                 raise BadRank(f"r={self.k} outside [1, {d}]")
@@ -277,21 +256,27 @@ class SparsifierSpec:
         """
         return self.window(d) / self.k
 
-    def apply(self, w, rng: np.random.Generator) -> SparseUpdate:
-        if self.kind == "top_r":
-            return top_r(w, self.k)
-        if self.kind == "random_k":
-            return random_k(w, self.k, rng)
-        return rtop_k(w, min(self.r, np.asarray(w).size), self.k, rng)
+    def apply(self, w, rng: Optional[np.random.Generator]) -> SparseUpdate:
+        """The operator on one vector: the one-row case of ``select_rows``,
+        exact zeros dropped.  Top-r draws nothing, so its ``rng`` may be
+        None."""
+        w = _as_vector(w)
+        kept = self._select_rows(w[None], self.swap_targets(rng, w.size, 1))[0]
+        kept = kept[w[kept] != 0.0]
+        return SparseUpdate(d=int(w.size), indices=kept, values=w[kept])
 
-    def swap_targets(self, rng: np.random.Generator, d: int, rounds: int) -> np.ndarray:
-        """The swap targets of ``rounds`` calls of ``apply`` on d-vectors,
-        as a (rounds, k) array drawn in one call that consumes ``rng``
-        exactly as those calls would; top-r draws nothing (k = 0 columns)."""
+    def swap_targets(
+        self, rng: Optional[np.random.Generator], d: int, rounds: int
+    ) -> np.ndarray:
+        """The Fisher-Yates swap targets of ``rounds`` calls of ``apply`` on
+        d-vectors, as a (rounds, k) array; swap i draws from [i, window).
+        One broadcast ``integers`` call consumes ``rng`` exactly as
+        ``rounds * k`` scalar ``integers(i, window)`` calls in row-major
+        order would.  Top-r draws nothing (k = 0 columns)."""
         window = self.window(d)
         if self.kind == "top_r":
             return np.empty((rounds, 0), dtype=np.int64)
-        return _swap_targets(rng, self.k, window, rounds)
+        return rng.integers(np.tile(np.arange(self.k), rounds), window).reshape(rounds, self.k)
 
     def select_rows(self, w, targets: np.ndarray) -> np.ndarray:
         """Row-wise ``apply`` as an (n, entries) array of the indices each

@@ -8,7 +8,7 @@ from sparsecomm.codec import (
     decode,
     decode_batch,
     encode,
-    encode_batch_from_keys,
+    encode_batch,
     make_config,
 )
 from sparsecomm.estimator import (
@@ -335,7 +335,7 @@ class TestScalarEstimateMatchesKernel:
             if perturb:
                 noise = rng.uniform(-halfwidth, halfwidth, (n, d))
                 hits, signs = perturb_and_quantize(hits, signs, noise)
-            counts, payloads, _ = encode_batch_from_keys(hits, cfg, rng.random((n, d)))
+            counts, payloads, _ = encode_batch(hits, cfg, rng.random((n, d)))
             decoded = as_observations(decode_batch(counts, payloads, cfg), counts, signs)
             hat = estimate(decoded, cfg, variant=variant, scale=theta.scale)
             assert hat.tobytes() == kernel[0].tobytes(), seed

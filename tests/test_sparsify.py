@@ -99,12 +99,19 @@ class TestRandomK:
         assert entries(random_k(w, 3, substream(1))) == {0: 1.0, 1: -2.0, 2: 3.0}
 
     def test_uniform_inclusion(self):
+        # one row per random_k([1, 1, 1], 1, rng) call, same draws
         draws = 100_000
-        rng = substream(2)
-        hits = np.zeros(3)
-        for _ in range(draws):
-            hits[list(entries(random_k([1.0, 1.0, 1.0], 1, rng)))] += 1
+        spec = SparsifierSpec.random(1)
+        kept = spec.select_rows(np.ones((draws, 3)), spec.swap_targets(substream(2), 3, draws))
+        hits = np.bincount(kept.ravel(), minlength=3)
         assert np.all(np.abs(hits / draws - 1 / 3) < 0.01)
+
+    def test_bad_rank(self):
+        for k in (0, 4):
+            rng = substream(8)
+            with pytest.raises(BadRank):
+                random_k([1.0, 2.0, 3.0], k, rng)
+            assert rng.random() == substream(8).random()  # nothing drawn
 
     def test_unbiased_after_rescale(self):
         w = np.array([2.0, -1.0, 0.5, 3.0])
@@ -125,23 +132,25 @@ class TestRTopK:
         assert entries(upd) == entries(top_r(w, 4))
 
     def test_inclusion_probability_on_top_window(self):
-        w = [5.0, -4.0, 3.0, 2.0, 1.0]
-        draws = 100_000
-        rng = substream(5)
-        hits = np.zeros(5)
-        for _ in range(draws):
-            hits[list(entries(rtop_k(w, 4, 2, rng)))] += 1
+        # one row per rtop_k(w, 4, 2, rng) call, same draws
+        w = np.broadcast_to([5.0, -4.0, 3.0, 2.0, 1.0], (100_000, 5))
+        draws = w.shape[0]
+        spec = SparsifierSpec.rtop(4, 2)
+        kept = spec.select_rows(w, spec.swap_targets(substream(5), 5, draws))
+        hits = np.bincount(kept.ravel(), minlength=5)
         assert np.all(np.abs(hits[:4] / draws - 0.5) < 0.01)
         assert hits[4] == 0
 
     def test_matches_random_k_when_r_is_d(self):
+        # rows 0::2 and 1::2 are the interleaved rtop_k(w, 3, 1, rng) and
+        # random_k(w, 1, rng) calls: both draw one integers(0, 3) each
         draws = 60_000
-        rng = substream(6)
-        hits_rtop = np.zeros(3)
-        hits_rand = np.zeros(3)
-        for _ in range(draws):
-            hits_rtop[list(entries(rtop_k([1.0, 2.0, 3.0], 3, 1, rng)))] += 1
-            hits_rand[list(entries(random_k([1.0, 2.0, 3.0], 1, rng)))] += 1
+        w = np.broadcast_to([1.0, 2.0, 3.0], (draws, 3))
+        targets = SparsifierSpec.random(1).swap_targets(substream(6), 3, 2 * draws)
+        rtop = SparsifierSpec.rtop(3, 1).select_rows(w, targets[0::2])
+        rand = SparsifierSpec.random(1).select_rows(w, targets[1::2])
+        hits_rtop = np.bincount(rtop.ravel(), minlength=3)
+        hits_rand = np.bincount(rand.ravel(), minlength=3)
         # both uniform over singletons: frequencies within joint noise
         assert np.all(np.abs(hits_rtop - hits_rand) / draws < 0.012)
 
@@ -155,8 +164,12 @@ class TestRTopK:
             assert upd.nnz == 3  # no exact zeros in a continuous draw
 
     def test_bad_rank(self):
-        with pytest.raises(BadRank):
-            rtop_k([1.0, 2.0, 3.0], 2, 3, substream(8))
+        # r > d is refused here, although SparsifierSpec caps r at d
+        for r, k in ((2, 3), (4, 2), (3, 0)):
+            rng = substream(8)
+            with pytest.raises(BadRank):
+                rtop_k([1.0, 2.0, 3.0], r, k, rng)
+            assert rng.random() == substream(8).random()  # nothing drawn
 
 
 class TestExpectedSqError:
