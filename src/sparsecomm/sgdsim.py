@@ -24,11 +24,17 @@ and the gradient rows from the objective's ``grad_rows``.  ``train`` is
 its S = 1 case and ``compare_sparsifiers`` calls it once per spec.  Every
 seed keeps its own streams, initial weights, node-ordered aggregation and
 records, so each seed's bits are those of a lone run.  The round metrics
-hold to the same rule: the objectives' ``loss_rows`` and ``full_grad_rows``
+keep those bits too: the objectives' ``loss_rows`` and ``full_grad_rows``
 reduce each seed's row as the single-vector call does (a stacked
 ``np.matmul`` for a dot product is BLAS ddot like ``np.dot``; ``W @ b``
 is a gemv and gives other bits), and sums of squares reduce along the
 contiguous last axis.
+
+``train`` keeps a record for every round.  ``compare_sparsifiers`` reads
+only the final one, so it asks ``train_seeds`` for that record alone
+(``final_only``) and skips the metrics of the other rounds.  The
+finiteness check runs every round either way, so a diverging run fails at
+the same step with the same message.
 """
 
 from __future__ import annotations
@@ -237,15 +243,17 @@ def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
     return grads, updates, memories, weights - learning_rate(cfg.eta, t) * agg
 
 
-def _round_metrics(obj, spec, t, weights, new_weights, memories) -> list[RoundMetrics]:
-    """Each seed's record at its post-step weights; raises NonFiniteState
-    when the step left the finite range."""
-    finite = np.isfinite(new_weights).all(axis=1)
-    if not finite.all():
-        w = weights[np.argmin(finite)]
-        raise NonFiniteState(
-            f"non-finite weights at step {t}; max |w| was {np.max(np.abs(w)):.3e}"
-        )
+def _check_finite(t, weights, new_weights) -> None:
+    """Raise NonFiniteState when step ``t`` left the finite range; the
+    message gives the largest pre-step |w| of the first seed that left it."""
+    if np.isfinite(new_weights).all():
+        return
+    w = weights[np.argmin(np.isfinite(new_weights).all(axis=1))]
+    raise NonFiniteState(f"non-finite weights at step {t}; max |w| was {np.max(np.abs(w)):.3e}")
+
+
+def _round_metrics(obj, spec, t, new_weights, memories) -> list[RoundMetrics]:
+    """Each seed's record at its finite post-step weights."""
     losses = obj.loss_rows(new_weights)
     grad_sq = np.sum(obj.full_grad_rows(new_weights) ** 2, axis=1)
     # the nodes' row sums added left to right; a reduce over nodes sums pairwise
@@ -289,7 +297,8 @@ def sgd_round(
         trace["gradients"], trace["memories_before"], trace["updates"] = (
             list(grads[0]), list(before[0]), list(updates[0])
         )
-    (metrics,) = _round_metrics(obj, spec, t, weights, new_weights, memories)
+    _check_finite(t, weights, new_weights)
+    (metrics,) = _round_metrics(obj, spec, t, new_weights, memories)
     return new_weights[0], metrics
 
 
@@ -303,8 +312,9 @@ class TrainResult:
         return self.records[-1]
 
 
-def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int]) -> list[TrainResult]:
-    """The rounds of every seed in ``seeds``, advanced together."""
+def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int], final_only: bool) -> list[TrainResult]:
+    """The rounds of every seed in ``seeds``, advanced together; with
+    ``final_only`` only the last round's record is computed and kept."""
     weights = np.array([init_weights(obj, seed, cfg.init_scale) for seed in seeds])
     nodes = [node for seed in seeds for node in make_nodes(obj, replace(cfg, seed=seed))]
     spec = cfg.resolve_sparsifier(obj.d)
@@ -322,16 +332,24 @@ def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int]) -> list[TrainResult
                 _, _, memories, new_weights = _exchange(
                     obj, spec, cfg, t, weights, memories, picks[t - start], targets[t - start]
                 )
-                metrics = _round_metrics(obj, spec, t, weights, new_weights, memories)
-                for seed_records, record in zip(records, metrics):
-                    seed_records.append(record)
+                _check_finite(t, weights, new_weights)
+                if not final_only or t == cfg.steps - 1:
+                    metrics = _round_metrics(obj, spec, t, new_weights, memories)
+                    for seed_records, record in zip(records, metrics):
+                        seed_records.append(record)
                 weights = new_weights
     return [TrainResult(records=rec, weights=w) for rec, w in zip(records, weights)]
 
 
-def train_seeds(obj, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainResult]:
+def train_seeds(
+    obj, cfg: TrainConfig, seeds: Sequence[int], final_only: bool = False
+) -> list[TrainResult]:
     """Run the full simulation once per seed (``cfg.seed`` is not read),
     all seeds in lockstep; each result is bitwise that of a lone run.
+
+    With ``final_only`` each result's ``records`` holds only the last
+    round's record, the same bits as the last of the full list; the
+    finiteness check still runs every round.
 
     If the lockstep run fails, the seeds are rerun one at a time, so the
     error raised is the one the first failing seed raises on its own.
@@ -340,12 +358,12 @@ def train_seeds(obj, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainResult
     if not seeds:
         raise ValueError("need at least one seed")
     try:
-        return _train_lockstep(obj, cfg, seeds)
+        return _train_lockstep(obj, cfg, seeds, final_only)
     except (ValueError, ArithmeticError, RuntimeError):
         if len(seeds) == 1:
             raise
         for seed in seeds:
-            _train_lockstep(obj, cfg, [seed])
+            _train_lockstep(obj, cfg, [seed], final_only)
         raise
 
 
@@ -469,14 +487,17 @@ def compare_sparsifiers(
     """Train every seed of each spec, in lockstep, at a shared entries budget.
 
     Returns one row per spec with mean and std of the final loss and final
-    squared gradient norm across seeds.
+    squared gradient norm across seeds.  Only the final round's record is
+    computed (``train_seeds(..., final_only=True)``); the finiteness check
+    runs every round, so a diverging seed fails at the step a lone
+    ``train`` names.
     """
     budgets = {spec.entries_budget for spec in specs}
     if len(budgets) != 1:
         raise ValueError(f"specs disagree on the entries budget: {sorted(budgets)}")
     rows = []
     for spec in specs:
-        results = train_seeds(obj, replace(base_cfg, sparsifier=spec), seeds)
+        results = train_seeds(obj, replace(base_cfg, sparsifier=spec), seeds, final_only=True)
         losses = np.asarray([result.final.loss for result in results])
         grads = np.asarray([result.final.grad_sq_norm for result in results])
         rows.append(

@@ -78,7 +78,7 @@ def _top_rows(w: np.ndarray, r: int) -> np.ndarray:
     mag = np.abs(w)
     n, d = mag.shape
     threshold = np.partition(mag, d - r, axis=1)[:, d - r, None]
-    rows, cols = np.nonzero(mag >= threshold)
+    rows, cols = np.divmod(np.flatnonzero(mag >= threshold), d)  # row-major, as np.nonzero
     order = np.lexsort((-mag[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(n))
     return cols[order][starts[:, None] + np.arange(r)]
@@ -296,9 +296,8 @@ class SparsifierSpec:
         """Row-wise ``apply(...).to_dense()``: the kept entries of every row
         scattered into zeros, exact zeros dropped (so no -0.0 enters)."""
         w = _as_rows(w)
+        rows = np.arange(w.shape[0])[:, None]
         kept = self._select_rows(w, targets)
-        values = w[np.arange(w.shape[0])[:, None], kept]
-        rows, cols = np.nonzero(values)
         out = np.zeros(w.shape)
-        out[rows, kept[rows, cols]] = values[rows, cols]
+        out[rows, kept] = w[rows, kept] + 0.0  # -0.0 + 0.0 is +0.0: zeros stay unset
         return out

@@ -409,12 +409,17 @@ class TestLockstep:
         )
         seeds = [3, 1, 1]  # a repeated seed must give repeated results
         results = train_seeds(obj, cfg, seeds)
-        assert len(results) == len(seeds)
-        for seed, result in zip(seeds, results):
+        finals = train_seeds(obj, cfg, seeds, final_only=True)
+        assert len(results) == len(finals) == len(seeds)
+        for seed, result, final in zip(seeds, results, finals):
             lone = train(obj, replace(cfg, seed=seed))
             expected = signature(lone.weights, lone.records)
             assert signature(result.weights, result.records) == expected
             assert signature(*naive_train(obj, replace(cfg, seed=seed))) == expected
+            # the final-only path keeps the last record alone, same bits
+            assert signature(final.weights, final.records) == signature(
+                lone.weights, lone.records[-1:]
+            )
 
     @pytest.mark.parametrize("spec", ["rtop", "top", "random"])
     def test_blocks_of_rounds_do_not_change_bits(self, monkeypatch, spec):
@@ -446,6 +451,11 @@ class TestLockstep:
         with pytest.raises(NonFiniteState) as caught:
             train_seeds(obj, cfg, seeds)
         assert type(caught.value) is NonFiniteState
+        assert str(caught.value) == lone_errors[0]
+        # CompareSparsifiers keeps only the final record (step 46), but its
+        # finiteness check still runs every round and stops at step 45
+        with pytest.raises(NonFiniteState) as caught:
+            compare_sparsifiers(obj, cfg, [cfg.resolve_sparsifier(obj.d)], seeds)
         assert str(caught.value) == lone_errors[0]
 
 

@@ -26,6 +26,33 @@ def entries(update) -> dict:
     return dict(zip(update.indices.tolist(), update.values.tolist()))
 
 
+def assert_rows_match_naive(w, r, k, seeds):
+    """Each row of ``select_rows`` and ``apply_rows`` equals one naive
+    single-vector selection on a generator with the same seed, draws
+    included, for rtop-k, random-k and top-r."""
+    d = w.shape[1]
+    for spec in (SparsifierSpec.rtop(r, k), SparsifierSpec.random(k), SparsifierSpec.top(r)):
+        ours = [substream(seed) for seed in seeds]
+        theirs = [substream(seed) for seed in seeds]
+        targets = np.concatenate([spec.swap_targets(rng, d, 1) for rng in ours])
+        kept = spec.select_rows(w, targets)
+        dense = spec.apply_rows(w, targets)
+        for i, values in enumerate(w):
+            if spec.kind == "rtop_k":
+                picked = naive_rtop_k(values, r, k, theirs[i])
+            elif spec.kind == "random_k":
+                picked = naive_rtop_k(np.ones(d), d, k, theirs[i])
+            else:
+                picked = np.argsort(-np.abs(values), kind="stable")[:r].tolist()
+            assert kept[i].tolist() == picked
+            expected = np.zeros(d)
+            for j in picked:
+                if values[j] != 0.0:
+                    expected[j] = values[j]
+            assert dense[i].tobytes() == expected.tobytes()  # no -0.0 enters
+            assert ours[i].random() == theirs[i].random()
+
+
 class TestSparseUpdate:
     def test_array_contract(self):
         rng = substream(17)
@@ -114,13 +141,12 @@ class TestRandomK:
             assert rng.random() == substream(8).random()  # nothing drawn
 
     def test_unbiased_after_rescale(self):
+        # one row per random_k(w, 2, rng).to_dense() call, same draws
         w = np.array([2.0, -1.0, 0.5, 3.0])
-        rng = substream(3)
-        total = np.zeros(4)
         draws = 40_000
-        for _ in range(draws):
-            total += random_k(w, 2, rng).to_dense()
-        mean = total / draws
+        spec = SparsifierSpec.random(2)
+        dense = spec.apply_rows(np.tile(w, (draws, 1)), spec.swap_targets(substream(3), 4, draws))
+        mean = dense.mean(axis=0)
         tol = 4 * np.abs(w) * 0.5 / np.sqrt(draws) + 1e-3
         assert np.all(np.abs(mean - 0.5 * w) < tol)
 
@@ -299,26 +325,20 @@ class TestRowwiseSelection:
         r = data.draw(st.integers(1, d))
         k = data.draw(st.integers(1, r))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
-        for spec in (SparsifierSpec.rtop(r, k), SparsifierSpec.random(k), SparsifierSpec.top(r)):
-            ours = [substream(seed) for seed in seeds]
-            theirs = [substream(seed) for seed in seeds]
-            targets = np.concatenate([spec.swap_targets(rng, d, 1) for rng in ours])
-            kept = spec.select_rows(w, targets)
-            dense = spec.apply_rows(w, targets)
-            for i, values in enumerate(w):
-                if spec.kind == "rtop_k":
-                    picked = naive_rtop_k(values, r, k, theirs[i])
-                elif spec.kind == "random_k":
-                    picked = naive_rtop_k(np.ones(d), d, k, theirs[i])
-                else:
-                    picked = np.argsort(-np.abs(values), kind="stable")[:r].tolist()
-                assert kept[i].tolist() == picked
-                expected = np.zeros(d)
-                for j in picked:
-                    if values[j] != 0.0:
-                        expected[j] = values[j]
-                assert dense[i].tobytes() == expected.tobytes()  # no -0.0 enters
-                assert ours[i].random() == theirs[i].random()
+        assert_rows_match_naive(w, r, k, seeds)
+
+    @pytest.mark.parametrize("r", [2, 10])
+    def test_rows_match_naive_rtop_k_at_benchmark_shape(self, r):
+        # (25, 500) rows as in the sgd_compare workload, with ties at each
+        # row's r-th magnitude, one row of +-0.0 and one of a single magnitude
+        w = substream(11).normal(size=(25, 500))
+        for i, row in enumerate(w[2:], start=2):
+            tie = np.sort(np.abs(row))[-r]
+            spots = substream(12, i).choice(500, size=4, replace=False)
+            row[spots] = tie * np.array([1.0, -1.0, -1.0, 1.0])
+        w[0] = np.where(np.arange(500) % 2, 0.0, -0.0)
+        w[1] = np.where(np.arange(500) % 3, 1.5, -1.5)
+        assert_rows_match_naive(w, r, 2, range(25))
 
     def test_swap_targets_match_scalar_draws(self):
         for seed, (m, k, rounds) in enumerate([(1, 1, 5), (10, 2, 200), (64, 32, 3), (500, 2, 9)]):
