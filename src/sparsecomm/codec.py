@@ -15,9 +15,9 @@ payload can only name the empty set).
 Scalar and batch functions run the same algorithms and read one cached
 comb table (built by Pascal's rule) and one cached table of class offsets:
 the batch paths index the table as an array, the scalar paths read its
-columns as Python lists, so a rank is a sum of table entries and each
-unrank step is a binary search in one nondecreasing column (Cover's
-enumerative code).
+rows (one per popcount class) as Python tuples, so a rank is a sum of
+table entries and each unrank step is a binary search in one
+nondecreasing row (Cover's enumerative code).
 """
 
 from __future__ import annotations
@@ -87,21 +87,23 @@ def _class_offsets(d: int, kprime: int) -> np.ndarray:
 
 @lru_cache(maxsize=_TABLES_CACHED)
 def _comb_table(d: int, kprime: int) -> np.ndarray:
-    """comb(i, j) for 0 <= i <= d, 0 <= j <= kprime, read-only, in the dtype
-    of :func:`_class_offsets` (no entry exceeds the codebook size)."""
+    """``table[j, c] == comb(c, j)`` for 0 <= j <= kprime, 0 <= c <= d,
+    C-contiguous and read-only, in the dtype of :func:`_class_offsets` (no
+    entry exceeds the codebook size); each class j is one contiguous row."""
     table = np.zeros((d + 1, kprime + 1), dtype=_class_offsets(d, kprime).dtype)
     table[:, 0] = 1
     for i in range(1, d + 1):  # Pascal's rule, one row per step
         table[i, 1:] = table[i - 1, 1:] + table[i - 1, :-1]
+    table = np.ascontiguousarray(table.T)
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=_TABLES_CACHED)
 def _comb_columns(d: int, kprime: int) -> tuple[tuple[int, ...], ...]:
-    """The columns of :func:`_comb_table` as tuples of Python ints, so
+    """The rows of :func:`_comb_table` as tuples of Python ints, so
     ``cols[j][c] == comb(c, j)``; the scalar rank/unrank loops read these."""
-    return tuple(map(tuple, _comb_table(d, kprime).T.tolist()))
+    return tuple(map(tuple, _comb_table(d, kprime).tolist()))
 
 
 @lru_cache(maxsize=_TABLES_CACHED)
@@ -368,8 +370,13 @@ def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
     the nonzero positions with the largest ``keys`` (uniforms in [0, 1),
     shaped like ``x``).
     """
-    nonzero = x != 0
+    nonzero = _nonzero(x)
     return _keep_largest_keys(nonzero, np.count_nonzero(nonzero, axis=1), kprime, keys)
+
+
+def _nonzero(x: np.ndarray) -> np.ndarray:
+    """``x != 0``, or ``x`` itself when it is already boolean."""
+    return x if x.dtype == bool else x != 0
 
 
 def _keep_largest_keys(
@@ -386,13 +393,16 @@ def _keep_largest_keys(
     if kprime == 0:
         return np.zeros_like(nonzero)
     if kprime >= d:
-        return nonzero
+        return nonzero.copy()  # never the caller's own boolean matrix
     filled = np.where(nonzero, keys, -1.0)
-    threshold = np.partition(filled, d - kprime, axis=1)[:, d - kprime]
-    mask = nonzero & (filled >= threshold[:, None])
+    filled.sort(axis=1)  # in place; faster than a row-wise partition
+    threshold = filled[:, [d - kprime]]  # a copy, so ``filled`` is freed
+    del filled
+    mask = nonzero & (keys >= threshold)
     if np.count_nonzero(mask) > np.minimum(counts, kprime).sum():
         tied = np.flatnonzero(np.count_nonzero(mask, axis=1) > kprime)
-        order = np.argsort(np.argsort(-filled[tied], axis=1, kind="stable"), axis=1)
+        filled = np.where(nonzero[tied], keys[tied], -1.0)
+        order = np.argsort(np.argsort(-filled, axis=1, kind="stable"), axis=1)
         mask[tied] = nonzero[tied] & (order < kprime)
     return mask
 
@@ -410,7 +420,7 @@ def encode_batch(
     d, kprime = cfg.d, cfg.kprime
     if x.shape[1] != d:
         raise ValueError(f"matrix has dimension {x.shape[1]}, config wants {d}")
-    nonzero = x != 0
+    nonzero = _nonzero(x)
     counts = np.count_nonzero(nonzero, axis=1).astype(np.int64)
     mask = _keep_largest_keys(nonzero, counts, kprime, keys)
     kept = np.minimum(counts, kprime)
@@ -420,7 +430,7 @@ def encode_batch(
         rows, cols = np.divmod(ones, d)
         ends = np.cumsum(kept)
         position = np.arange(ones.size) - (ends - kept)[rows]
-        np.add.at(payloads, rows, _comb_table(d, kprime)[cols, position + 1])
+        np.add.at(payloads, rows, _comb_table(d, kprime)[position + 1, cols])
     return counts, payloads, mask
 
 
@@ -429,14 +439,17 @@ def decode_batch(
 ) -> np.ndarray:
     """Decode message fields back to a (rows, d) boolean support mask.
 
-    Enforces the contract of :func:`decode` on every row: the count lies in
-    ``[0, d]`` and the payload is a rank in the codebook that names a support
-    of ``min(count, kprime)`` ones.
+    Enforces the contract of :func:`decode` on every row: counts have an
+    integer dtype and payloads an integer dtype or hold integers (bools are
+    neither), the count lies in ``[0, d]`` and the payload is a rank in the
+    codebook that names a support of ``min(count, kprime)`` ones.
     """
     d, kprime = cfg.d, cfg.kprime
     offsets = _class_offsets(d, kprime)
     counts = np.asarray(counts)
     payloads = np.asarray(payloads)
+    _check_integer_array(counts, "counts", objects=False)
+    _check_integer_array(payloads, "payloads", objects=True)
     n = counts.shape[0]
     if n and (counts.min() < 0 or counts.max() > d):
         raise MalformedMessage(f"count outside [0, {d}]")
@@ -456,10 +469,30 @@ def decode_batch(
     holding = np.cumsum(np.bincount(m, minlength=kprime + 1)[::-1])[::-1]
     table = _comb_table(d, kprime)
     flat = np.zeros(n * d, dtype=bool)
-    for i in range(kprime - 1, -1, -1):
+    for i in range(kprime - 1, 0, -1):
         active = holding[i + 1]
-        col = table[:d, i + 1]
+        col = table[i + 1, :d]
         c = np.searchsorted(col, rem[:active], side="right") - 1
         flat[starts[:active] + c] = True
         rem[:active] -= col[c]
+    if kprime:  # the last one of each row is its remainder: comb(c, 1) == c
+        active = holding[1]
+        flat[starts[:active] + rem[:active].astype(np.intp, copy=False)] = True
     return flat.reshape(n, d)
+
+
+def _check_integer_array(values: np.ndarray, name: str, objects: bool) -> None:
+    """MalformedMessage unless ``values`` has an integer dtype or, with
+    ``objects``, is an object array of integers; bools are not integers."""
+    if values.dtype.kind in "iu":
+        return
+    if objects and values.dtype == object:
+        try:
+            for value in values.tolist():
+                if value.__class__ is bool:
+                    raise TypeError("bool field")
+                operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise MalformedMessage(f"message {name} must be integers, got dtype {values.dtype}")

@@ -42,12 +42,29 @@ class EmptyInput(ValueError):
     """No decoded observations were supplied."""
 
 
-def reweight(mask: np.ndarray, counts: np.ndarray, kprime: int, signs=None) -> np.ndarray:
-    """Weight each decoded (rows, d) support mask row by ``count / kprime``
-    when its count exceeded ``kprime``, else by 1, then by ``signs`` (a
-    per-coordinate vector or a (rows, d) matrix) when given."""
-    contrib = mask * np.where(counts > kprime, counts / kprime, 1.0)[:, None]
-    return contrib if signs is None else contrib * signs
+def reweight(
+    mask: np.ndarray, counts: np.ndarray, kprime: int, signs=None, nodes: int = 1
+) -> np.ndarray:
+    """Average the reweighted decoded (rows, d) support ``mask`` over each
+    run of ``nodes`` consecutive rows, giving (rows // nodes, d).
+
+    Each kept one weighs ``count / kprime`` when its row's count exceeded
+    ``kprime``, else 1, times its sign when ``signs`` (a per-coordinate
+    vector or a (rows, d) matrix) is given.  The weights are summed into
+    each run's total in row order, from +0.0, as ``mean`` along the rows
+    would add them, and the totals divided by ``nodes``; with ``nodes=1``
+    the result is each row's weighted support.
+    """
+    runs, rest = divmod(mask.shape[0], nodes)
+    if rest:
+        raise ValueError(f"{mask.shape[0]} rows do not split into runs of {nodes}")
+    d = mask.shape[1]
+    rows, cols = np.divmod(np.flatnonzero(mask), d)
+    weights = np.where(counts > kprime, counts / kprime, 1.0)[rows]
+    if signs is not None:
+        weights *= signs[cols] if signs.ndim == 1 else signs[rows, cols]
+    sums = np.bincount(rows // nodes * d + cols, weights, minlength=runs * d)
+    return sums.reshape(runs, d) / nodes
 
 
 def estimate(
@@ -84,7 +101,7 @@ def estimate(
             if sub.signs is None:
                 raise ValueError("signed estimation requires per-support signs")
             signs[row, sup] = sub.signs
-    theta_hat = reweight(mask, counts, cfg.kprime, signs).mean(axis=0)
+    theta_hat = reweight(mask, counts, cfg.kprime, signs, nodes=len(decoded))[0]
     if variant == SCALED:
         theta_hat *= scale
     if clip:
@@ -178,8 +195,9 @@ def monte_carlo_mean(
     return mean, np.sqrt(var / trials)
 
 
-# Cap on the elements of a chunk's stacked (trials*n, d) draws: flat memory.
-_CHUNK_ELEMENTS = 1 << 14
+# Cap on the elements of a chunk's stacked (trials*n, d) keys and sample
+# hits, which sets the kernel's working set: flat memory in the trials.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _trial_estimates(theta, n, cfg, trials, perturb, seed):
@@ -187,8 +205,12 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
 
     Trial t draws from ``substream(seed, t)`` in this order: the (n, d)
     sample uniforms, the (n, d) perturbation noise when ``perturb`` is set,
-    the (n, d) subsample keys.  A chunk's draws are stacked, then sampled,
-    perturbed, subsampled, ranked, decoded and reweighted as one matrix.
+    the (n, d) subsample keys.  Each trial's uniforms go into one reused
+    (n, d) buffer and are sampled (and perturbed) at once into the chunk's
+    hits; the chunk's stacked hits and keys are then subsampled, ranked,
+    decoded and reweighted as one matrix.  The hits, keys and per-row signs
+    buffers are allocated once and reused by every chunk, so the heap is
+    not released and faulted in again chunk after chunk.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -199,23 +221,32 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
     d = cfg.d
     out_scale = theta.scale if theta.variant == SCALED else 1.0
     per_chunk = max(1, _CHUNK_ELEMENTS // (n * d))
+    # one set of buffers serves every chunk, the last one as a prefix
+    shape = (min(per_chunk, trials), n, d)
+    draws = np.empty((n, d))
+    all_hits = np.empty(shape, dtype=bool)
+    all_keys = np.empty(shape)
+    signed_noise = perturb is not None and theta.variant == SIGNED
+    all_signs = np.empty(shape, dtype=np.int8) if signed_noise else None  # +-1 per entry
     for start in range(0, trials, per_chunk):
         size = min(per_chunk, trials - start)
-        uniforms, keys = np.empty((2, size, n, d))
-        noise = np.empty((size, n, d)) if perturb is not None else None
+        hits, keys = all_hits[:size], all_keys[:size]
+        row_signs = None if all_signs is None else all_signs[:size]
         for j in range(size):
             rng = substream(seed, start + j)
-            rng.random(out=uniforms[j])
-            if noise is not None:
-                noise[j] = rng.uniform(-perturb.halfwidth, perturb.halfwidth, (n, d))
+            rng.random(out=draws)
+            _, signs = sample_rows(theta, draws, out=hits[j])
+            if perturb is not None:
+                noise = rng.uniform(-perturb.halfwidth, perturb.halfwidth, (n, d))
+                hits[j], perturbed_signs = perturb_and_quantize(hits[j], signs, noise)
+                if row_signs is not None:
+                    row_signs[j] = perturbed_signs
             rng.random(out=keys[j])
-        hits, signs = sample_rows(theta, uniforms.reshape(-1, d))
-        if noise is not None:
-            hits, signs = perturb_and_quantize(hits, signs, noise.reshape(-1, d))
-        counts, payloads, _ = encode_batch(hits, cfg, keys.reshape(-1, d))
+        if row_signs is not None:
+            signs = row_signs.reshape(-1, d)
+        counts, payloads = encode_batch(hits.reshape(-1, d), cfg, keys.reshape(-1, d))[:2]
         mask = decode_batch(counts, payloads, cfg)
-        contrib = reweight(mask, counts, cfg.kprime, signs)
-        yield contrib.reshape(size, n, d).mean(axis=1) * out_scale
+        yield reweight(mask, counts, cfg.kprime, signs, nodes=n) * out_scale
 
 
 UPPER_ACHIEVABLE = "upper_achievable"

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -570,6 +569,10 @@ def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
         for index, (point, (theta, cfg)) in enumerate(zip(grid, inputs))
     ]
     if config.workers > 1 and len(jobs) > 1:
+        # imported here: the pool pulls in multiprocessing, which no other
+        # command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_risk_point, jobs))
     else:

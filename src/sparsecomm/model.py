@@ -152,15 +152,16 @@ def validate_param(theta: ParamVector) -> ValidityReport:
 
 
 def sample_rows(
-    theta: ParamVector, uniforms: np.ndarray
+    theta: ParamVector, uniforms: np.ndarray, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Sample one row per row of the (rows, d) ``uniforms`` in [0, 1).
 
     Returns ``(hits, signs)``: the boolean matrix ``uniforms < |theta|``
-    (exact for probabilities 0 and 1) and, for signed parameters, the
-    per-coordinate vector Sign(theta_j) in {-1.0, +1.0}, else ``None``.
+    (exact for probabilities 0 and 1), written into ``out`` when given,
+    and, for signed parameters, the per-coordinate vector Sign(theta_j) in
+    {-1.0, +1.0}, else ``None``.
     """
-    hits = uniforms < theta.probabilities()
+    hits = np.less(uniforms, theta.probabilities(), out=out)
     signs = np.where(theta.values < 0, -1.0, 1.0) if theta.variant == SIGNED else None
     return hits, signs
 

@@ -422,6 +422,28 @@ class TestBatchEquivalence:
         with pytest.raises(MalformedMessage):
             decode_batch(np.array([1]), np.array([37]), cfg)
 
+    @pytest.mark.parametrize(
+        "counts,payloads",
+        [
+            ([1], [3.7]),
+            ([1.0], [3]),
+            ([1.5], [3]),
+            ([True], [3]),
+            ([1], [True]),
+            ([1], np.array([3.0], dtype=object)),
+            ([1], np.array([True], dtype=object)),
+        ],
+    )
+    def test_batch_decode_rejects_fields_that_decode_rejects(self, counts, payloads):
+        cfg = make_config(8, 10)  # kprime=2; rank 3 is the support {2}
+        with pytest.raises(MalformedMessage, match="must be integers"):
+            decode_batch(np.asarray(counts), np.asarray(payloads), cfg)
+        with pytest.raises(MalformedMessage, match="must be integers"):
+            decode(Message(counts[0], payloads[0], cfg.k), cfg)
+        for count, payload in ([1], [3]), (np.array([1], np.uint8), np.array([3], object)):
+            mask = decode_batch(np.asarray(count), np.asarray(payload), cfg)
+            assert np.flatnonzero(mask[0]).tolist() == [2]
+
     @pytest.mark.parametrize("d,k", [(8, 10), (256, 96)])  # int64 ranks, Python-int ranks
     def test_batch_decode_enforces_the_message_contract(self, d, k):
         cfg = make_config(d, k)

@@ -1,5 +1,7 @@
 """Tests for the unbiased estimator and the Monte Carlo risk harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,29 @@ class TestReweight:
         assert by_coordinate.tolist() == [[-2.0, 2.0], [-1.0, 0.0]]
         by_row = reweight(mask, counts, 2, signs=np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert by_row.tolist() == [[2.0, -2.0], [-1.0, 0.0]]
+
+    @pytest.mark.parametrize("signed", ["none", "vector", "matrix"])
+    def test_runs_give_the_dense_mean_bit_for_bit(self, signed):
+        # the dense mean over each run of n rows, -0.0 entries included
+        rng = substream(21)
+        rows, d, n, kprime = 60, 9, 5, 2
+        mask = rng.random((rows, d)) < 0.3
+        mask[:n] = False  # an empty run
+        counts = rng.integers(0, d + 1, rows)
+        signs = {
+            "none": None,
+            "vector": np.where(rng.random(d) < 0.5, -1.0, 1.0),
+            "matrix": np.where(rng.random((rows, d)) < 0.5, -1.0, 1.0),
+        }[signed]
+        dense = mask * np.where(counts > kprime, counts / kprime, 1.0)[:, None]
+        if signs is not None:
+            dense = dense * signs
+        expected = dense.reshape(-1, n, d).mean(axis=1)
+        assert reweight(mask, counts, kprime, signs, nodes=n).tobytes() == expected.tobytes()
+
+    def test_rows_must_split_into_runs(self):
+        with pytest.raises(ValueError, match="runs of 2"):
+            reweight(np.ones((3, 4), dtype=bool), np.ones(3, dtype=np.int64), 1, nodes=2)
 
 
 class TestEstimate:
@@ -285,7 +310,8 @@ class TestTrialKernel:
             (SIGNED, 16, 14, 5, 450, None),
             (SIGNED, 32, 12, 7, 150, 0.3),
             (SCALED, 64, 48, 128, 101, None),
-            (SCALED, 20, 12, 3, 300, 0.45),
+            (SCALED, 20, 12, 3, 600, 0.45),
+            (SIGNED, 64, 26, 16, 100, 0.45),  # per-row signs at the risk_sweep shape
             (PLAIN, 256, 96, 8, 100, 0.4),  # codebook beyond int64: Python-int ranks
         ],
     )
@@ -301,6 +327,29 @@ class TestTrialKernel:
         ref = per_trial_monte_carlo(theta, n, cfg.kprime, trials, halfwidth, seed)
         assert (est.mean_sq_error, est.std_error) == ref[:2]
         assert np.array_equal(mean, ref[2]) and np.array_equal(std_err, ref[3])
+
+
+class TestKernelWorkingSet:
+    """One chunk of the trial kernel allocates about 20 bytes per capped
+    element at its peak: the stacked keys (8) and hits (1) plus the codec's
+    selection buffers.  Stacking the sample uniforms per chunk, as the
+    kernel once did, would add 8 more."""
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_one_warm_chunk_peak(self, n):
+        d = 64
+        cfg = make_config(d, 26)
+        theta = hardest_param(d, 8)
+        per_chunk = _CHUNK_ELEMENTS // (n * d)
+        list(_trial_estimates(theta, n, cfg, per_chunk, None, 0))  # tables cached
+        tracemalloc.start()
+        try:
+            list(_trial_estimates(theta, n, cfg, per_chunk, None, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * _CHUNK_ELEMENTS
+        assert peak <= 768 * 1024
 
 
 def as_observations(mask, counts, signs):

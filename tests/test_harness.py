@@ -5,6 +5,8 @@ import glob
 import itertools
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -686,6 +688,17 @@ def subcommand_action():
 
 
 class TestCli:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only pooled SweepRisk points use concurrent.futures, which loads
+        # multiprocessing; a fresh interpreter shows what the CLI imports
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, sparsecomm.cli; print([m for m in sys.modules if 'concurrent' in m])"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
+
     def test_subcommand_runs_config(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
         path = write_config(tmp_path, SWEEP_CFG.format(out=out))
