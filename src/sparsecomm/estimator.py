@@ -31,7 +31,8 @@ from .model import (
     perturb_and_quantize,
     sample_rows,
 )
-from .seeding import substream
+# substream stays importable here: bench/tracing.py wraps it by this name
+from .seeding import substream, trial_streams  # noqa: F401
 
 
 class DegenerateCodec(ValueError):
@@ -203,14 +204,15 @@ _CHUNK_ELEMENTS = 1 << 15
 def _trial_estimates(theta, n, cfg, trials, perturb, seed):
     """Yield the estimates of trials 0 .. trials-1 as (chunk, d) arrays.
 
-    Trial t draws from ``substream(seed, t)`` in this order: the (n, d)
-    sample uniforms, the (n, d) perturbation noise when ``perturb`` is set,
-    the (n, d) subsample keys.  Each trial's uniforms go into one reused
-    (n, d) buffer and are sampled (and perturbed) at once into the chunk's
-    hits; the chunk's stacked hits and keys are then subsampled, ranked,
-    decoded and reweighted as one matrix.  The hits, keys and per-row signs
-    buffers are allocated once and reused by every chunk, so the heap is
-    not released and faulted in again chunk after chunk.
+    Trial t draws from the stream of ``substream(seed, t)``, derived in
+    blocks of trials by :func:`trial_streams`, in this order: the (n, d)
+    sample uniforms, the (n, d) perturbation noise when ``perturb`` is
+    set, the (n, d) subsample keys.  Each trial's uniforms go into one
+    reused (n, d) buffer and are sampled (and perturbed) at once into the
+    chunk's hits; the chunk's stacked hits and keys are then subsampled,
+    ranked, decoded and reweighted as one matrix.  The hits, keys and
+    per-row signs buffers are allocated once and reused by every chunk, so
+    the heap is not released and faulted in again chunk after chunk.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -228,12 +230,13 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
     all_keys = np.empty(shape)
     signed_noise = perturb is not None and theta.variant == SIGNED
     all_signs = np.empty(shape, dtype=np.int8) if signed_noise else None  # +-1 per entry
+    streams = trial_streams(seed, 0, trials)
     for start in range(0, trials, per_chunk):
         size = min(per_chunk, trials - start)
         hits, keys = all_hits[:size], all_keys[:size]
         row_signs = None if all_signs is None else all_signs[:size]
         for j in range(size):
-            rng = substream(seed, start + j)
+            rng = next(streams)
             rng.random(out=draws)
             _, signs = sample_rows(theta, draws, out=hits[j])
             if perturb is not None:

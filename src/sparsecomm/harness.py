@@ -249,7 +249,7 @@ _COMMON_SCHEMA = {
 
 _RISK_SCHEMA = {
     "n": Key("int_or_list", check=_at_least(1)),
-    "k": Key("int_or_list"),
+    "k": Key("int_or_list", check=_at_least(1)),
     "d": Key("int_or_list", check=_at_least(2)),
     "s": Key("num_or_list", check=_above(0)),
     "trials": Key("int", 1000, _at_least(100)),
@@ -268,11 +268,11 @@ _CODEC_SCHEMA = {
 _TRAIN_SCHEMA = {
     "objective": Key("str", "quadratic"),
     "d": Key("int", 100, _at_least(1)),
-    "n": Key("int", 5),
-    "batch_size": Key("int", 8),
-    "k": Key("int"),
+    "n": Key("int", 5, _at_least(1)),
+    "batch_size": Key("int", 8, _at_least(1)),
+    "k": Key("int", check=_at_least(1)),
     "r": Key("int", None),  # None: min(n*k, d)
-    "steps": Key("int"),
+    "steps": Key("int", check=_at_least(1)),
     "eta": Key("schedule", 0.1),
     "aggregation": Key("str", "error_feedback_mean"),
     "partition": Key("str", "contiguous"),
@@ -282,12 +282,12 @@ _TRAIN_SCHEMA = {
     "obj_eig_min": Key("float", 0.5),
     "obj_eig_max": Key("float", 2.0),
     "obj_reg": Key("float", 1e-3),
-    "obj_hidden": Key("int", 8),
-    "obj_in": Key("int", 4),
-    "obj_out": Key("int", 1),
+    "obj_hidden": Key("int", 8, _at_least(1)),
+    "obj_in": Key("int", 4, _at_least(1)),
+    "obj_out": Key("int", 1, _at_least(1)),
     "obj_heavy": Key("int", 10),
-    "obj_heavy_noise": Key("float", 0.8),
-    "obj_light_noise": Key("float", 0.004),
+    "obj_heavy_noise": Key("float", 0.8, _at_least(0)),
+    "obj_light_noise": Key("float", 0.004, _at_least(0)),
 }
 
 _COMPARE_SCHEMA = dict(_TRAIN_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
@@ -832,6 +832,9 @@ def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
 
 def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
+    for d, s in itertools.product(_as_list(params["d"]), _as_list(params["s"])):
+        if s > d:
+            raise PreconditionError(f"Bounds needs s <= d, got s={s} d={d}")
     rows = []
     grid = itertools.product(
         _as_list(params["n"]), _as_list(params["k"]), _as_list(params["d"]), _as_list(params["s"])

@@ -461,18 +461,30 @@ class TestConfigOnlyPreconditions:
             "obj_noise = [0.5, 0.5]\n",
             "d = 0\n",
             "objective = bogus\n",
+            "n = 0\n",
+            "batch_size = 0\n",
+            "k = 0\n",
+            "steps = 0\n",
+            "objective = tiny_mlp\nobj_out = 0\n",
+            "objective = tiny_mlp\nobj_in = 0\n",
+            "objective = tiny_mlp\nobj_hidden = -1\n",
+            "objective = concentrated_quadratic\nobj_heavy_noise = -0.1\n",
+            "objective = concentrated_quadratic\nobj_light_noise = -1.0\n",
         ],
         ids=["samples_below_nodes", "heavy_above_d", "eig_min_0", "negative_reg",
-             "negative_init_scale", "noise_list_not_d", "d_0", "unknown_objective"],
+             "negative_init_scale", "noise_list_not_d", "d_0", "unknown_objective",
+             "n_0", "batch_size_0", "k_0", "steps_0", "mlp_out_0", "mlp_in_0",
+             "mlp_hidden_negative", "negative_heavy_noise", "negative_light_noise"],
     )
     def test_training_values(self, tmp_path, monkeypatch, command, keys):
         monkeypatch.setattr(harness, "train", must_not_run)
         monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
         out = tmp_path / "t.csv"
         extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
-        if not keys.startswith("d = "):
-            extra += "d = 10\n"
-        cfg = f"command = {command}\nk = 2\nsteps = 3\n{keys}{extra}out = {out}\n"
+        for key, default in (("d", 10), ("k", 2), ("steps", 3)):
+            if not keys.startswith(f"{key} = "):
+                extra += f"{key} = {default}\n"
+        cfg = f"command = {command}\n{keys}{extra}out = {out}\n"
         errors = []
         assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
         assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
@@ -519,10 +531,14 @@ class TestConfigOnlyPreconditions:
             "command = SweepRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
             "lower_constant = -1.0\n",
             "command = Bounds\nn = 4\nk = 12\nd = 16\ns = 2\nupper_constant = 0\n",
+            "command = Bounds\nn = 4\nk = [0, -1]\nd = 16\ns = 2\n",
+            "command = Bounds\nn = 4\nk = 14\nd = 16\ns = 100\n",
+            "command = Bounds\nn = 4\nk = 14\nd = [64, 16]\ns = [8, 20]\n",
         ],
         ids=["risk_n_0", "risk_d_1", "risk_s_0", "perturb_above_half", "perturb_negative",
              "bounds_n_0", "bounds_d_1", "bounds_s_0", "codec_samples_negative", "codec_d_1",
-             "risk_upper_c_0", "risk_lower_c_neg", "bounds_upper_c_0"],
+             "risk_upper_c_0", "risk_lower_c_neg", "bounds_upper_c_0", "bounds_k_0",
+             "bounds_s_above_d", "bounds_s_above_second_d"],
     )
     def test_grid_values(self, tmp_path, monkeypatch, cfg):
         for name in ("_risk_point", "_bound_columns", "_codec_point"):
