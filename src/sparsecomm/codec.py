@@ -447,7 +447,11 @@ def decode_batch(
     d, kprime = cfg.d, cfg.kprime
     offsets = _class_offsets(d, kprime)
     counts = np.asarray(counts)
-    payloads = np.asarray(payloads)
+    if offsets.dtype == object and not isinstance(payloads, np.ndarray):
+        # numpy would infer float64 for ints that straddle 2^63
+        payloads = np.array(payloads, dtype=object)
+    else:
+        payloads = np.asarray(payloads)
     _check_integer_array(counts, "counts", objects=False)
     _check_integer_array(payloads, "payloads", objects=True)
     n = counts.shape[0]

@@ -30,8 +30,10 @@ from .codec import (
     BudgetTooSmall,
     CodecConfig,
     CodecError,
+    _class_offsets,
     ceil_log2,
-    decode,
+    decode,  # noqa: F401  unused here; bench/tracing.py wraps it by this name
+    decode_batch,
     encode,
     make_config,
     serialize,
@@ -610,7 +612,7 @@ _SUPPORT_BLOCK = 1 << 12
 
 
 def _support_blocks(d: int, samples: int, rng: np.random.Generator):
-    """(rows, d) blocks whose rows are the roundtrip supports, in order.
+    """(rows, d) boolean blocks whose rows are the roundtrip supports, in order.
 
     With ``samples`` > 0 each row holds ``rng.random(d) < 0.5``, the same
     draws as one ``random(d)`` call per sample; with 0 the rows are the bit
@@ -624,37 +626,50 @@ def _support_blocks(d: int, samples: int, rng: np.random.Generator):
         if samples:
             yield rng.random((hi - lo, d)) < 0.5
         else:
-            yield (np.arange(lo, hi)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+            yield ((np.arange(lo, hi)[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(bool)
 
 
 def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
-    d, k = cfg.d, cfg.k
+    """Roundtrip every support of one (d, k) point; raise if any fails.
+
+    Each support goes through ``Observation``, scalar ``encode`` on
+    ``substream(seed, 7)`` and ``serialize`` in support order, so the stream
+    is consumed support by support; each block's messages are then decoded
+    with one ``decode_batch`` call and checked as arrays.
+    """
+    d, k, kprime = cfg.d, cfg.k, cfg.kprime
     row = {
         "d": d,
         "k": k,
         "header_bits": cfg.header_bits,
         "payload_bits": cfg.payload_bits,
-        "kprime": cfg.kprime,
+        "kprime": kprime,
     }
     failures = 0
     total = 0
-    blocks = _support_blocks(d, samples, np.random.default_rng(seed))
+    dtype = _class_offsets(d, kprime).dtype
     rng = substream(seed, 7)
-    for support in (pattern.nonzero()[0] for block in blocks for pattern in block):
-        total += 1
-        obs = Observation(d, support)
-        msg = encode(obs, cfg, rng)
-        bits = serialize(msg, cfg)
-        sub = decode(msg, cfg)
-        kept = sub.support.tolist()
+    for block in _support_blocks(d, samples, np.random.default_rng(seed)):
+        counts = np.count_nonzero(block, axis=1)
+        columns = block.nonzero()[1]
+        lengths, sent, payloads = [], [], []
+        start = 0
+        for end in np.cumsum(counts).tolist():
+            msg = encode(Observation(d, columns[start:end]), cfg, rng)
+            lengths.append(len(serialize(msg, cfg)))
+            sent.append(msg.count)
+            payloads.append(msg.payload_index)
+            start = end
+        sent = np.array(sent)
+        decoded = decode_batch(sent, np.array(payloads, dtype=dtype), cfg)
         ok = (
-            len(bits) == k
-            and sub.original_count == obs.count
-            and len(kept) == min(obs.count, cfg.kprime)
-            and set(kept) <= set(support.tolist())
+            (np.array(lengths) == k)
+            & (sent == counts)
+            & (np.count_nonzero(decoded, axis=1) == np.minimum(counts, kprime))
+            & ~(decoded & ~block).any(axis=1)
         )
-        if not ok:
-            failures += 1
+        failures += int(np.count_nonzero(~ok))
+        total += len(block)
     row["roundtrips"] = total
     row["failures"] = failures
     row["status"] = "ok" if failures == 0 else "failed"

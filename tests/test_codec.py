@@ -444,6 +444,19 @@ class TestBatchEquivalence:
             mask = decode_batch(np.asarray(count), np.asarray(payload), cfg)
             assert np.flatnonzero(mask[0]).tolist() == [2]
 
+    def test_batch_decode_takes_python_int_payloads_past_int64(self):
+        cfg = make_config(64, 96)  # saturated Python-int codebook: rank 2^64 - 1 is all ones
+        assert codec._class_offsets(cfg.d, cfg.kprime).dtype == object
+        payloads = [2**64 - 1, 5]  # as a list, numpy alone would infer float64
+        for form in (payloads, np.array(payloads, dtype=object)):
+            mask = decode_batch([64, 1], form, cfg)
+            assert mask.sum(axis=1).tolist() == [64, 1]
+            assert np.flatnonzero(mask[1]).tolist() == unrank_sparse(5, 64, cfg.kprime)
+        for bad in ([2**64 - 1, 5.0], [2**64 - 1, True], [1.0, 5], [True, 5]):
+            for form in (bad, np.array(bad, dtype=object)):
+                with pytest.raises(MalformedMessage, match="must be integers"):
+                    decode_batch([64, 1], form, cfg)
+
     @pytest.mark.parametrize("d,k", [(8, 10), (256, 96)])  # int64 ranks, Python-int ranks
     def test_batch_decode_enforces_the_message_contract(self, d, k):
         cfg = make_config(d, k)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from sparsecomm import cli, harness
-from sparsecomm.codec import MalformedMessage
+from sparsecomm.codec import MalformedMessage, Message, _class_offsets, decode, encode, make_config
 from sparsecomm.model import Observation
-from sparsecomm.seeding import derive_seed
+from sparsecomm.seeding import derive_seed, substream
 from sparsecomm.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -322,6 +322,105 @@ class TestCodecRoundtripCommand:
         assert len(seen) == len(expected) == 64
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
+    def test_messages_and_stream_use_match_the_scalar_codec(self, tmp_path, monkeypatch):
+        """What reaches decode_batch is what per-support scalar encode sends
+        on substream(seed, 7), and each decoded row is what decode returns."""
+        dims = [16, 64, 256]  # at k = 96: an int64 codebook, then Python-int ones
+        samples = harness._SUPPORT_BLOCK // dims[0] + 3  # crosses a block boundary at every d
+        seen = {d: [] for d in dims}
+        original = harness.decode_batch
+
+        def recording(counts, payloads, cfg):
+            mask = original(counts, payloads, cfg)
+            seen[cfg.d].append((counts, payloads, mask))
+            return mask
+
+        monkeypatch.setattr(harness, "decode_batch", recording)
+        cfg = f"command = CodecRoundtrip\nd = {dims}\nk = 96\nsamples = {samples}\nseed = 3\n"
+        assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
+        for index, d in enumerate(dims):
+            codec_cfg = make_config(d, 96)
+            assert len(seen[d]) > 1
+            assert {p.dtype for _, p, _ in seen[d]} == {_class_offsets(d, codec_cfg.kprime).dtype}
+            counts = np.concatenate([c for c, _, _ in seen[d]]).tolist()
+            payloads = [int(p) for _, block, _ in seen[d] for p in block]
+            masks = np.concatenate([m for _, _, m in seen[d]])
+            assert masks.shape == (samples, d)
+            supports = np.random.default_rng(derive_seed(3, index))
+            rng = substream(derive_seed(3, index), 7)
+            for i in range(samples):
+                support = np.flatnonzero(supports.random(d) < 0.5)
+                msg = encode(Observation(d, support), codec_cfg, rng)
+                assert (counts[i], payloads[i]) == (msg.count, msg.payload_index)
+                assert np.flatnonzero(masks[i]).tolist() == decode(msg, codec_cfg).support.tolist()
+
+    @staticmethod
+    def corrupt_one_support(monkeypatch, kind):
+        """Patch the roundtrip so that exactly one support of d = 8, k = 10
+        (kprime = 2) fails exactly one of its four checks."""
+        kprime, done = 2, []
+
+        def first(hit):
+            """True only for the first hit."""
+            if hit and not done:
+                done.append(True)
+                return True
+            return False
+
+        if kind in ("one_outside_support", "kept_one_cleared"):
+            original = harness.decode_batch
+
+            def corrupted(counts, payloads, cfg):
+                mask = original(counts, payloads, cfg).copy()
+                # a row that is not subsampled decodes to its whole support
+                rows = np.flatnonzero((counts > 0) & (counts <= kprime))
+                if first(rows.size > 0):
+                    i = rows[0]
+                    ones = np.flatnonzero(mask[i])
+                    mask[i, ones[0]] = False
+                    if kind == "one_outside_support":  # same popcount, one outside
+                        outside = np.flatnonzero(~mask[i])
+                        mask[i, outside[outside != ones[0]][0]] = True
+                return mask
+
+            monkeypatch.setattr(harness, "decode_batch", corrupted)
+        elif kind == "count_off_by_one":
+            original = harness.encode
+
+            def corrupted(obs, cfg, rng):
+                msg = original(obs, cfg, rng)
+                if first(kprime < msg.count < cfg.d):
+                    # min(count, kprime) stays kprime: serialize and decode accept it
+                    return Message(msg.count + 1, msg.payload_index, msg.bit_length)
+                return msg
+
+            monkeypatch.setattr(harness, "encode", corrupted)
+        else:
+            original = harness.serialize
+
+            def corrupted(msg, cfg):
+                bits = original(msg, cfg)
+                return bits[:-1] if first(True) else bits
+
+            monkeypatch.setattr(harness, "serialize", corrupted)
+        return done
+
+    @pytest.mark.parametrize(
+        "kind", ["one_outside_support", "kept_one_cleared", "count_off_by_one", "bit_short"]
+    )
+    def test_a_wrong_roundtrip_is_a_failure(self, tmp_path, monkeypatch, kind):
+        done = self.corrupt_one_support(monkeypatch, kind)
+        out = tmp_path / "c.csv"
+        cfg = f"command = CodecRoundtrip\nd = 8\nk = 10\nsamples = 40\nseed = 2\nout = {out}\n"
+        errors = []
+        path = write_config(tmp_path, cfg)
+        assert run(path, echo=lambda _: None, errcho=errors.append) == EXIT_RUNTIME
+        assert len(done) == 1
+        assert errors == [
+            "ERROR code=4 kind=RuntimeError message=1 codec roundtrips failed for d=8, k=10"
+        ]
+        assert not out.exists()
+
 
 class TestTrainCommands:
     def test_train_writes_per_round_rows(self, tmp_path):
@@ -587,7 +686,7 @@ def test_stray_codec_error_is_a_runtime_error(tmp_path, monkeypatch):
     def malformed(*args, **kwargs):
         raise MalformedMessage("corrupt transcript")
 
-    monkeypatch.setattr(harness, "decode", malformed)
+    monkeypatch.setattr(harness, "decode_batch", malformed)
     out = tmp_path / "c.csv"
     cfg = f"command = CodecRoundtrip\nd = 8\nk = 10\nsamples = 3\nout = {out}\n"
     errors = []
