@@ -229,7 +229,10 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
 
 
 def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
-    """Inverse of :func:`rank_sparse` over the full codebook."""
+    """Inverse of :func:`rank_sparse` over the full codebook.  The rank must
+    be an integer; floats and bools raise ``TypeError``."""
+    if rank.__class__ is bool:
+        raise TypeError("rank must be an integer, not bool")
     rank = operator.index(rank)
     offsets = _class_offset_ints(d, kprime)
     if rank < 0 or rank >= offsets[-1]:

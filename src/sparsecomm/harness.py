@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -267,13 +268,12 @@ _CODEC_SCHEMA = {
     "samples": Key("int", 0, _at_least(0)),  # 0 = exhaustive over all 2^d supports
 }
 
-_TRAIN_SCHEMA = {
+_TRAINING_SCHEMA = {
     "objective": Key("str", "quadratic"),
     "d": Key("int", 100, _at_least(1)),
     "n": Key("int", 5, _at_least(1)),
     "batch_size": Key("int", 8, _at_least(1)),
     "k": Key("int", check=_at_least(1)),
-    "r": Key("int", None),  # None: min(n*k, d)
     "steps": Key("int", check=_at_least(1)),
     "eta": Key("schedule", 0.1),
     "aggregation": Key("str", "error_feedback_mean"),
@@ -292,7 +292,9 @@ _TRAIN_SCHEMA = {
     "obj_light_noise": Key("float", 0.004, _at_least(0)),
 }
 
-_COMPARE_SCHEMA = dict(_TRAIN_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
+# Train's rtop window; CompareSparsifiers names each window in its specs.
+_TRAIN_SCHEMA = dict(_TRAINING_SCHEMA, r=Key("int", None))  # None: min(n*k, d)
+_COMPARE_SCHEMA = dict(_TRAINING_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
 
 _BOUNDS_SCHEMA = {
     key: _RISK_SCHEMA[key] for key in ("n", "k", "d", "s", "upper_constant", "lower_constant")
@@ -733,69 +735,52 @@ def _build_objective(params: dict, seed: int):
     raise PreconditionError(f"unknown objective {kind!r}")
 
 
-def _schedule_from(params_eta):
-    if isinstance(params_eta, list):
-        return [(int(t), float(rate)) for t, rate in params_eta]
-    return float(params_eta)
-
-
-def _train_config(params: dict, seed: int) -> TrainConfig:
+def _training_setup(
+    params: dict, seed: int, specs: Optional[list[str]] = None
+) -> tuple[TrainConfig, object, list[SparsifierSpec]]:
+    """The training config, objective and sparsifiers of a Train config (its
+    rtop window) or of a CompareSparsifiers config (its parsed ``specs``).
+    All are built from the config alone and every window is checked against
+    d, so any error here is a precondition error, raised before training."""
+    d, noise = params["d"], params["obj_noise"]
     try:
-        return TrainConfig(
+        cfg = TrainConfig(
             n=params["n"],
             k=params["k"],
-            r=params["r"],
+            r=params.get("r"),
             steps=params["steps"],
             batch_size=params["batch_size"],
-            eta=_schedule_from(params["eta"]),
+            eta=params["eta"],
             aggregation=params["aggregation"],
             partition=params["partition"],
             init_scale=params["init_scale"],
             seed=seed,
         )
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
-
-
-def _training_setup(params: dict, seed: int) -> tuple[TrainConfig, object]:
-    """The training config and objective of a Train or CompareSparsifiers
-    config.  Both are built from the config alone, so any error here is a
-    precondition error, raised before training."""
-    cfg = _train_config(params, seed)
-    d, noise = params["d"], params["obj_noise"]
-    if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
-        raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
-    try:  # the builders check their own parameter ranges
+        if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
+            raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
+        # the builders check their own parameter ranges
         obj = _build_objective(params, derive_seed(seed, 0))
+        if obj.n_samples < cfg.n:
+            raise PreconditionError(f"'obj_samples' must be >= n={cfg.n}, got {obj.n_samples}")
+        if specs is None:
+            sparsifiers = [cfg.resolve_sparsifier(obj.d)]
+        else:
+            sparsifiers = [parse_spec_string(text, obj.d, cfg.n) for text in specs]
+        for spec in sparsifiers:
+            spec.window(obj.d)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
-    if obj.n_samples < cfg.n:
-        raise PreconditionError(f"'obj_samples' must be >= n={cfg.n}, got {obj.n_samples}")
-    return cfg, obj
+    return cfg, obj, sparsifiers
 
 
 def _run_train(config: ExperimentConfig, echo) -> list[dict]:
-    params = config.params
-    cfg, obj = _training_setup(params, config.seed)
-    try:  # surface bad (k, r, d) combinations before running
-        cfg.resolve_r(obj.d)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
+    cfg, obj, _ = _training_setup(config.params, config.seed)
     result = train(obj, cfg)
     echo(
-        f"trained {params['objective']} d={obj.d} for {cfg.steps} rounds -> "
+        f"trained {config.params['objective']} d={obj.d} for {cfg.steps} rounds -> "
         f"final loss={result.final.loss:.6g}, grad_sq={result.final.grad_sq_norm:.6g}"
     )
-    return [
-        {
-            "t": rec.t,
-            "loss": rec.loss,
-            "grad_sq_norm": rec.grad_sq_norm,
-            "memory_sq_norm": rec.memory_sq_norm,
-            "comm_entries": rec.comm_entries,
-        }
-        for rec in result.records
-    ]
+    return [asdict(record) for record in result.records]
 
 
 def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
@@ -821,13 +806,7 @@ def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
 
 def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    cfg, obj = _training_setup(params, config.seed)
-    specs = [parse_spec_string(s, obj.d, params["n"]) for s in params["specs"]]
-    try:  # every spec must fit d-vectors
-        for spec in specs:
-            spec.window(obj.d)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
+    cfg, obj, specs = _training_setup(params, config.seed, params["specs"])
     if not specs or any(spec.entries_budget != cfg.k for spec in specs):
         raise PreconditionError(
             f"'specs' must be nonempty with every entries budget k={cfg.k}, got {params['specs']}"

@@ -223,11 +223,9 @@ class TinyMLPObjective(_RowsByLoop):
         out = a1 @ w2.T + b2
         return a1, out
 
-    def loss(self, w, indices=None) -> float:
-        x = self.inputs if indices is None else self.inputs[indices]
-        y = self.targets if indices is None else self.targets[indices]
-        _, out = self._forward(w, x)
-        return 0.5 * float(np.sum((out - y) ** 2)) / x.shape[0]
+    def loss(self, w) -> float:
+        _, out = self._forward(w, self.inputs)
+        return 0.5 * float(np.sum((out - self.targets) ** 2)) / self.inputs.shape[0]
 
     def _grad(self, w, x, y) -> np.ndarray:
         w1, b1, w2, b2 = self._unpack(w)

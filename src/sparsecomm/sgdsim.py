@@ -40,7 +40,7 @@ the same step with the same message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -424,18 +424,7 @@ class ConvergenceBoundInputs:
     chat: float  # step constant: eta = chat / sqrt(T)
 
     def __post_init__(self):
-        values = [
-            self.smoothness,
-            self.grad_bound,
-            self.batch_size,
-            self.n,
-            self.steps,
-            self.k,
-            self.d,
-            self.f0_gap,
-            self.chat,
-        ]
-        if any(v <= 0 for v in values):
+        if any(getattr(self, f.name) <= 0 for f in fields(self)):
             raise ValueError("all bound inputs must be positive")
         if self.k > self.d:
             raise ValueError("k cannot exceed d")

@@ -131,6 +131,8 @@ class TestRanking:
         with pytest.raises(TypeError):
             unrank_sparse(np.float64(3.0), 8, 2)
         with pytest.raises(TypeError):
+            unrank_sparse(True, 8, 2)
+        with pytest.raises(TypeError):
             rank_sparse([1.5], 8, 2)
         with pytest.raises(TypeError):
             rank_sparse(np.array([1.0, 3.0]), 8, 2)

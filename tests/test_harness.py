@@ -446,10 +446,34 @@ class TestTrainCommands:
         path = write_config(tmp_path, cfg.format(o=out))
         assert run(path) == EXIT_OK
 
-    def test_bad_window_is_a_precondition(self, tmp_path):
-        cfg = "command = Train\nd = 10\nn = 2\nk = 4\nr = 2\nsteps = 5\nout = {o}\n"
-        path = write_config(tmp_path, cfg.format(o=str(tmp_path / "t.csv")))
-        assert run(path) == EXIT_PRECONDITION
+    def test_bad_window_is_a_precondition(self, tmp_path, monkeypatch):
+        # r below k, then r above d: each exits 3 before training starts
+        monkeypatch.setattr(harness, "train", must_not_run)
+        out = tmp_path / "t.csv"
+        for r in (1, 999):
+            cfg = f"command = Train\nd = 10\nn = 2\nk = 4\nr = {r}\nsteps = 5\nout = {out}\n"
+            errors = []
+            assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
+            message = f"need k=4 <= r={r} <= d=10"
+            assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("r", [1, 999])
+    def test_compare_takes_no_r(self, tmp_path, monkeypatch, r):
+        # every window comes from the specs, so an 'r' key is unknown
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        out = tmp_path / "c.csv"
+        cfg = (
+            f"command = CompareSparsifiers\nd = 10\nn = 2\nk = 2\nr = {r}\nsteps = 3\n"
+            f"specs = [rtop:4:2, top:2]\nseeds = [1]\nout = {out}\n"
+        )
+        errors = []
+        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_CONFIG
+        assert errors == [
+            "ERROR code=2 kind=ConfigParseError "
+            "message=unknown key 'r' for command CompareSparsifiers"
+        ]
+        assert not out.exists()
 
     def test_compare_rows_per_spec(self, tmp_path):
         cfg = (
@@ -796,6 +820,21 @@ class TestGoldenFile:
         golden = os.path.join(os.path.dirname(__file__), "golden", name)
         assert open(out, "rb").read() == open(golden, "rb").read()
 
+    @pytest.mark.parametrize(
+        "keys,name",
+        [("eta = [[0, 0.2], [10, 0.05], [20, 0.01]]\n", "train_piecewise.csv"),
+         ("r = 8\neta = 0.05\naggregation = unbiased_rescale\n", "train_unbiased.csv")],
+    )
+    def test_train_matches_golden_bytes(self, tmp_path, keys, name):
+        cfg = (
+            "command = Train\nobjective = quadratic\nd = 20\nn = 3\nbatch_size = 4\nk = 2\n"
+            f"steps = 30\nobj_samples = 60\nseed = 7\n{keys}"
+        )
+        out = str(tmp_path / "train.csv")
+        assert run(write_config(tmp_path, cfg), out=out) == EXIT_OK
+        golden = os.path.join(os.path.dirname(__file__), "golden", name)
+        assert open(out, "rb").read() == open(golden, "rb").read()
+
 
 def subcommand_action():
     (action,) = [a for a in cli.build_parser()._actions if a.dest == "subcommand"]
@@ -849,8 +888,10 @@ class TestCli:
     def test_shipped_configs_load(self):
         subcommands = subcommand_action().choices.values()
         served = {p.get_default("command") for p in subcommands}
-        paths = glob.glob(os.path.join(CONFIGS, "*.cfg"))
-        commands = {load_experiment(path).command for path in paths}
+        configs = [load_experiment(path) for path in glob.glob(os.path.join(CONFIGS, "*.cfg"))]
+        for config in configs:  # every shipped value lies in its key's range
+            harness.check_ranges(config)
+        commands = {config.command for config in configs}
         assert commands <= served
         assert commands == set(harness.COMMANDS)  # one example per command
 
@@ -888,7 +929,7 @@ DOC_SECTIONS = {
     "EstimateRisk": ["EstimateRisk / SweepRisk"],
     "SweepRisk": ["EstimateRisk / SweepRisk"],
     "CodecRoundtrip": ["CodecRoundtrip"],
-    "Train": ["Train"],
+    "Train": ["Train", "Train window"],
     "CompareSparsifiers": ["Train", "CompareSparsifiers"],
     "Bounds": ["Bounds"],
 }
