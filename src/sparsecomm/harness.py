@@ -279,7 +279,7 @@ _TRAINING_SCHEMA = {
     "aggregation": Key("str", "error_feedback_mean"),
     "partition": Key("str", "contiguous"),
     "init_scale": Key("float", 1.0),
-    "obj_samples": Key("int", 1000),
+    "obj_samples": Key("int", 1000, _at_least(1)),
     "obj_noise": Key("num_or_list", 0.5),
     "obj_eig_min": Key("float", 0.5),
     "obj_eig_max": Key("float", 2.0),
@@ -468,7 +468,7 @@ def probe_param(name: str, d: int, s: float) -> ParamVector:
     if name == "corner":
         ones = int(s)
         if not 1 <= ones <= d:
-            raise PreconditionError(f"probe corner needs 1 <= floor(s) <= d")
+            raise PreconditionError(f"probe corner needs 1 <= floor(s) <= d, got s={s} d={d}")
         values = np.zeros(d)
         values[:ones] = 1.0
         return ParamVector(values, s=float(s))
@@ -577,7 +577,8 @@ def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
         # command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # one worker per point at most: a fork pool starts them all at once
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
             rows = list(pool.map(_risk_point, jobs))
     else:
         rows = [_risk_point(job) for job in jobs]
@@ -735,20 +736,45 @@ def _build_objective(params: dict, seed: int):
     raise PreconditionError(f"unknown objective {kind!r}")
 
 
+def _rtop_window(n: int, k: int, d: int) -> int:
+    """The default rtop window: each of the top n*k coordinates (at most d)
+    is kept with probability k/r = 1/n, about once a round across n nodes."""
+    return min(n * k, d)
+
+
 def _training_setup(
     params: dict, seed: int, specs: Optional[list[str]] = None
 ) -> tuple[TrainConfig, object, list[SparsifierSpec]]:
     """The training config, objective and sparsifiers of a Train config (its
-    rtop window) or of a CompareSparsifiers config (its parsed ``specs``).
-    All are built from the config alone and every window is checked against
-    d, so any error here is a precondition error, raised before training."""
-    d, noise = params["d"], params["obj_noise"]
+    rtop window) or of a CompareSparsifiers config (its parsed ``specs``,
+    each spending the budget k; the training config holds the first).  All
+    are built from the config alone and every window is checked against d,
+    so any error here is a precondition error, raised before training."""
+    d, n, k, noise = params["d"], params["n"], params["k"], params["obj_noise"]
     try:
+        if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
+            raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
+        # the builders check their own parameter ranges
+        obj = _build_objective(params, derive_seed(seed, 0))
+        if obj.n_samples < n:
+            raise PreconditionError(f"'obj_samples' must be >= n={n}, got {obj.n_samples}")
+        if specs is None:
+            r = _rtop_window(n, k, obj.d) if params["r"] is None else params["r"]
+            if not k <= r <= obj.d:
+                raise PreconditionError(f"need k={k} <= r={r} <= d={obj.d}")
+            sparsifiers = [SparsifierSpec.rtop(r, k)]
+        else:
+            sparsifiers = [parse_spec_string(text, obj.d, n) for text in specs]
+            for spec in sparsifiers:
+                spec.window(obj.d)
+            if not sparsifiers or any(spec.entries_budget != k for spec in sparsifiers):
+                raise PreconditionError(
+                    f"'specs' must be nonempty with every entries budget k={k}, got {specs}"
+                )
         cfg = TrainConfig(
-            n=params["n"],
-            k=params["k"],
-            r=params.get("r"),
+            n=n,
             steps=params["steps"],
+            sparsifier=sparsifiers[0],
             batch_size=params["batch_size"],
             eta=params["eta"],
             aggregation=params["aggregation"],
@@ -756,18 +782,6 @@ def _training_setup(
             init_scale=params["init_scale"],
             seed=seed,
         )
-        if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
-            raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
-        # the builders check their own parameter ranges
-        obj = _build_objective(params, derive_seed(seed, 0))
-        if obj.n_samples < cfg.n:
-            raise PreconditionError(f"'obj_samples' must be >= n={cfg.n}, got {obj.n_samples}")
-        if specs is None:
-            sparsifiers = [cfg.resolve_sparsifier(obj.d)]
-        else:
-            sparsifiers = [parse_spec_string(text, obj.d, cfg.n) for text in specs]
-        for spec in sparsifiers:
-            spec.window(obj.d)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
     return cfg, obj, sparsifiers
@@ -796,7 +810,7 @@ def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
             return SparsifierSpec.rtop(int(parts[1]), int(parts[2]))
         if parts[0] == "rtop" and len(parts) == 2:
             k = int(parts[1])
-            return SparsifierSpec.rtop(min(n * k, d), k)
+            return SparsifierSpec.rtop(_rtop_window(n, k, d), k)
     except ValueError as exc:
         raise PreconditionError(f"bad sparsifier spec {text!r}: {exc}") from exc
     raise PreconditionError(
@@ -807,10 +821,6 @@ def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
 def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
     cfg, obj, specs = _training_setup(params, config.seed, params["specs"])
-    if not specs or any(spec.entries_budget != cfg.k for spec in specs):
-        raise PreconditionError(
-            f"'specs' must be nonempty with every entries budget k={cfg.k}, got {params['specs']}"
-        )
     # outside any catch: a run that diverges mid-training is a runtime error
     rows = compare_sparsifiers(obj, cfg, specs, params["seeds"])
     for row in rows:

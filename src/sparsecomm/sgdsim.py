@@ -4,7 +4,9 @@ Each round, every node computes a minibatch gradient on its shard, adds its
 carry-over memory, sparsifies the result, and ships the sparse update; the
 un-shipped remainder becomes next round's memory.  The aggregator averages
 the updates (optionally rescaling by r/k in the memory-free unbiased mode)
-and takes a gradient step shared by all nodes.
+and takes a gradient step shared by all nodes.  ``TrainConfig.sparsifier``
+names the one operator a run applies (rtop-k, top-k or random-k) and its
+window; nothing else in the config selects entries.
 
 The simulator is bitwise deterministic for a fixed seed: data draws and
 selection randomness live on separate per-node streams, nodes are reduced
@@ -81,22 +83,16 @@ class NodeState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Simulator parameters.
-
-    ``r`` defaults to ``min(n * k, d)`` at resolution time, the choice that
-    gives each coordinate of a commonly-important set an expected single
-    update per round across n nodes (selection probability k/r = 1/n).
-    """
+    """Simulator parameters; ``sparsifier`` is the operator every node
+    applies each round, and its entries budget is the k of a run."""
 
     n: int
-    k: int
     steps: int
+    sparsifier: SparsifierSpec
     batch_size: int = 8
-    r: Optional[int] = None
     eta: Schedule = 0.1
     aggregation: str = ERROR_FEEDBACK_MEAN
     seed: int = 0
-    sparsifier: Optional[SparsifierSpec] = None
     partition: str = "contiguous"
     init_scale: float = 1.0
 
@@ -105,8 +101,8 @@ class TrainConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.partition not in ("contiguous", "interleaved"):
             raise ValueError(f"unknown partition {self.partition!r}")
-        if self.n < 1 or self.k < 1 or self.steps < 1 or self.batch_size < 1:
-            raise ValueError("n, k, steps and batch_size must be positive")
+        if self.n < 1 or self.steps < 1 or self.batch_size < 1:
+            raise ValueError("n, steps and batch_size must be positive")
         breakpoints = [(0, self.eta)] if isinstance(self.eta, (int, float)) else list(self.eta)
         starts = [start for start, _ in breakpoints]
         if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
@@ -115,17 +111,6 @@ class TrainConfig:
             raise ValueError(f"learning rates must be positive, got {self.eta}")
         if not self.init_scale >= 0:
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale}")
-
-    def resolve_r(self, d: int) -> int:
-        r = min(self.n * self.k, d) if self.r is None else self.r
-        if not self.k <= r <= d:
-            raise ValueError(f"need k={self.k} <= r={r} <= d={d}")
-        return r
-
-    def resolve_sparsifier(self, d: int) -> SparsifierSpec:
-        if self.sparsifier is not None:
-            return self.sparsifier
-        return SparsifierSpec.rtop(self.resolve_r(d), self.k)
 
 
 def learning_rate(eta: Schedule, t: int) -> float:
@@ -284,7 +269,7 @@ def sgd_round(
     "memories_before" and "updates" arrays of the round (for diagnostics
     and conservation checks).
     """
-    spec = cfg.resolve_sparsifier(obj.d)
+    spec = cfg.sparsifier
     picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, 1)
     weights = np.asarray(w, dtype=float)[None]
     before = np.array([[node.memory for node in nodes]])
@@ -317,7 +302,7 @@ def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int], final_only: bool) -
     ``final_only`` only the last round's record is computed and kept."""
     weights = np.array([init_weights(obj, seed, cfg.init_scale) for seed in seeds])
     nodes = [node for seed in seeds for node in make_nodes(obj, replace(cfg, seed=seed))]
-    spec = cfg.resolve_sparsifier(obj.d)
+    spec = cfg.sparsifier
     shape = (len(seeds), cfg.n)
     memories = np.zeros((*shape, obj.d))
     per_draw = max(1, _DRAW_ELEMENTS // (len(nodes) * max(cfg.batch_size, spec.k)))

@@ -179,11 +179,7 @@ def naive_train(obj, cfg):
         return np.random.default_rng(np.random.SeedSequence([cfg.seed & word, *path]))
 
     n, d, batch = cfg.n, obj.d, cfg.batch_size
-    spec = cfg.sparsifier
-    if spec is None:
-        kind, k, r = "rtop_k", cfg.k, cfg.r if cfg.r is not None else min(n * cfg.k, d)
-    else:
-        kind, k, r = spec.kind, spec.k, spec.r
+    kind, k, r = cfg.sparsifier.kind, cfg.sparsifier.k, cfg.sparsifier.r
     if kind == "top_r":
         window = k
     elif kind == "random_k":

@@ -268,7 +268,9 @@ def test_c6_error_feedback_conservation_and_equivalence():
     step; with k = r = d the trajectory matches plain minibatch SGD
     exactly."""
     obj = make_quadratic(20, n_samples=200, noise_std=0.6, seed=61)
-    cfg = TrainConfig(n=4, k=2, r=8, steps=1000, batch_size=4, eta=0.05, seed=62)
+    cfg = TrainConfig(
+        n=4, sparsifier=SparsifierSpec.rtop(8, 2), steps=1000, batch_size=4, eta=0.05, seed=62
+    )
     from sparsecomm.sgdsim import init_weights, make_nodes
 
     w = init_weights(obj, cfg.seed, cfg.init_scale)
@@ -285,7 +287,9 @@ def test_c6_error_feedback_conservation_and_equivalence():
             worst = max(worst, float(gap))
     assert worst <= 1e-12
 
-    full_cfg = TrainConfig(n=4, k=20, r=20, steps=200, batch_size=4, eta=0.05, seed=63)
+    full_cfg = TrainConfig(
+        n=4, sparsifier=SparsifierSpec.rtop(20, 20), steps=200, batch_size=4, eta=0.05, seed=63
+    )
     compressed = train(obj, full_cfg)
     reference = reference_sgd(obj, full_cfg)
     assert np.array_equal(compressed.weights, reference.weights)
@@ -305,7 +309,7 @@ def test_c7_convergence_at_desk_scale():
     start = time.monotonic()
     obj = make_quadratic(100, n_samples=1000, eig_range=(0.5, 2.0), noise_std=0.5, seed=0)
     cfg = TrainConfig(
-        n=5, k=5, r=25, steps=5000, batch_size=8,
+        n=5, sparsifier=SparsifierSpec.rtop(25, 5), steps=5000, batch_size=8,
         eta=[(0, 0.2), (1500, 0.05), (3000, 0.01), (4000, 0.003), (4600, 0.001)],
         seed=1,
     )
@@ -340,7 +344,9 @@ def test_c8_windowed_random_selection_outperforms_extremes():
     obj = make_concentrated_quadratic(
         500, heavy=10, n_samples=400, heavy_noise=0.8, light_noise=0.004, seed=0
     )
-    cfg = TrainConfig(n=5, k=2, steps=800, batch_size=2, eta=0.15, seed=0)
+    cfg = TrainConfig(
+        n=5, sparsifier=SparsifierSpec.rtop(10, 2), steps=800, batch_size=2, eta=0.15, seed=0
+    )
     rows = compare_sparsifiers(
         obj,
         cfg,

@@ -1,5 +1,6 @@
 """Tests for the config parser, experiment runner, CSV output, and CLI."""
 
+import concurrent.futures
 import csv
 import glob
 import itertools
@@ -11,10 +12,11 @@ import sys
 import numpy as np
 import pytest
 
-from sparsecomm import cli, harness
+from sparsecomm import cli, harness, sgdsim
 from sparsecomm.codec import MalformedMessage, Message, _class_offsets, decode, encode, make_config
 from sparsecomm.model import Observation
 from sparsecomm.seeding import derive_seed, substream
+from sparsecomm.sparsify import SparsifierSpec
 from sparsecomm.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -223,6 +225,35 @@ class TestRiskCommands:
         assert run(path1) == EXIT_OK
         assert run(path2, out=out2) == EXIT_OK
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_pool_is_capped_at_the_grid_size(self, tmp_path, monkeypatch):
+        # a fork pool starts all of its workers at the first job; this
+        # serial stand-in records the size asked for and starts none
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        base = SWEEP_CFG.replace("k = [10, 12, 16]", "k = [12, 16]")
+        written = []
+        for workers in (64, 1):
+            out = tmp_path / f"w{workers}.csv"
+            cfg = base.replace("workers = 1", f"workers = {workers}").format(out=out)
+            assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
+            written.append(out.read_bytes())
+        assert requested == [2]
+        assert written[0] == written[1]
 
     def test_estimate_risk_rejects_lists(self, tmp_path):
         cfg = "command = EstimateRisk\nn = [2, 4]\nk = 12\nd = 32\ns = 4\ntrials=120\nout = {o}\n"
@@ -447,16 +478,39 @@ class TestTrainCommands:
         assert run(path) == EXIT_OK
 
     def test_bad_window_is_a_precondition(self, tmp_path, monkeypatch):
-        # r below k, then r above d: each exits 3 before training starts
+        # r below k, r above d, then k above d with r unset: each exits 3
+        # before training starts
         monkeypatch.setattr(harness, "train", must_not_run)
         out = tmp_path / "t.csv"
-        for r in (1, 999):
-            cfg = f"command = Train\nd = 10\nn = 2\nk = 4\nr = {r}\nsteps = 5\nout = {out}\n"
+        for k, r, message in (
+            (4, "r = 1\n", "need k=4 <= r=1 <= d=10"),
+            (4, "r = 999\n", "need k=4 <= r=999 <= d=10"),
+            (12, "", "need k=12 <= r=10 <= d=10"),
+        ):
+            cfg = f"command = Train\nd = 10\nn = 2\nk = {k}\n{r}steps = 5\nout = {out}\n"
             errors = []
             assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-            message = f"need k=4 <= r={r} <= d=10"
             assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
             assert not out.exists()
+
+    def test_default_window_is_nk_capped_at_d(self, tmp_path, monkeypatch):
+        trained = []
+
+        def recording_train(obj, cfg):
+            trained.append(cfg.sparsifier)
+            return sgdsim.train(obj, cfg)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        out = tmp_path / "t.csv"
+        for d in (100, 20):
+            cfg = f"command = Train\nd = {d}\nn = 5\nk = 5\nsteps = 1\nout = {out}\n"
+            assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
+        assert trained == [SparsifierSpec.rtop(25, 5), SparsifierSpec.rtop(20, 5)]
+        cfg = f"command = Train\nd = 100\nn = 5\nk = 5\nr = 3\nsteps = 1\nout = {out}\n"
+        errors = []
+        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
+        assert errors == ["ERROR code=3 kind=PreconditionError message=need k=5 <= r=3 <= d=100"]
+        assert len(trained) == 2
 
     @pytest.mark.parametrize("r", [1, 999])
     def test_compare_takes_no_r(self, tmp_path, monkeypatch, r):
@@ -593,11 +647,14 @@ class TestConfigOnlyPreconditions:
             "objective = tiny_mlp\nobj_hidden = -1\n",
             "objective = concentrated_quadratic\nobj_heavy_noise = -0.1\n",
             "objective = concentrated_quadratic\nobj_light_noise = -1.0\n",
+            "obj_samples = 0\n",
+            "obj_samples = -3\n",
         ],
         ids=["samples_below_nodes", "heavy_above_d", "eig_min_0", "negative_reg",
              "negative_init_scale", "noise_list_not_d", "d_0", "unknown_objective",
              "n_0", "batch_size_0", "k_0", "steps_0", "mlp_out_0", "mlp_in_0",
-             "mlp_hidden_negative", "negative_heavy_noise", "negative_light_noise"],
+             "mlp_hidden_negative", "negative_heavy_noise", "negative_light_noise",
+             "samples_0", "samples_negative"],
     )
     def test_training_values(self, tmp_path, monkeypatch, command, keys):
         monkeypatch.setattr(harness, "train", must_not_run)
@@ -611,6 +668,21 @@ class TestConfigOnlyPreconditions:
         errors = []
         assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
         assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
+    def test_obj_samples_range_names_the_key(self, tmp_path, monkeypatch, command):
+        # checked as the config loads, before numpy sees a negative size
+        monkeypatch.setattr(harness, "train", must_not_run)
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
+        out = tmp_path / "t.csv"
+        cfg = f"command = {command}\nk = 2\nsteps = 3\nobj_samples = -3\n{extra}out = {out}\n"
+        errors = []
+        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
+        assert errors == [
+            "ERROR code=3 kind=PreconditionError message='obj_samples' must be >= 1, got -3"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("specs", ["[top:5, random:5]", "[rtop:10:5]", "[]"])
@@ -672,24 +744,28 @@ class TestConfigOnlyPreconditions:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid,message",
         [
-            "k = [12, 3]\ns = 2\nprobes = [flat]\n",
-            "k = 12\ns = [4, 40]\nprobes = [flat]\n",
-            "k = 12\ns = [4, 20]\nprobes = [half_flat]\n",
-            "k = 12\ns = [4, 0.5]\nprobes = [corner]\n",
-            "k = 12\ns = 4\nprobes = [flat, middle]\n",
+            ("k = [12, 3]\ns = 2\nprobes = [flat]\n",
+             "d=16, k=3: k=3 cannot hold the 5-bit count header plus a payload bit"),
+            ("k = 12\ns = [4, 40]\nprobes = [flat]\n", "s=40 must be at most d/2=8.0"),
+            ("k = 12\ns = [4, 20]\nprobes = [half_flat]\n",
+             "probe half_flat needs s <= d, got s=20 d=16"),
+            ("k = 12\ns = [4, 0.5]\nprobes = [corner]\n",
+             "probe corner needs 1 <= floor(s) <= d, got s=0.5 d=16"),
+            ("k = 12\ns = 4\nprobes = [flat, middle]\n",
+             "unknown probe 'middle' (expected flat, half_flat, corner)"),
         ],
         ids=["budget_below_header", "flat_s_above_half_d", "half_flat_s_above_d",
              "corner_floor_s_0", "unknown_probe"],
     )
-    def test_risk_point_inputs(self, tmp_path, monkeypatch, grid):
+    def test_risk_point_inputs(self, tmp_path, monkeypatch, grid, message):
         monkeypatch.setattr(harness, "monte_carlo_risk", must_not_run)
         out = tmp_path / "r.csv"
         cfg = f"command = SweepRisk\nn = 4\nd = 16\ntrials = 120\n{grid}workers = 1\nout = {out}\n"
         errors = []
         assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert [e.split()[:2] for e in errors] == [["ERROR", "code=3"]]
+        assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -891,6 +967,9 @@ class TestCli:
         configs = [load_experiment(path) for path in glob.glob(os.path.join(CONFIGS, "*.cfg"))]
         for config in configs:  # every shipped value lies in its key's range
             harness.check_ranges(config)
+            if config.command in ("Train", "CompareSparsifiers"):
+                # objective, windows and budgets check out, without training
+                harness._training_setup(config.params, config.seed, config.params.get("specs"))
         commands = {config.command for config in configs}
         assert commands <= served
         assert commands == set(harness.COMMANDS)  # one example per command

@@ -121,7 +121,7 @@ class TestObjectives:
 class TestSgdRound:
     def test_no_compression_is_exact_sgd_step(self):
         obj = make_quadratic(5, noise_std=0.5, seed=9)
-        cfg = TrainConfig(n=3, k=5, r=5, steps=1, eta=0.05, seed=1)
+        cfg = TrainConfig(n=3, sparsifier=SparsifierSpec.rtop(5, 5), steps=1, eta=0.05, seed=1)
         nodes = make_nodes(obj, cfg)
         ref_nodes = make_nodes(obj, cfg)
         w0 = substream(1, 0).normal(size=5)
@@ -140,7 +140,7 @@ class TestSgdRound:
 
     def test_error_feedback_conservation_is_exact(self):
         obj = make_quadratic(12, noise_std=0.8, seed=10)
-        cfg = TrainConfig(n=4, k=2, r=6, steps=1, eta=0.1, seed=2)
+        cfg = TrainConfig(n=4, sparsifier=SparsifierSpec.rtop(6, 2), steps=1, eta=0.1, seed=2)
         nodes = make_nodes(obj, cfg)
         w = substream(2, 0).normal(size=12)
         for t in range(30):
@@ -156,13 +156,14 @@ class TestSgdRound:
         # g = (3, 1), k=1, r=2: the update keeps one coordinate with equal
         # probability and the memory becomes exactly the complement.
         obj = noiseless_quadratic(2)
-        cfg = TrainConfig(n=1, k=1, r=2, steps=1, eta=0.1, batch_size=1)
+        cfg = TrainConfig(n=1, sparsifier=SparsifierSpec.rtop(2, 1), steps=1, eta=0.1, batch_size=1)
         w = np.array([3.0, 1.0])
         kept_first = 0
         draws = 2000
         for seed in range(draws):
             nodes = make_nodes(
-                obj, TrainConfig(n=1, k=1, r=2, steps=1, eta=0.1, seed=seed)
+                obj,
+                TrainConfig(n=1, sparsifier=SparsifierSpec.rtop(2, 1), steps=1, eta=0.1, seed=seed),
             )
             trace = {}
             w1, _ = sgd_round(nodes, obj, w, cfg, 0, trace=trace)
@@ -182,13 +183,16 @@ class TestSgdRound:
         obj = noiseless_quadratic(4)
         w = np.array([2.0, -1.0, 0.5, 4.0])
         cfg = TrainConfig(
-            n=2, k=2, r=4, steps=1, eta=1.0, batch_size=1,
+            n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=1, eta=1.0, batch_size=1,
             aggregation=UNBIASED_RESCALE,
         )
         draws = 4000
         total = np.zeros(4)
         for seed in range(draws):
-            nodes = make_nodes(obj, TrainConfig(n=2, k=2, r=4, steps=1, eta=1.0, seed=seed))
+            nodes = make_nodes(
+                obj,
+                TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=1, eta=1.0, seed=seed),
+            )
             w1, _ = sgd_round(nodes, obj, w, cfg, 0)
             total += (w - w1)  # eta=1: the step equals the aggregate
             assert all(np.all(node.memory == 0.0) for node in nodes)
@@ -197,7 +201,7 @@ class TestSgdRound:
 
     def test_non_finite_state_aborts(self):
         obj = make_quadratic(4, noise_std=0.0, seed=11)
-        cfg = TrainConfig(n=2, k=4, r=4, steps=200, eta=1e6)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 4), steps=200, eta=1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
                 train(obj, cfg)
@@ -228,7 +232,7 @@ class TestTrain:
             6, diag=np.linspace(0.5, 2.0, 6), b_mean=np.zeros(6), noise_std=0.0
         )
         eta = 0.4
-        cfg = TrainConfig(n=3, k=6, r=6, steps=40, eta=eta, seed=3)
+        cfg = TrainConfig(n=3, sparsifier=SparsifierSpec.rtop(6, 6), steps=40, eta=eta, seed=3)
         result = train(obj, cfg)
         w0 = substream(3, 0).normal(size=6)  # same init as the run
         factors = np.abs(1 - eta * obj.diag)
@@ -237,7 +241,7 @@ class TestTrain:
 
     def test_fixed_seed_is_bitwise_reproducible(self):
         obj = make_quadratic(8, noise_std=0.5, seed=13)
-        cfg = TrainConfig(n=4, k=2, r=6, steps=25, eta=0.1, seed=4)
+        cfg = TrainConfig(n=4, sparsifier=SparsifierSpec.rtop(6, 2), steps=25, eta=0.1, seed=4)
         a = train(obj, cfg)
         b = train(obj, cfg)
         assert np.array_equal(a.weights, b.weights)
@@ -245,7 +249,7 @@ class TestTrain:
 
     def test_no_compression_matches_reference_bitwise(self):
         obj = make_quadratic(7, noise_std=0.7, seed=14)
-        cfg = TrainConfig(n=3, k=7, r=7, steps=50, eta=0.05, seed=5)
+        cfg = TrainConfig(n=3, sparsifier=SparsifierSpec.rtop(7, 7), steps=50, eta=0.05, seed=5)
         compressed = train(obj, cfg)
         reference = reference_sgd(obj, cfg)
         assert np.array_equal(compressed.weights, reference.weights)
@@ -257,7 +261,7 @@ class TestTrain:
         # The carry-over mass spikes in the first rounds (aggressive 3-of-30
         # sparsity) and must decay, not diverge.
         obj = make_quadratic(30, noise_std=0.5, seed=15)
-        cfg = TrainConfig(n=4, k=3, r=12, steps=400, eta=0.05, seed=6)
+        cfg = TrainConfig(n=4, sparsifier=SparsifierSpec.rtop(12, 3), steps=400, eta=0.05, seed=6)
         result = train(obj, cfg)
         series = [rec.memory_sq_norm for rec in result.records]
         assert np.all(np.isfinite(series))
@@ -268,16 +272,12 @@ class TestTrain:
     def test_interleaved_partition_covers_all_samples(self):
         obj = make_quadratic(4, n_samples=10, seed=16)
         for partition in ("contiguous", "interleaved"):
-            cfg = TrainConfig(n=3, k=4, steps=1, partition=partition)
+            cfg = TrainConfig(
+                n=3, sparsifier=SparsifierSpec.rtop(4, 4), steps=1, partition=partition
+            )
             nodes = make_nodes(obj, cfg)
             union = np.concatenate([n.indices for n in nodes])
             assert sorted(union.tolist()) == list(range(10))
-
-    def test_default_window_is_nk_capped_at_d(self):
-        assert TrainConfig(n=5, k=5, steps=1).resolve_r(100) == 25
-        assert TrainConfig(n=5, k=5, steps=1).resolve_r(20) == 20
-        with pytest.raises(ValueError):
-            TrainConfig(n=5, k=5, r=3, steps=1).resolve_r(100)
 
 
 SMALL_OBJECTIVES = {
@@ -322,7 +322,7 @@ class TestTrainOracle:
     def test_train_matches_naive_oracle_bitwise(self, spec, aggregation, partition, batch, objective):
         obj = SMALL_OBJECTIVES[objective]()
         cfg = TrainConfig(
-            n=3, k=2, steps=25, batch_size=batch, eta=[(0, 0.05), (10, 0.02)],
+            n=3, steps=25, batch_size=batch, eta=[(0, 0.05), (10, 0.02)],
             aggregation=aggregation, partition=partition, seed=41,
             sparsifier=SPECS[spec](obj.d),
         )
@@ -331,7 +331,9 @@ class TestTrainOracle:
 
     def test_default_window_matches_naive_oracle(self):
         obj = SMALL_OBJECTIVES["quadratic"]()
-        cfg = TrainConfig(n=3, k=2, steps=30, batch_size=4, eta=0.05, seed=42)
+        cfg = TrainConfig(
+            n=3, sparsifier=SparsifierSpec.rtop(6, 2), steps=30, batch_size=4, eta=0.05, seed=42
+        )
         result = train(obj, cfg)
         assert signature(result.weights, result.records) == signature(*naive_train(obj, cfg))
 
@@ -345,7 +347,7 @@ class TestStreams:
         # stream positions afterwards.
         obj = make_quadratic(15, n_samples=90, noise_std=0.6, seed=21)
         cfg = TrainConfig(
-            n=3, k=2, steps=40, batch_size=3, eta=0.05, seed=7, sparsifier=SPECS[spec](15)
+            n=3, steps=40, batch_size=3, eta=0.05, seed=7, sparsifier=SPECS[spec](15)
         )
         made = []
 
@@ -369,7 +371,7 @@ class TestStreams:
 
     def test_non_finite_weights_message(self):
         obj = make_quadratic(4, noise_std=0.0, seed=11)
-        cfg = TrainConfig(n=2, k=4, r=4, steps=200, eta=1e6)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 4), steps=200, eta=1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState) as caught:
                 train(obj, cfg)
@@ -379,7 +381,9 @@ class TestStreams:
         # finite weights whose gradient overflows: the sparsifier rejects
         # the carried row before any step is taken
         obj = make_quadratic(4, diag=np.full(4, 1e200), noise_std=1.0, seed=11)
-        cfg = TrainConfig(n=2, k=2, r=4, steps=20, eta=1e-200, init_scale=1e150)
+        cfg = TrainConfig(
+            n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=20, eta=1e-200, init_scale=1e150
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError) as caught:
                 train(obj, cfg)
@@ -404,7 +408,7 @@ class TestLockstep:
     def test_each_seed_matches_lone_run_and_oracle(self, objective, aggregation, partition, spec):
         obj = LOCKSTEP_OBJECTIVES[objective]()
         cfg = TrainConfig(
-            n=3, k=2, steps=12, batch_size=2, eta=[(0, 0.05), (6, 0.02)],
+            n=3, steps=12, batch_size=2, eta=[(0, 0.05), (6, 0.02)],
             aggregation=aggregation, partition=partition, sparsifier=SPECS[spec](obj.d),
         )
         seeds = [3, 1, 1]  # a repeated seed must give repeated results
@@ -424,7 +428,7 @@ class TestLockstep:
     @pytest.mark.parametrize("spec", ["rtop", "top", "random"])
     def test_blocks_of_rounds_do_not_change_bits(self, monkeypatch, spec):
         obj = make_quadratic(15, n_samples=90, noise_std=0.6, seed=21)
-        cfg = TrainConfig(n=3, k=2, steps=30, batch_size=3, eta=0.05, sparsifier=SPECS[spec](15))
+        cfg = TrainConfig(n=3, steps=30, batch_size=3, eta=0.05, sparsifier=SPECS[spec](15))
         seeds = [5, 6, 7, 8]
         lone = [train(obj, replace(cfg, seed=seed)) for seed in seeds]
         monkeypatch.setattr(sgdsim, "_DRAW_ELEMENTS", 7)
@@ -437,7 +441,9 @@ class TestLockstep:
         # initial draw.  Seed 4 (third) diverges at step 45, seed 3
         # (fourth) already at step 42, seeds 0 and 1 not at all.
         obj = make_quadratic(2, n_samples=8, diag=[2.0, 0.5], b_mean=[0.0, 0.0], noise_std=0.0)
-        cfg = TrainConfig(n=2, k=2, r=2, steps=47, eta=1.25, init_scale=1e300)
+        cfg = TrainConfig(
+            n=2, sparsifier=SparsifierSpec.rtop(2, 2), steps=47, eta=1.25, init_scale=1e300
+        )
         seeds = [0, 1, 4, 3]
         lone_errors = []
         for seed in seeds:
@@ -455,7 +461,7 @@ class TestLockstep:
         # CompareSparsifiers keeps only the final record (step 46), but its
         # finiteness check still runs every round and stops at step 45
         with pytest.raises(NonFiniteState) as caught:
-            compare_sparsifiers(obj, cfg, [cfg.resolve_sparsifier(obj.d)], seeds)
+            compare_sparsifiers(obj, cfg, [cfg.sparsifier], seeds)
         assert str(caught.value) == lone_errors[0]
 
 
@@ -575,7 +581,7 @@ class TestConvergenceBounds:
 class TestCompareSparsifiers:
     def test_equal_budget_required(self):
         obj = make_quadratic(6, seed=17)
-        cfg = TrainConfig(n=2, k=2, steps=3)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3)
         with pytest.raises(ValueError):
             compare_sparsifiers(
                 obj, cfg, [SparsifierSpec.top(2), SparsifierSpec.random(3)], [0]
@@ -583,13 +589,13 @@ class TestCompareSparsifiers:
 
     def test_seeds_required(self):
         obj = make_quadratic(6, seed=17)
-        cfg = TrainConfig(n=2, k=2, steps=3)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3)
         with pytest.raises(ValueError, match="at least one seed"):
             compare_sparsifiers(obj, cfg, [SparsifierSpec.top(2)], [])
 
     def test_full_budget_specs_coincide(self):
         obj = make_quadratic(5, noise_std=0.4, seed=18)
-        cfg = TrainConfig(n=2, k=5, steps=10, eta=0.05)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(5, 5), steps=10, eta=0.05)
         rows = compare_sparsifiers(
             obj,
             cfg,
@@ -602,7 +608,7 @@ class TestCompareSparsifiers:
 
     def test_row_shape(self):
         obj = make_quadratic(6, seed=19)
-        cfg = TrainConfig(n=2, k=2, steps=5)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=5)
         rows = compare_sparsifiers(
             obj, cfg, [SparsifierSpec.rtop(4, 2), SparsifierSpec.random(2)], [0, 1, 2]
         )
