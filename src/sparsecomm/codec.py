@@ -18,6 +18,9 @@ the batch paths index the table as an array, the scalar paths read its
 rows (one per popcount class) as Python tuples, so a rank is a sum of
 table entries and each unrank step is a binary search in one
 nondecreasing row (Cover's enumerative code).
+
+The message rule is stated once, in :func:`_check_message`, which
+:func:`decode` and :func:`serialize` call; :func:`decode_batch` is its array form.
 """
 
 from __future__ import annotations
@@ -135,15 +138,6 @@ class CodecConfig:
     @cached_property
     def codebook(self) -> int:
         return codebook_size(self.d, self.kprime)
-
-    @cached_property
-    def payload_ranges(self) -> tuple[tuple[int, int], ...]:
-        """``payload_ranges[count]`` is the ``[low, high)`` range of payloads
-        a message with that count may carry, for counts 0..d: the ranks of
-        the vectors with min(count, kprime) ones."""
-        offsets = _class_offset_ints(self.d, self.kprime)
-        classes = [min(count, self.kprime) for count in range(self.d + 1)]
-        return tuple((offsets[m], offsets[m + 1]) for m in classes)
 
 
 def make_config(d: int, k: int) -> CodecConfig:
@@ -289,36 +283,49 @@ def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Mess
     return Message(count=sub.original_count, payload_index=payload, bit_length=cfg.k)
 
 
-def _check_integral(msg: Message) -> None:
-    """MalformedMessage unless every field of ``msg`` is an integer (bools
-    are not)."""
+def _all_integers(values) -> bool:
+    """Whether every value is an integer; bools are not."""
     try:
-        for field in (msg.count, msg.payload_index, msg.bit_length):
-            if field.__class__ is bool:
-                raise TypeError("bool field")
-            operator.index(field)
+        for value in values:
+            if value.__class__ is bool:
+                return False
+            operator.index(value)
     except TypeError:
-        raise MalformedMessage(f"message fields must be integers: {msg}") from None
+        return False
+    return True
 
 
-def _check_popcount(ones: int, count: int, expected: int) -> None:
-    if ones != expected:
-        raise MalformedMessage(
-            f"payload has {ones} ones, count {count} implies {expected}"
-        )
+def _check_message(msg: Message, cfg: CodecConfig) -> None:
+    """MalformedMessage unless ``msg`` has integer fields, bit length k, a
+    count in ``[0, d]`` and a payload that ranks a vector of e = min(count,
+    kprime) ones, i.e. lies in ``[offsets[e], offsets[e + 1])``."""
+    if not _all_integers((msg.count, msg.payload_index, msg.bit_length)):
+        raise MalformedMessage(f"message fields must be integers: {msg}")
+    if msg.bit_length != cfg.k:
+        raise MalformedMessage(f"bit length {msg.bit_length} != k={cfg.k}")
+    count, payload = msg.count, msg.payload_index
+    offsets = _class_offset_ints(cfg.d, cfg.kprime)
+    e = min(count, cfg.kprime)
+    if not (0 <= count <= cfg.d and offsets[e] <= payload < offsets[e + 1]):
+        raise _malformed(count, payload, cfg)
+
+
+def _malformed(count: int, payload: int, cfg: CodecConfig) -> MalformedMessage:
+    """The error for integer fields that break the count or payload rule of
+    :func:`_check_message`, naming the first field at fault."""
+    if not 0 <= count <= cfg.d:
+        return MalformedMessage(f"count {count} outside [0, {cfg.d}]")
+    if not 0 <= payload < cfg.codebook:
+        return MalformedMessage(f"payload {payload} outside codebook")
+    return MalformedMessage(
+        f"payload {payload} does not have the {min(count, cfg.kprime)} ones count {count} implies"
+    )
 
 
 def decode(msg: Message, cfg: CodecConfig) -> SubsampledObservation:
     """Recover the subsampled support and the original count from a message."""
-    _check_integral(msg)
-    if not 0 <= msg.count <= cfg.d:
-        raise MalformedMessage(f"count {msg.count} outside [0, {cfg.d}]")
-    if not 0 <= msg.payload_index < cfg.codebook:
-        raise MalformedMessage(f"payload {msg.payload_index} outside codebook")
-    if msg.bit_length != cfg.k:
-        raise MalformedMessage(f"bit length {msg.bit_length} != k={cfg.k}")
+    _check_message(msg, cfg)
     support = unrank_sparse(msg.payload_index, cfg.d, cfg.kprime)
-    _check_popcount(len(support), msg.count, min(msg.count, cfg.kprime))
     return SubsampledObservation(cfg.d, support, msg.count)
 
 
@@ -327,19 +334,7 @@ def serialize(msg: Message, cfg: CodecConfig) -> str:
 
     Raises instead of writing a message that :func:`decode` would reject.
     """
-    _check_integral(msg)
-    if msg.bit_length != cfg.k:
-        raise LengthMismatch(f"message bit length {msg.bit_length} != k={cfg.k}")
-    if not 0 <= msg.count <= cfg.d:
-        raise MalformedMessage(f"count {msg.count} outside [0, {cfg.d}]")
-    low, high = cfg.payload_ranges[msg.count]
-    if not low <= msg.payload_index < high:
-        if not 0 <= msg.payload_index < cfg.codebook:
-            raise MalformedMessage(f"payload {msg.payload_index} outside codebook")
-        raise MalformedMessage(
-            f"payload {msg.payload_index} does not have the "
-            f"{min(msg.count, cfg.kprime)} ones count {msg.count} implies"
-        )
+    _check_message(msg, cfg)
     return f"{msg.count:0{cfg.header_bits}b}{msg.payload_index:0{cfg.payload_bits}b}"
 
 
@@ -392,6 +387,8 @@ def _keep_largest_keys(
     more than kprime positions are re-ranked exactly: keys in descending
     order, ties to the lower index.
     """
+    if keys.shape != nonzero.shape:  # a broadcast row of keys would tie the rows' subsets
+        raise ValueError(f"keys of shape {keys.shape} for a matrix of shape {nonzero.shape}")
     d = nonzero.shape[1]
     if kprime == 0:
         return np.zeros_like(nonzero)
@@ -442,10 +439,11 @@ def decode_batch(
 ) -> np.ndarray:
     """Decode message fields back to a (rows, d) boolean support mask.
 
-    Enforces the contract of :func:`decode` on every row: counts have an
-    integer dtype and payloads an integer dtype or hold integers (bools are
-    neither), the count lies in ``[0, d]`` and the payload is a rank in the
-    codebook that names a support of ``min(count, kprime)`` ones.
+    The array form of :func:`_check_message`, raising its errors for the
+    first bad row: counts and payloads are 1-d and of equal length, counts
+    have an integer dtype and payloads an integer dtype or hold integers
+    (bools are neither), and each row's count lies in ``[0, d]`` and its
+    payload in ``[offsets[e], offsets[e + 1])`` for e = min(count, kprime).
     """
     d, kprime = cfg.d, cfg.kprime
     offsets = _class_offsets(d, kprime)
@@ -455,27 +453,28 @@ def decode_batch(
         payloads = np.array(payloads, dtype=object)
     else:
         payloads = np.asarray(payloads)
+    if counts.ndim != 1 or payloads.shape != counts.shape:
+        raise MalformedMessage(f"counts of shape {counts.shape} and payloads of shape "
+                               f"{payloads.shape} must be 1-d arrays of equal length")
     _check_integer_array(counts, "counts", objects=False)
     _check_integer_array(payloads, "payloads", objects=True)
-    n = counts.shape[0]
-    if n and (counts.min() < 0 or counts.max() > d):
-        raise MalformedMessage(f"count outside [0, {d}]")
-    if n and (payloads.min() < 0 or payloads.max() >= offsets[-1]):
-        raise MalformedMessage("payload outside codebook")
-    payloads = np.asarray(payloads, dtype=offsets.dtype)
-    expected = np.minimum(counts, kprime)
-    m = np.searchsorted(offsets, payloads, side="right") - 1
-    bad = np.flatnonzero(m != expected)
-    if bad.size:
-        _check_popcount(m[bad[0]], counts[bad[0]], expected[bad[0]])
+    # e is each row's popcount once the row passes; an out-of-range count
+    # wraps or clips here, and fails its own test below
+    e = np.minimum(counts.astype(np.intp, copy=False), kprime)
+    low = offsets.take(e, mode="clip")
+    bad = (counts < 0) | (counts > d) | (payloads < low)
+    bad |= payloads >= offsets.take(e + 1, mode="clip")
+    if bad.any():
+        row = int(bad.argmax())
+        raise _malformed(int(counts[row]), int(payloads[row]), cfg)
     # Unrank the i-th ones of all rows holding more than i ones at once;
     # with rows sorted by popcount, descending, those rows are a prefix.
-    order = np.argsort(-m, kind="stable")
-    rem = (payloads - offsets[m])[order]
+    order = np.argsort(-e, kind="stable")
+    rem = (np.asarray(payloads, dtype=offsets.dtype) - low)[order]
     starts = order * d
-    holding = np.cumsum(np.bincount(m, minlength=kprime + 1)[::-1])[::-1]
+    holding = np.cumsum(np.bincount(e, minlength=kprime + 1)[::-1])[::-1]
     table = _comb_table(d, kprime)
-    flat = np.zeros(n * d, dtype=bool)
+    flat = np.zeros(counts.size * d, dtype=bool)
     for i in range(kprime - 1, 0, -1):
         active = holding[i + 1]
         col = table[i + 1, :d]
@@ -485,21 +484,13 @@ def decode_batch(
     if kprime:  # the last one of each row is its remainder: comb(c, 1) == c
         active = holding[1]
         flat[starts[:active] + rem[:active].astype(np.intp, copy=False)] = True
-    return flat.reshape(n, d)
+    return flat.reshape(counts.size, d)
 
 
 def _check_integer_array(values: np.ndarray, name: str, objects: bool) -> None:
     """MalformedMessage unless ``values`` has an integer dtype or, with
     ``objects``, is an object array of integers; bools are not integers."""
-    if values.dtype.kind in "iu":
-        return
-    if objects and values.dtype == object:
-        try:
-            for value in values.tolist():
-                if value.__class__ is bool:
-                    raise TypeError("bool field")
-                operator.index(value)
-            return
-        except TypeError:
-            pass
-    raise MalformedMessage(f"message {name} must be integers, got dtype {values.dtype}")
+    if values.dtype.kind not in "iu" and not (
+        objects and values.dtype == object and _all_integers(values.tolist())
+    ):
+        raise MalformedMessage(f"message fields must be integers: {name} of dtype {values.dtype}")

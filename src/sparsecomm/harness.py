@@ -280,7 +280,7 @@ _TRAINING_SCHEMA = {
     "partition": Key("str", "contiguous"),
     "init_scale": Key("float", 1.0),
     "obj_samples": Key("int", 1000, _at_least(1)),
-    "obj_noise": Key("num_or_list", 0.5),
+    "obj_noise": Key("num_or_list", 0.5, _at_least(0)),
     "obj_eig_min": Key("float", 0.5),
     "obj_eig_max": Key("float", 2.0),
     "obj_reg": Key("float", 1e-3),

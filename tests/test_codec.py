@@ -298,15 +298,6 @@ class TestEncodeDecode:
             decode(Message(5, rank_sparse([1], 8, 2), 10), cfg)
 
 
-    def test_non_integral_fields_rejected(self):
-        cfg = make_config(8, 10)
-        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10),
-                    Message(True, 1, 10), Message(1, True, 10), Message(1, 1, True)):
-            with pytest.raises(MalformedMessage, match="integers"):
-                decode(msg, cfg)
-        assert decode(Message(np.int64(1), np.int64(1), 10), cfg).support.tolist() == [0]
-
-
 class TestSerialization:
     def test_count_above_d_rejected(self):
         cfg = make_config(8, 10)  # a 4-bit header could hold counts up to 15
@@ -334,14 +325,6 @@ class TestSerialization:
             sub = decode(deserialize(serialize(msg, cfg), cfg), cfg)
             assert sub.support.size == min(count, cfg.kprime)
 
-    def test_non_integral_fields_rejected(self):
-        cfg = make_config(8, 10)
-        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10),
-                    Message(True, 1, 10), Message(1, True, 10), Message(1, 1, True)):
-            with pytest.raises(MalformedMessage, match="integers"):
-                serialize(msg, cfg)
-        assert serialize(Message(np.int64(1), np.int64(1), 10), cfg) == "0001" + "000001"
-
     def test_fixed_width_example(self):
         cfg = make_config(8, 10)
         assert serialize(Message(5, 36, 10), cfg) == "0101" + "100100"
@@ -360,10 +343,12 @@ class TestSerialization:
 
     def test_roundtrip_fuzz(self):
         cfg = make_config(12, 17)
+        offsets = codec._class_offsets(cfg.d, cfg.kprime)
         rng = substream(7)
         for _ in range(10_000):
             count = int(rng.integers(0, cfg.d + 1))
-            payload = int(rng.integers(*cfg.payload_ranges[count]))
+            e = min(count, cfg.kprime)  # the payload ranks a vector of e ones
+            payload = int(rng.integers(offsets[e], offsets[e + 1]))
             msg = Message(count, payload, cfg.k)
             assert deserialize(serialize(msg, cfg), cfg) == msg
 
@@ -378,6 +363,82 @@ class TestSerialization:
         cfg = make_config(8, 10)
         with pytest.raises(MalformedMessage):
             deserialize("01x0100100", cfg)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the text of the MalformedMessage it raises."""
+    try:
+        return True, call()
+    except MalformedMessage as exc:
+        return False, str(exc)
+
+
+class TestMessageContract:
+    """``serialize``, ``decode`` and ``decode_batch`` enforce one message rule
+    with one set of error texts."""
+
+    @pytest.mark.parametrize(
+        "check,accepted",
+        [(lambda msg, cfg: decode(msg, cfg).support.tolist(), [0]),
+         (serialize, "0001" + "000001")],
+        ids=["decode", "serialize"],
+    )
+    def test_non_integral_fields_rejected(self, check, accepted):
+        cfg = make_config(8, 10)
+        for msg in (Message(1.0, 1, 10), Message(1, 1, 10.0), Message(1, 1.0, 10),
+                    Message(True, 1, 10), Message(1, True, 10), Message(1, 1, True)):
+            with pytest.raises(MalformedMessage, match="^message fields must be integers: "):
+                check(msg, cfg)
+        assert check(Message(np.int64(1), np.int64(1), 10), cfg) == accepted
+
+    # int64 ranks, degenerate (kprime = 0), Python-int ranks
+    @pytest.mark.parametrize("d,k", [(8, 10), (4, 4), (256, 96)])
+    def test_every_path_accepts_and_rejects_the_same_messages(self, d, k):
+        cfg = make_config(d, k)
+        kprime = cfg.kprime
+        table = codec._class_offsets(d, kprime)
+        offsets = table.tolist()
+        counts = sorted({-1, 0, 1, kprime, kprime + 1, d, d + 1})
+        edges = {-1, cfg.codebook}
+        for e in range(kprime + 1):
+            edges |= {offsets[e] - 1, offsets[e], offsets[e + 1] - 1, offsets[e + 1]}
+        accepted = 0
+        for count, payload in itertools.product(counts, sorted(edges)):
+            msg = Message(count, payload, k)
+            ok, bits = _outcome(lambda: serialize(msg, cfg))
+            scalar = _outcome(lambda: decode(msg, cfg))
+            batch = _outcome(lambda: decode_batch(
+                np.array([count]), np.array([payload], dtype=table.dtype), cfg))
+            assert ok == scalar[0] == batch[0], msg
+            if not ok:
+                assert bits == scalar[1] == batch[1], msg
+                continue
+            accepted += 1
+            e = min(count, kprime)
+            assert offsets[e] <= payload < offsets[e + 1]
+            assert np.flatnonzero(batch[1][0]).tolist() == scalar[1].support.tolist()
+            assert scalar[1].support.size == e and scalar[1].original_count == count
+            assert deserialize(bits, cfg) == msg
+        assert accepted > 0
+
+    def test_error_texts(self):
+        cfg = make_config(8, 10)  # kprime 2; ranks 0 | 1..8 | 9..36 have 0 | 1 | 2 ones
+        for msg, text in [
+            (Message(5, 8, 10), "payload 8 does not have the 2 ones count 5 implies"),
+            (Message(1, 40, 10), "payload 40 outside codebook"),
+            (Message(9, 0, 10), "count 9 outside [0, 8]"),
+            (Message(-1, 40, 10), "count -1 outside [0, 8]"),
+            (Message(1, 1, 11), "bit length 11 != k=10"),
+            (Message(1, 40, 11), "bit length 11 != k=10"),
+        ]:
+            for check in (serialize, decode):
+                with pytest.raises(MalformedMessage) as info:
+                    check(msg, cfg)
+                assert str(info.value) == text
+            if msg.bit_length == cfg.k:  # the first bad row is named, not the last
+                with pytest.raises(MalformedMessage) as info:
+                    decode_batch([1, msg.count, 9], [1, msg.payload_index, 0], cfg)
+                assert str(info.value) == text
 
 
 class TestBatchEquivalence:
@@ -396,6 +457,18 @@ class TestBatchEquivalence:
             assert counts[i] == obs.count
             assert payloads[i] == rank_sparse(obs.support.tolist(), d, cfg.kprime)
             assert np.array_equal(np.flatnonzero(mask[i]), obs.support)
+
+    def test_batch_encode_takes_one_key_per_entry(self):
+        cfg = make_config(8, 8)  # kprime 1: each all-ones row keeps one random position
+        x = np.ones((3, 8), dtype=np.int8)
+        keys = substream(4).random(x.shape)
+        for bad in (keys[:1], keys[0], keys[:, :1], keys[:2]):  # (1, 8) (8,) (3, 1) (2, 8)
+            with pytest.raises(ValueError, match="keys of shape"):
+                encode_batch(x, cfg, bad)
+            with pytest.raises(ValueError, match="keys of shape"):
+                subsample_mask(x, cfg.kprime, bad)
+        _, payloads, _ = encode_batch(x, cfg, keys)
+        assert payloads.tolist() == [1 + int(np.argmax(row)) for row in keys]
 
     @pytest.mark.parametrize("d,k", [(4, 6), (8, 10), (10, 12)])
     def test_batch_decode_matches_scalar_unrank(self, d, k):
@@ -473,6 +546,10 @@ class TestBatchEquivalence:
         with pytest.raises(MalformedMessage):
             # count 1 implies one decoded one; the payload names kprime >= 2
             decode_batch(np.array([subsampled, 1]), full, cfg)
+        # counts and payloads must be 1-d arrays of equal length
+        for counts, payloads in ([1, 1], [3]), ([1], [3, 4]), ([[1]], [[3]]), (1, 3):
+            with pytest.raises(MalformedMessage, match="1-d arrays of equal length"):
+                decode_batch(counts, payloads, cfg)
 
 
 @st.composite

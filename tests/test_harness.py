@@ -636,6 +636,8 @@ class TestConfigOnlyPreconditions:
             "objective = logistic\nobj_reg = -1.0\n",
             "init_scale = -1.0\n",
             "obj_noise = [0.5, 0.5]\n",
+            "obj_noise = -0.5\n",
+            "d = 3\nobj_noise = [0.5, -1, 0.1]\n",
             "d = 0\n",
             "objective = bogus\n",
             "n = 0\n",
@@ -651,7 +653,8 @@ class TestConfigOnlyPreconditions:
             "obj_samples = -3\n",
         ],
         ids=["samples_below_nodes", "heavy_above_d", "eig_min_0", "negative_reg",
-             "negative_init_scale", "noise_list_not_d", "d_0", "unknown_objective",
+             "negative_init_scale", "noise_list_not_d", "negative_noise",
+             "negative_noise_in_list", "d_0", "unknown_objective",
              "n_0", "batch_size_0", "k_0", "steps_0", "mlp_out_0", "mlp_in_0",
              "mlp_hidden_negative", "negative_heavy_noise", "negative_light_noise",
              "samples_0", "samples_negative"],
@@ -671,18 +674,24 @@ class TestConfigOnlyPreconditions:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
-    def test_obj_samples_range_names_the_key(self, tmp_path, monkeypatch, command):
-        # checked as the config loads, before numpy sees a negative size
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            # checked as the config loads, before numpy sees a negative size
+            ("obj_samples = -3", "'obj_samples' must be >= 1, got -3"),
+            ("obj_noise = -0.5", "'obj_noise' must be >= 0, got -0.5"),
+        ],
+        ids=["obj_samples", "obj_noise"],
+    )
+    def test_range_error_names_the_key(self, tmp_path, monkeypatch, command, line, message):
         monkeypatch.setattr(harness, "train", must_not_run)
         monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
         extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
         out = tmp_path / "t.csv"
-        cfg = f"command = {command}\nk = 2\nsteps = 3\nobj_samples = -3\n{extra}out = {out}\n"
+        cfg = f"command = {command}\nk = 2\nsteps = 3\n{line}\n{extra}out = {out}\n"
         errors = []
         assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == [
-            "ERROR code=3 kind=PreconditionError message='obj_samples' must be >= 1, got -3"
-        ]
+        assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("specs", ["[top:5, random:5]", "[rtop:10:5]", "[]"])
@@ -1032,9 +1041,32 @@ def doc_key_tables():
     return sections
 
 
+# Numeric keys with no ``Key.check``, and where each one's range is enforced.
+UNCHECKED_NUMERIC_KEYS = {
+    "seed": "any int is a valid seed",
+    "seeds": "any int is a valid seed",
+    "r": "the rtop window check k <= r <= d of harness._training_setup",
+    "eta": "TrainConfig",
+    "init_scale": "TrainConfig",
+    "obj_eig_min": "the objective builders",
+    "obj_eig_max": "the objective builders",
+    "obj_reg": "the objective builders",
+    "obj_heavy": "the objective builders",
+}
+
+
 class TestConfigTable:
     def test_every_kind_has_a_doc_word(self):
         assert set(KIND_WORDS) == set(harness._KINDS)
+
+    @pytest.mark.parametrize("command", [None, *harness.COMMANDS])
+    def test_numeric_keys_have_a_range(self, command):
+        schema = harness._COMMON_SCHEMA if command is None else harness.COMMANDS[command].schema
+        numeric = {"int", "float", "int_or_list", "num_or_list", "int_list", "schedule"}
+        unchecked = {
+            name for name, key in schema.items() if key.kind in numeric and key.check is None
+        }
+        assert unchecked <= set(UNCHECKED_NUMERIC_KEYS)
 
     @pytest.mark.parametrize("command", [None, *harness.COMMANDS])
     def test_defaults_pass_their_own_checks(self, command):
