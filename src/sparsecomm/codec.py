@@ -351,13 +351,16 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 
 # --- batch paths -----------------------------------------------------------
 #
-# The Monte Carlo harness encodes and decodes millions of observations; the
-# batch functions below run the same subsample / rank / unrank algorithms on
-# whole (rows, d) matrices at once.  The caller draws the subsample keys
-# (uniforms in [0, 1), one per position), so each stage has one definition
-# and draws nothing itself.  Exhaustive and property tests pin them to the
-# scalar functions.  Ranks take the dtype of the cached tables, int64 or
-# Python ints, so one code path serves every codebook size.
+# The batch functions below run the same subsample / rank / unrank
+# algorithms as the scalar ones on whole (rows, d) matrices at once.  The
+# caller draws the subsample keys (uniforms in [0, 1), one per position), so
+# each stage has one definition and draws nothing itself.  The Monte Carlo
+# risk kernel calls only the selection rule, ``_keep_largest_keys``: an exact
+# codec decodes each transcript to the count and kept support it came from,
+# which c1, CodecRoundtrip (through ``decode_batch``) and the codec tests
+# check.  Exhaustive and property tests pin the batch paths to the scalar
+# functions.  Ranks take the dtype of the cached tables, int64 or Python
+# ints, so one code path serves every codebook size.
 
 
 def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
@@ -418,6 +421,7 @@ def encode_batch(
     (the encoder-side view, used to carry signs out of band).
     """
     d, kprime = cfg.d, cfg.kprime
+    x, keys = np.asarray(x), np.asarray(keys)
     if x.shape[1] != d:
         raise ValueError(f"matrix has dimension {x.shape[1]}, config wants {d}")
     nonzero = _nonzero(x)
@@ -447,12 +451,8 @@ def decode_batch(
     """
     d, kprime = cfg.d, cfg.kprime
     offsets = _class_offsets(d, kprime)
-    counts = np.asarray(counts)
-    if offsets.dtype == object and not isinstance(payloads, np.ndarray):
-        # numpy would infer float64 for ints that straddle 2^63
-        payloads = np.array(payloads, dtype=object)
-    else:
-        payloads = np.asarray(payloads)
+    counts = _field_array(counts, np.int64)
+    payloads = _field_array(payloads, offsets.dtype)
     if counts.ndim != 1 or payloads.shape != counts.shape:
         raise MalformedMessage(f"counts of shape {counts.shape} and payloads of shape "
                                f"{payloads.shape} must be 1-d arrays of equal length")
@@ -485,6 +485,19 @@ def decode_batch(
         active = holding[1]
         flat[starts[:active] + rem[:active].astype(np.intp, copy=False)] = True
     return flat.reshape(counts.size, d)
+
+
+def _field_array(values, dtype) -> np.ndarray:
+    """``values`` as an array of message fields; an ndarray is kept as is.
+    Other sequences take ``dtype`` where numpy would infer float64 for
+    integers: always for an object ``dtype`` (ints that straddle 2^63), and
+    when they hold no values at all (an empty list)."""
+    if isinstance(values, np.ndarray):
+        return values
+    if dtype == object:
+        return np.array(values, dtype=object)
+    values = np.asarray(values)
+    return values.astype(dtype) if values.size == 0 else values
 
 
 def _check_integer_array(values: np.ndarray, name: str, objects: bool) -> None:

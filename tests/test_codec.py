@@ -470,6 +470,33 @@ class TestBatchEquivalence:
         _, payloads, _ = encode_batch(x, cfg, keys)
         assert payloads.tolist() == [1 + int(np.argmax(row)) for row in keys]
 
+    def test_batch_encode_takes_lists(self):
+        cfg = make_config(8, 10)
+        rng = substream(6)
+        x = (rng.random((5, 8)) < 0.5).astype(np.int8)
+        x[0] = [1, 0, 0, 0, 0, 0, 0, 1]
+        keys = rng.random(x.shape)
+        expected = encode_batch(x, cfg, keys)
+        for rows in (x.tolist(), x):
+            got = encode_batch(rows, cfg, keys.tolist())
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        with pytest.raises(ValueError, match="keys of shape"):
+            encode_batch(x.tolist(), cfg, keys[:1].tolist())
+
+    @pytest.mark.parametrize("d,k", [(8, 10), (256, 96)])  # int64 ranks, Python-int ranks
+    def test_batch_decode_takes_empty_lists(self, d, k):
+        cfg = make_config(d, k)
+        for counts, payloads in ([], []), ((), ()), (np.array([], int), []):
+            mask = decode_batch(counts, payloads, cfg)
+            assert mask.shape == (0, d) and mask.dtype == bool
+        for counts, payloads, name in (
+            ([True], [1], "counts of dtype bool"),
+            ([1.0], [1], "counts of dtype float64"),
+            ([1], [1.0], "payloads of dtype"),
+        ):
+            with pytest.raises(MalformedMessage, match=f"must be integers: {name}"):
+                decode_batch(counts, payloads, cfg)
+
     @pytest.mark.parametrize("d,k", [(4, 6), (8, 10), (10, 12)])
     def test_batch_decode_matches_scalar_unrank(self, d, k):
         cfg = make_config(d, k)

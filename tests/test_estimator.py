@@ -313,6 +313,8 @@ class TestTrialKernel:
             (SCALED, 20, 12, 3, 600, 0.45),
             (SIGNED, 64, 26, 16, 100, 0.45),  # per-row signs at the risk_sweep shape
             (PLAIN, 256, 96, 8, 100, 0.4),  # codebook beyond int64: Python-int ranks
+            (PLAIN, 4, 8, 64, 300, None),  # kprime = d: every row keeps its whole support
+            (SIGNED, 4, 8, 64, 300, 0.3),
         ],
     )
     def test_matches_per_trial_reference_bit_for_bit(self, variant, d, k, n, trials, halfwidth):
@@ -368,11 +370,17 @@ def as_observations(mask, counts, signs):
 
 
 class TestScalarEstimateMatchesKernel:
-    """Scalar ``estimate`` on trial 0's decoded rows gives the kernel's bits."""
+    """Scalar ``estimate`` on trial 0's decoded rows gives the kernel's bits.
+
+    The kernel takes each row's kept support from the codec's selection rule
+    without ranking it; here the rows go through ``encode_batch`` and
+    ``decode_batch`` first, which ties the kernel to the codec's transcripts."""
 
     @pytest.mark.parametrize("halfwidth", [None, 0.4])
     @pytest.mark.parametrize("variant", [PLAIN, SIGNED, SCALED])
-    @pytest.mark.parametrize("d,k,n", [(8, 10, 4), (64, 26, 16), (32, 12, 7), (256, 96, 8)])
+    @pytest.mark.parametrize(
+        "d,k,n", [(8, 10, 4), (64, 26, 16), (32, 12, 7), (256, 96, 8), (64, 48, 128)]
+    )
     def test_same_draws_same_estimate(self, d, k, n, variant, halfwidth):
         cfg = make_config(d, k)
         theta = ramp_probe(variant, d, max(1, d // 8))
