@@ -21,6 +21,9 @@ nondecreasing row (Cover's enumerative code).
 
 The message rule is stated once, in :func:`_check_message`, which
 :func:`decode` and :func:`serialize` call; :func:`decode_batch` is its array form.
+The scalar subsample rule is stated once too, in ``_kept_positions``:
+:func:`subsample` wraps the kept positions as a :class:`SubsampledObservation`,
+and :func:`encode` ranks them directly.
 """
 
 from __future__ import annotations
@@ -247,10 +250,11 @@ def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
     return support
 
 
-def subsample(
+def _kept_positions(
     obs: Observation, cfg: CodecConfig, rng: np.random.Generator
-) -> SubsampledObservation:
-    """Keep a uniformly random kprime-subset of the support when it is larger.
+) -> np.ndarray | slice:
+    """The positions into ``obs.support`` that a kprime-subsample keeps, as
+    a boolean mask, an index array or a slice.
 
     The uniform subset is realized by attaching an iid uniform key to each
     support index and keeping the kprime largest keys, ties to the lower
@@ -259,8 +263,8 @@ def subsample(
     threshold would keep more is the row re-ranked exactly (a stable sort
     of the keys, descending), as ``_keep_largest_keys`` re-ranks tied rows.
     Keys are drawn only when the support exceeds kprime > 0; smaller
-    supports pass through unchanged, and a degenerate budget (kprime = 0)
-    keeps only the count.
+    supports are kept whole, and a degenerate budget (kprime = 0) keeps
+    none of them.
     """
     if obs.d != cfg.d:
         raise ValueError(f"observation dimension {obs.d} != config dimension {cfg.d}")
@@ -270,17 +274,27 @@ def subsample(
         kept = keys >= np.partition(keys, m - kprime)[m - kprime]
         if np.count_nonzero(kept) > kprime:
             kept = np.sort(np.argsort(-keys, kind="stable")[:kprime])
-    else:
-        kept = slice(None) if kprime else slice(0)
+        return kept
+    return slice(None) if kprime else slice(0)
+
+
+def subsample(
+    obs: Observation, cfg: CodecConfig, rng: np.random.Generator
+) -> SubsampledObservation:
+    """Keep a uniformly random kprime-subset of the support when it is larger
+    (the rule of ``_kept_positions``), signs included; the original count
+    rides along."""
+    kept = _kept_positions(obs, cfg, rng)
     signs = obs.signs[kept] if obs.signs is not None else None
-    return SubsampledObservation(obs.d, obs.support[kept], m, signs)
+    return SubsampledObservation(obs.d, obs.support[kept], obs.count, signs)
 
 
 def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Message:
-    """Encode one observation into a k-bit message."""
-    sub = subsample(obs, cfg, rng)
-    payload = rank_sparse(sub.support.tolist(), cfg.d, cfg.kprime)
-    return Message(count=sub.original_count, payload_index=payload, bit_length=cfg.k)
+    """Encode one observation into a k-bit message: its count and the rank
+    of the support :func:`subsample` would keep, drawing the same keys from
+    ``rng`` but building no :class:`SubsampledObservation`."""
+    kept = obs.support[_kept_positions(obs, cfg, rng)]
+    return Message(obs.count, rank_sparse(kept.tolist(), cfg.d, cfg.kprime), cfg.k)
 
 
 def _all_integers(values) -> bool:

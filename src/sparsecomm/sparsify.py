@@ -281,12 +281,19 @@ class SparsifierSpec:
     def select_rows(self, w, targets: np.ndarray) -> np.ndarray:
         """Row-wise ``apply`` as an (n, entries) array of the indices each
         row keeps, in selection order, exact zeros included; row t uses the
-        swap targets ``targets[t]`` (see ``swap_targets``)."""
+        swap targets ``targets[t]`` (see ``swap_targets``), so ``targets``
+        must be (n, k), or (n, 0) for top-r."""
         return self._select_rows(_as_rows(w), targets)
 
     def _select_rows(self, w: np.ndarray, targets: np.ndarray) -> np.ndarray:
         n, d = w.shape
         window = self.window(d)
+        need = (n, 0 if self.kind == "top_r" else self.k)
+        shape = np.shape(targets)
+        if shape != need:  # a broadcast row of targets would tie the rows' picks
+            raise ValueError(
+                f"swap targets of shape {shape} for rows of shape {w.shape}; need {need}"
+            )
         if self.kind == "random_k":
             return _fisher_yates(np.broadcast_to(np.arange(d), (n, d)), targets)
         top = _top_rows(w, window)
@@ -294,7 +301,8 @@ class SparsifierSpec:
 
     def apply_rows(self, w, targets: np.ndarray) -> np.ndarray:
         """Row-wise ``apply(...).to_dense()``: the kept entries of every row
-        scattered into zeros, exact zeros dropped (so no -0.0 enters)."""
+        scattered into zeros, exact zeros dropped (so no -0.0 enters);
+        ``targets`` is shaped as for ``select_rows``."""
         w = _as_rows(w)
         rows = np.arange(w.shape[0])[:, None]
         kept = self._select_rows(w, targets)

@@ -161,6 +161,19 @@ class TestRanking:
         assert codec._comb_columns(40, 3) == first_columns
 
 
+class TiedKeys:
+    """A stand-in generator whose ``random`` returns fixed keys."""
+
+    def __init__(self, keys):
+        self.keys = np.array(keys)
+        self.calls = 0
+
+    def random(self, size):
+        assert size == self.keys.size
+        self.calls += 1
+        return self.keys
+
+
 class TestSubsample:
     def test_small_support_passes_through(self):
         cfg = make_config(16, 24)
@@ -216,14 +229,6 @@ class TestSubsample:
             assert sub.support.dtype == np.int64 and not sub.support.flags.writeable
 
     def test_tied_keys_keep_the_lower_positions(self):
-        class TiedKeys:
-            def __init__(self, keys):
-                self.keys = np.array(keys)
-
-            def random(self, size):
-                assert size == self.keys.size
-                return self.keys
-
         cfg = make_config(8, 10)  # kprime 2
         obs = Observation(8, [1, 2, 4, 6, 7])
         for keys, lower in [([0.5] * 5, [0, 1]), ([0.9, 0.5, 0.5, 0.5, 0.1], [0, 1])]:
@@ -296,6 +301,45 @@ class TestEncodeDecode:
         with pytest.raises(MalformedMessage):
             # count 5 forces min(count, kprime)=2 ones, payload has 1
             decode(Message(5, rank_sparse([1], 8, 2), 10), cfg)
+
+
+class TestEncodeMatchesSubsample:
+    """Scalar ``encode`` sends the count and the rank of the support that
+    ``subsample`` keeps, drawing the same keys from the same generator."""
+
+    # the codec_roundtrip benchmark points, then kprime = 2, kprime = d and kprime = 0
+    POINTS = [(d, k) for d in (16, 64, 256) for k in (24, 48, 96)] + [(8, 10), (4, 8), (8, 5)]
+
+    @staticmethod
+    def expected(obs, cfg, rng):
+        sub = subsample(obs, cfg, rng)
+        assert sub.original_count == obs.count
+        return Message(obs.count, rank_sparse(sub.support.tolist(), cfg.d, cfg.kprime), cfg.k)
+
+    def test_random_supports_plain_and_signed(self):
+        assert [make_config(d, k).kprime for d, k in self.POINTS[-3:]] == [2, 4, 0]
+        for i, (d, k) in enumerate(self.POINTS):
+            cfg = make_config(d, k)
+            draw = substream(40, i)
+            rng, replay = substream(41, i), substream(41, i)
+            for p in (0.0, 0.02, 0.1, 0.5, 0.9, 1.0):
+                for _ in range(6):
+                    support = np.flatnonzero(draw.random(d) < p)
+                    for signs in (None, draw.choice([-1, 1], size=support.size)):
+                        obs = Observation(d, support, signs)
+                        assert encode(obs, cfg, rng) == self.expected(obs, cfg, replay)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_tied_keys(self):
+        for d, k in self.POINTS:
+            cfg = make_config(d, k)
+            m = min(d, cfg.kprime + 3)
+            obs = Observation(d, np.arange(d - m, d), signs=[(-1) ** j for j in range(m)])
+            half = np.where(np.arange(m) % 2, 0.25, 0.5)
+            for keys in (np.full(m, 0.5), half, half[::-1]):
+                ours, theirs = TiedKeys(keys), TiedKeys(keys)
+                assert encode(obs, cfg, ours) == self.expected(obs, cfg, theirs)
+                assert ours.calls == theirs.calls == int(m > cfg.kprime > 0)
 
 
 class TestSerialization:

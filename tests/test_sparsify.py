@@ -1,6 +1,7 @@
 """Tests for the top-r / random-k / rtop-k operator family."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -359,6 +360,22 @@ class TestRowwiseSelection:
             SparsifierSpec.top(6).apply_rows(np.ones((2, 5)), np.empty((2, 0), dtype=int))
         with pytest.raises(ValueError, match="non-finite"):
             SparsifierSpec.top(2).apply_rows([[1.0, np.inf, 0.0]], np.empty((1, 0), dtype=int))
+
+    def test_targets_must_have_one_row_per_vector(self):
+        w = np.ones((2, 4))
+        cases = [
+            (SparsifierSpec.rtop(3, 2), np.zeros((1, 2), dtype=int), (2, 2)),
+            (SparsifierSpec.rtop(3, 2), np.zeros((2, 1), dtype=int), (2, 2)),
+            (SparsifierSpec.rtop(3, 2), np.zeros(2, dtype=int), (2, 2)),
+            (SparsifierSpec.random(2), np.zeros((3, 2), dtype=int), (2, 2)),
+            (SparsifierSpec.top(3), np.zeros((2, 3), dtype=int), (2, 0)),
+        ]
+        for spec, targets, need in cases:
+            shapes = re.escape(f"{targets.shape} for rows of shape (2, 4); need {need}")
+            with pytest.raises(ValueError, match=shapes):
+                spec.select_rows(w, targets)
+            with pytest.raises(ValueError, match=shapes):
+                spec.apply_rows(w, targets)
 
 
 class TestSparsifierSpec:
