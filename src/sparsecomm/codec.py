@@ -23,7 +23,10 @@ The message rule is stated once, in :func:`_check_message`, which
 :func:`decode` and :func:`serialize` call; :func:`decode_batch` is its array form.
 The scalar subsample rule is stated once too, in ``_kept_positions``:
 :func:`subsample` wraps the kept positions as a :class:`SubsampledObservation`,
-and :func:`encode` ranks them directly.
+and :func:`encode` ranks them directly.  So is the scalar rank, in
+``_rank_sum``: :func:`rank_sparse` runs it after checking its input,
+and :func:`encode` runs it unchecked on a subset of an ``Observation``'s
+support, which that class has already checked.
 """
 
 from __future__ import annotations
@@ -206,22 +209,35 @@ def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
     Vectors are ordered by popcount ascending, then colexicographically
     within each popcount class; the in-class rank of ``{s_0 < ... < s_{m-1}}``
     is ``sum_i C(s_i, i+1)`` (combinatorial number system).  Indices must
-    be integers; floats and bools raise ``TypeError``.
+    be integers; floats and bools raise ``TypeError``.  This is the checked
+    entry point: it proves the support is at most kprime strictly
+    increasing integers in [0, d) and then runs the table sum of
+    ``_rank_sum``, which :func:`encode` calls directly.
     """
     m = len(support)
     if m > kprime:
         raise TooManyOnes(f"support has {m} ones, codebook allows {kprime}")
-    cols = _comb_columns(d, kprime)
-    rank = _class_offset_ints(d, kprime)[m]
+    indices = []
     prev = -1
-    for i, idx in enumerate(support, 1):
+    for idx in support:
         if idx.__class__ is bool:
             raise TypeError("support indices must be integers, not bool")
         idx = operator.index(idx)
         if not prev < idx < d:
             raise ValueError("support must be strictly increasing indices in [0, d)")
-        rank += cols[i][idx]
+        indices.append(idx)
         prev = idx
+    return _rank_sum(indices, d, kprime)
+
+
+def _rank_sum(support: list[int], d: int, kprime: int) -> int:
+    """The rank sum of :func:`rank_sparse` with none of its checks: the
+    caller guarantees at most kprime strictly increasing Python ints in
+    [0, d)."""
+    cols = _comb_columns(d, kprime)
+    rank = _class_offset_ints(d, kprime)[len(support)]
+    for i, idx in enumerate(support, 1):
+        rank += cols[i][idx]
     return rank
 
 
@@ -271,7 +287,9 @@ def _kept_positions(
     m, kprime = obs.count, cfg.kprime
     if m > kprime > 0:
         keys = rng.random(m)
-        kept = keys >= np.partition(keys, m - kprime)[m - kprime]
+        part = keys.copy()
+        part.partition(m - kprime)  # in place: no np.partition wrapper call
+        kept = keys >= part[m - kprime]
         if np.count_nonzero(kept) > kprime:
             kept = np.sort(np.argsort(-keys, kind="stable")[:kprime])
         return kept
@@ -292,9 +310,15 @@ def subsample(
 def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Message:
     """Encode one observation into a k-bit message: its count and the rank
     of the support :func:`subsample` would keep, drawing the same keys from
-    ``rng`` but building no :class:`SubsampledObservation`."""
+    ``rng`` but building no :class:`SubsampledObservation`.
+
+    The rank skips :func:`rank_sparse`'s per-index checks.  ``Observation``
+    has already proved its read-only support integer, strictly increasing
+    and inside [0, d), and ``_kept_positions`` keeps an ordered subset of
+    it with at most kprime entries, so the checks would pass again.
+    """
     kept = obs.support[_kept_positions(obs, cfg, rng)]
-    return Message(obs.count, rank_sparse(kept.tolist(), cfg.d, cfg.kprime), cfg.k)
+    return Message(obs.count, _rank_sum(kept.tolist(), cfg.d, cfg.kprime), cfg.k)
 
 
 def _all_integers(values) -> bool:
@@ -385,8 +409,18 @@ def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
     the nonzero positions with the largest ``keys`` (uniforms in [0, 1),
     shaped like ``x``).
     """
-    nonzero = _nonzero(x)
+    nonzero = _nonzero(_sample_matrix(x))
     return _keep_largest_keys(nonzero, np.count_nonzero(nonzero, axis=1), kprime, keys)
+
+
+def _sample_matrix(x, d: Optional[int] = None) -> np.ndarray:
+    """``x`` as an array; ValueError naming its shape unless it is a
+    (rows, d) matrix, of any width when ``d`` is None."""
+    x = np.asarray(x)
+    if x.ndim != 2 or (d is not None and x.shape[1] != d):
+        width = "d" if d is None else d
+        raise ValueError(f"samples of shape {x.shape} are not a (rows, {width}) matrix")
+    return x
 
 
 def _nonzero(x: np.ndarray) -> np.ndarray:
@@ -435,9 +469,7 @@ def encode_batch(
     (the encoder-side view, used to carry signs out of band).
     """
     d, kprime = cfg.d, cfg.kprime
-    x, keys = np.asarray(x), np.asarray(keys)
-    if x.shape[1] != d:
-        raise ValueError(f"matrix has dimension {x.shape[1]}, config wants {d}")
+    x, keys = _sample_matrix(x, d), np.asarray(keys)
     nonzero = _nonzero(x)
     counts = np.count_nonzero(nonzero, axis=1).astype(np.int64)
     mask = _keep_largest_keys(nonzero, counts, kprime, keys)

@@ -608,32 +608,43 @@ def _admissible_budgets(d: int) -> list[int]:
     return list(range(low, header + d + 1))
 
 
-# Supports are drawn or enumerated, and decoded, in blocks of at most this
-# many entries: enough to take the per-support numpy calls out of the loop
-# and to give each ``decode_batch`` call 32 rows at d = 256, small enough
-# that the block stays out of the peak RSS.  On the codec_roundtrip
-# benchmark, peak RSS at 2^13 was 37.30-37.38 MB against 37.34-37.40 MB at
-# 2^12 (four alternating runs each; 2-core x86_64, numpy 2.4); 2^14 added
-# 0.34 MB.
-_SUPPORT_BLOCK = 1 << 13
+# Supports are drawn or enumerated, turned into columns and encoded in
+# pieces of at most _SUPPORT_PIECE entries, and decoded and checked in blocks
+# of at most _SUPPORT_BLOCK entries: 1024 rows per ``decode_batch`` call at
+# d = 16 and 64 at d = 256.  The float draws and the ``nonzero`` column
+# arrays, the largest temporaries, stay piece-sized (64 KB each); only the
+# boolean block and the decoded mask (16 KB each) grow with the block.  On
+# the codec_roundtrip benchmark (alternating runs, 2-core x86_64, numpy 2.4)
+# peak RSS was 37.28-37.30 MB with one 2^13-entry block for both, 37.40-37.42
+# MB here and 37.41-37.42 MB with 2^15-entry decode blocks; drawing and
+# taking ``nonzero`` over whole 2^15-entry blocks gave 37.56 MB.
+_SUPPORT_PIECE = 1 << 13
+_SUPPORT_BLOCK = 1 << 14
 
 
 def _support_blocks(d: int, samples: int, rng: np.random.Generator):
     """(rows, d) boolean blocks whose rows are the roundtrip supports, in order.
 
-    With ``samples`` > 0 each row holds ``rng.random(d) < 0.5``, the same
-    draws as one ``random(d)`` call per sample; with 0 the rows are the bit
-    patterns 0 .. 2^d - 1, most significant bit first, which is the order of
+    Each block holds ``_SUPPORT_BLOCK // d`` rows (at least 1; the last
+    block may hold fewer) and is filled in pieces of ``_SUPPORT_PIECE // d``
+    rows (at least 1).  With ``samples`` > 0 each row holds
+    ``rng.random(d) < 0.5``, the same draws as one ``random(d)`` call per
+    sample; with 0 the rows are the bit patterns 0 .. 2^d - 1, most
+    significant bit first, which is the order of
     ``itertools.product((0, 1), repeat=d)``.
     """
     total = samples or 1 << d
-    rows = max(1, _SUPPORT_BLOCK // d)
+    rows, piece = max(1, _SUPPORT_BLOCK // d), max(1, _SUPPORT_PIECE // d)
+    shifts = np.arange(d - 1, -1, -1)
     for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        if samples:
-            yield rng.random((hi - lo, d)) < 0.5
-        else:
-            yield ((np.arange(lo, hi)[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(bool)
+        block = np.empty((min(rows, total - lo), d), dtype=bool)
+        for start in range(0, len(block), piece):
+            part = block[start : start + piece]
+            if samples:
+                np.less(rng.random(part.shape), 0.5, out=part)
+            else:
+                part[...] = (np.arange(lo + start, lo + start + len(part))[:, None] >> shifts) & 1
+        yield block
 
 
 def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
@@ -641,50 +652,64 @@ def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
 
     Each support goes through ``Observation``, scalar ``encode`` on
     ``substream(seed, 7)`` and ``serialize`` in support order, so the stream
-    is consumed support by support; each block of ``_SUPPORT_BLOCK // d``
-    supports is then decoded with one ``decode_batch`` call and checked as
-    arrays.
+    is consumed support by support; each block from :func:`_support_blocks`
+    goes through :func:`_block_failures`.
     """
-    d, k, kprime = cfg.d, cfg.k, cfg.kprime
-    row = {
+    d, k = cfg.d, cfg.k
+    failures = 0
+    total = 0
+    rng = substream(seed, 7)
+    for block in _support_blocks(d, samples, np.random.default_rng(seed)):
+        failures += _block_failures(block, cfg, rng)
+        total += len(block)
+    echo(f"roundtrips: {total - failures}/{total} ok (d={d}, k={k})")
+    if failures:
+        raise RuntimeError(f"{failures} codec roundtrips failed for d={d}, k={k}")
+    return {
         "d": d,
         "k": k,
         "header_bits": cfg.header_bits,
         "payload_bits": cfg.payload_bits,
-        "kprime": kprime,
+        "kprime": cfg.kprime,
+        "roundtrips": total,
+        "failures": failures,
+        "status": "ok",
     }
-    failures = 0
-    total = 0
-    dtype = _class_offsets(d, kprime).dtype
-    rng = substream(seed, 7)
-    for block in _support_blocks(d, samples, np.random.default_rng(seed)):
-        counts = np.count_nonzero(block, axis=1)
-        columns = block.nonzero()[1]
-        lengths, sent, payloads = [], [], []
-        start = 0
-        for end in np.cumsum(counts).tolist():
-            msg = encode(Observation(d, columns[start:end]), cfg, rng)
+
+
+def _block_failures(block: np.ndarray, cfg: CodecConfig, rng: np.random.Generator) -> int:
+    """How many supports (rows) of one block fail their roundtrip.
+
+    The rows are turned into columns and encoded a piece of
+    ``_SUPPORT_PIECE // d`` rows at a time, then the whole block is decoded
+    with one ``decode_batch`` call and checked as arrays: each message has
+    k bits and the true count, and decodes to min(count, kprime) ones, all
+    inside the support.  Its temporaries are freed before the next block
+    is drawn.
+    """
+    d, kprime = cfg.d, cfg.kprime
+    piece = max(1, _SUPPORT_PIECE // d)
+    counts = np.count_nonzero(block, axis=1)
+    lengths, sent, payloads = [], [], []
+    for start in range(0, len(block), piece):
+        columns = block[start : start + piece].nonzero()[1]
+        begin = 0
+        for end in np.cumsum(counts[start : start + piece]).tolist():
+            msg = encode(Observation(d, columns[begin:end]), cfg, rng)
             lengths.append(len(serialize(msg, cfg)))
             sent.append(msg.count)
             payloads.append(msg.payload_index)
-            start = end
-        sent = np.array(sent)
-        decoded = decode_batch(sent, np.array(payloads, dtype=dtype), cfg)
-        ok = (
-            (np.array(lengths) == k)
-            & (sent == counts)
-            & (np.count_nonzero(decoded, axis=1) == np.minimum(counts, kprime))
-            & ~(decoded & ~block).any(axis=1)
-        )
-        failures += int(np.count_nonzero(~ok))
-        total += len(block)
-    row["roundtrips"] = total
-    row["failures"] = failures
-    row["status"] = "ok" if failures == 0 else "failed"
-    echo(f"roundtrips: {total - failures}/{total} ok (d={d}, k={k})")
-    if failures:
-        raise RuntimeError(f"{failures} codec roundtrips failed for d={d}, k={k}")
-    return row
+            begin = end
+    sent = np.array(sent)
+    payloads = np.array(payloads, dtype=_class_offsets(d, kprime).dtype)
+    decoded = decode_batch(sent, payloads, cfg)
+    ok = (
+        (np.array(lengths) == cfg.k)
+        & (sent == counts)
+        & (np.count_nonzero(decoded, axis=1) == np.minimum(counts, kprime))
+        & ~(decoded > block).any(axis=1)  # no decoded one outside the support
+    )
+    return len(block) - int(np.count_nonzero(ok))
 
 
 def _run_codec(config: ExperimentConfig, echo) -> list[dict]:

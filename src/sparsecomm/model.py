@@ -101,7 +101,9 @@ class Observation:
 
     def __post_init__(self):
         sup = as_support(self.support)
-        if sup.size and (sup[0] < 0 or sup[-1] >= self.d or (sup[1:] <= sup[:-1]).any()):
+        if sup.size and (
+            sup[0] < 0 or sup[-1] >= self.d or np.count_nonzero(sup[1:] <= sup[:-1])
+        ):
             raise ValueError("support must be strictly increasing indices in [0, d)")
         object.__setattr__(self, "support", sup)
         if self.signs is not None:

@@ -86,6 +86,7 @@ def test_c1_codec_exhaustive_roundtrip():
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_c2_estimator_unbiasedness():
     """Flat parameter at d=32, s=4, n=64, minimal regime budget, 1e5
     trials: every component of the Monte Carlo mean within 5 standard
@@ -147,6 +148,7 @@ def _sweep_risks(axis):
     return rows
 
 
+@pytest.mark.slow
 def test_c3_risk_scaling_slope_in_nodes():
     """log-log slope of risk against n at fixed budget lies in
     [-1.25, -0.75] (it is -1 up to Monte Carlo noise)."""
@@ -159,6 +161,7 @@ def test_c3_risk_scaling_slope_in_nodes():
     assert SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
 
 
+@pytest.mark.slow
 def test_c3_risk_scaling_slope_in_bits():
     """log-log slope of risk against the bit budget k, swept across the
     admissible range at d=64, s=8, n=128.
@@ -180,6 +183,7 @@ def test_c3_risk_scaling_slope_in_bits():
     )
 
 
+@pytest.mark.slow
 def test_c4_centralized_saturation():
     """With kprime >= d the pipeline risk equals the uncoded sample-mean
     risk (within 4 SE); with k >= 4 s ceil(log2 d) it stays within a
@@ -211,6 +215,7 @@ def test_c4_centralized_saturation():
     )
 
 
+@pytest.mark.slow
 def test_c5_compression_operator_property():
     """1000 random vectors (d <= 64) on an (r, k) grid: Monte Carlo
     residual within 4 SE of the closed form and the (1 - k/d) contraction

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -527,6 +528,18 @@ class TestBatchEquivalence:
         with pytest.raises(ValueError, match="keys of shape"):
             encode_batch(x.tolist(), cfg, keys[:1].tolist())
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 3, 8), (2, 8, 8)])
+    def test_batch_entry_points_take_only_matrices(self, shape):
+        """Anything but a (rows, d) matrix fails at the entry, naming its
+        shape, even when its keys have the same shape."""
+        cfg = make_config(8, 10)
+        x, keys = np.ones(shape, dtype=np.int8), substream(2).random(shape)
+        message = re.escape(f"samples of shape {shape} are not a (rows, ")
+        with pytest.raises(ValueError, match=message + r"8\) matrix"):
+            encode_batch(x, cfg, keys)
+        with pytest.raises(ValueError, match=message + r"d\) matrix"):
+            subsample_mask(x, cfg.kprime, keys)
+
     @pytest.mark.parametrize("d,k", [(8, 10), (256, 96)])  # int64 ranks, Python-int ranks
     def test_batch_decode_takes_empty_lists(self, d, k):
         cfg = make_config(d, k)
@@ -637,6 +650,7 @@ def mask_cases(draw):
     return x, draw(st.integers(0, d + 1)), keys.reshape(rows, d)
 
 
+@pytest.mark.slow
 class TestSubsampleMaskProperty:
     @settings(max_examples=300, deadline=None)
     @given(mask_cases())

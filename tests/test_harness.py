@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import glob
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -384,6 +385,52 @@ class TestCodecRoundtripCommand:
                 msg = encode(Observation(d, support), codec_cfg, rng)
                 assert (counts[i], payloads[i]) == (msg.count, msg.payload_index)
                 assert np.flatnonzero(masks[i]).tolist() == decode(msg, codec_cfg).support.tolist()
+
+    def test_block_structure_and_stream_state(self, tmp_path, monkeypatch):
+        """One decode_batch call per block of _SUPPORT_BLOCK // d supports,
+        one Observation and one encode per support, and substream(seed, 7)
+        left where a plain per-support encode loop leaves it."""
+        dims = [16, 64, 256]  # at k = 96: an int64 codebook, then Python-int ones
+        # at every d: one whole block, then a whole piece and 5 rows more
+        samples = (harness._SUPPORT_BLOCK + harness._SUPPORT_PIECE) // dims[0] + 5
+        calls = {name: {d: 0 for d in dims} for name in ("decode_batch", "Observation", "encode")}
+        streams = []
+
+        def counting(name, fn, dim):
+            def wrapper(*args):
+                calls[name][dim(*args)] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name, dim in (("decode_batch", lambda c, p, cfg: cfg.d),
+                          ("Observation", lambda d, support: d),
+                          ("encode", lambda obs, cfg, rng: cfg.d)):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name), dim))
+
+        def recording_substream(*path):
+            streams.append(substream(*path))
+            return streams[-1]
+
+        monkeypatch.setattr(harness, "substream", recording_substream)
+        cfg = f"command = CodecRoundtrip\nd = {dims}\nk = 96\nsamples = {samples}\nseed = 4\n"
+        assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
+        assert len(streams) == len(dims)
+        for index, d in enumerate(dims):
+            assert samples > harness._SUPPORT_BLOCK // d + harness._SUPPORT_PIECE // d
+            assert calls["decode_batch"][d] == math.ceil(samples / (harness._SUPPORT_BLOCK // d))
+            assert calls["Observation"][d] == calls["encode"][d] == samples
+            codec_cfg, kprime = make_config(d, 96), make_config(d, 96).kprime
+            supports = np.random.default_rng(derive_seed(4, index))
+            rng = substream(derive_seed(4, index), 7)
+            keys = substream(derive_seed(4, index), 7)  # the contract, without the codec
+            for _ in range(samples):
+                support = np.flatnonzero(supports.random(d) < 0.5)
+                encode(Observation(d, support), codec_cfg, rng)
+                if support.size > kprime > 0:
+                    keys.random(support.size)
+            assert streams[index].bit_generator.state == rng.bit_generator.state
+            assert rng.bit_generator.state == keys.bit_generator.state
 
     @staticmethod
     def corrupt_one_support(monkeypatch, kind):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsecomm.model import (
     PLAIN,
@@ -181,6 +182,24 @@ class TestCountMoments:
         assert second == pytest.approx(ref_second, abs=1e-12)
 
 
+@st.composite
+def integer_supports(draw):
+    """(d, support): an integer array of any dtype, either a sorted subset of
+    range(d) with at most one entry moved, or arbitrary values near [0, d)
+    or anywhere in the dtype's range."""
+    d = draw(st.integers(1, 300))
+    dtype = draw(hnp.integer_dtypes(endianness="=") | hnp.unsigned_integer_dtypes(endianness="="))
+    low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    if draw(st.booleans()):
+        values = sorted(draw(st.sets(st.integers(0, min(d - 1, high)), max_size=12)))
+        if values and draw(st.booleans()):
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.integers(low, high))
+    else:
+        near = st.integers(max(low, -2), min(high, d + 1))
+        values = draw(st.lists(near | st.integers(low, high), max_size=12))
+    return d, np.array(values, dtype=dtype)
+
+
 class TestObservationInvariants:
     def test_support_must_be_sorted_unique(self):
         with pytest.raises(ValueError):
@@ -197,6 +216,25 @@ class TestObservationInvariants:
             with pytest.raises(ValueError):
                 Observation(8, support)
         assert Observation(8, np.array([1, 3], dtype=np.uint8)).support.tolist() == [1, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_supports())
+    @example((8, np.array([1, 2**63 + 5], dtype=np.uint64)))  # wraps negative in int64
+    @example((8, np.array([2**64 - 1], dtype=np.uint64)))
+    @example((300, np.array([0, 255], dtype=np.uint8)))
+    @example((1, np.array([], dtype=np.int8)))
+    def test_support_order_check_matches_plain_python(self, case):
+        """Observation accepts exactly the strictly increasing integers in
+        [0, d), of any integer dtype, and rejects the rest with one message."""
+        d, support = case
+        values = [int(v) for v in support]
+        valid = all(0 <= v < d for v in values) and all(a < b for a, b in zip(values, values[1:]))
+        if valid:
+            assert Observation(d, support).support.tolist() == values
+        else:
+            with pytest.raises(ValueError) as raised:
+                Observation(d, support)
+            assert str(raised.value) == "support must be strictly increasing indices in [0, d)"
 
     def test_empty_support_of_any_dtype(self):
         for support in ([], np.array([]), np.array([], dtype=bool), np.array([], dtype=np.int32)):
