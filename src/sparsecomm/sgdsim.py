@@ -56,7 +56,7 @@ UNBIASED_RESCALE = "unbiased_rescale"
 _AGGREGATIONS = (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE)
 
 # Learning-rate schedules are either a constant or a piecewise-constant
-# list of (start_step, rate) breakpoints; TrainConfig requires positive
+# list of (start_step, rate) breakpoints; TrainConfig requires finite positive
 # rates and steps that start at 0 and strictly increase.
 Schedule = Union[float, Sequence[tuple[int, float]]]
 
@@ -109,6 +109,8 @@ class TrainConfig:
             raise ValueError(f"eta steps must start at 0 and strictly increase, got {starts}")
         if not all(rate > 0 for _, rate in breakpoints):
             raise ValueError(f"learning rates must be positive, got {self.eta}")
+        if any(isinstance(rate, bool) or not math.isfinite(rate) for _, rate in breakpoints):
+            raise ValueError(f"learning rates must be finite numbers, got {self.eta}")
         if not self.init_scale >= 0:
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale}")
 
@@ -466,6 +468,8 @@ def compare_sparsifiers(
     runs every round, so a diverging seed fails at the step a lone
     ``train`` names.
     """
+    if not specs:
+        raise ValueError("need at least one spec")
     budgets = {spec.entries_budget for spec in specs}
     if len(budgets) != 1:
         raise ValueError(f"specs disagree on the entries budget: {sorted(budgets)}")

@@ -763,6 +763,23 @@ class TestConfigOnlyPreconditions:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "specs, message",
+        [("[top:0]", "'top:0': r=0 below 1"), ("[random:-1]", "'random:-1': k=-1 below 1"),
+         ("[rtop:4:0]", "'rtop:4:0': need 1 <= k=0 <= r=4")],
+    )
+    def test_spec_below_one(self, tmp_path, monkeypatch, specs, message):
+        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
+        out = tmp_path / "c.csv"
+        cfg = f"command = CompareSparsifiers\nd = 10\nk = 2\nsteps = 3\nspecs = {specs}\n"
+        errors = []
+        path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
+        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
+        assert errors == [
+            f"ERROR code=3 kind=PreconditionError message=bad sparsifier spec {message}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "cfg",
         [
             "command = SweepRisk\nn = [4, 0]\nk = 12\nd = 16\ns = 2\ntrials = 120\n",

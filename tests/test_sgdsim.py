@@ -484,6 +484,14 @@ class TestSchedules:
         with pytest.raises(ValueError):
             learning_rate(0.0, 0)
 
+    @pytest.mark.parametrize(
+        "eta", [True, [(0, 0.1), (5, True)], float("inf"), [(0, float("inf"))], [(0, float("nan"))]]
+    )
+    def test_config_rejects_bool_and_non_finite_rates(self, eta):
+        # as the config table's schedule kind does
+        with pytest.raises(ValueError, match="learning rates must be"):
+            TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
+
     def test_fixed_horizon_preset(self):
         assert sqrt_horizon_schedule(2.0, 400) == pytest.approx(0.1)
         # satisfies the bound evaluator's step hypothesis when chat is small
@@ -586,6 +594,12 @@ class TestCompareSparsifiers:
             compare_sparsifiers(
                 obj, cfg, [SparsifierSpec.top(2), SparsifierSpec.random(3)], [0]
             )
+
+    def test_specs_required(self):
+        obj = make_quadratic(6, seed=17)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3)
+        with pytest.raises(ValueError, match="need at least one spec"):
+            compare_sparsifiers(obj, cfg, [], [0])
 
     def test_seeds_required(self):
         obj = make_quadratic(6, seed=17)

@@ -319,7 +319,7 @@ class TestRowwiseSelection:
         # Each row of the batched selection equals one naive single-vector
         # selection on a generator with the same seed, draws included.
         n = data.draw(st.integers(1, 5))
-        d = data.draw(st.integers(1, 16))
+        d = data.draw(st.integers(1, 30))  # windows narrower and wider than sgd_compare's
         element = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]) | st.floats(-4, 4)
         row = st.lists(element, min_size=d, max_size=d)
         w = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
@@ -328,8 +328,8 @@ class TestRowwiseSelection:
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
         assert_rows_match_naive(w, r, k, seeds)
 
-    @pytest.mark.parametrize("r", [2, 10])
-    def test_rows_match_naive_rtop_k_at_benchmark_shape(self, r):
+    @staticmethod
+    def planted_rows(r):
         # (25, 500) rows as in the sgd_compare workload, with ties at each
         # row's r-th magnitude, one row of +-0.0 and one of a single magnitude
         w = substream(11).normal(size=(25, 500))
@@ -339,7 +339,21 @@ class TestRowwiseSelection:
             row[spots] = tie * np.array([1.0, -1.0, -1.0, 1.0])
         w[0] = np.where(np.arange(500) % 2, 0.0, -0.0)
         w[1] = np.where(np.arange(500) % 3, 1.5, -1.5)
-        assert_rows_match_naive(w, r, 2, range(25))
+        return w
+
+    # sgd_compare's windows, Train's r = 25, and the whole row
+    @pytest.mark.parametrize("r", [2, 10, 11, 25, 500])
+    def test_rows_match_naive_rtop_k_at_benchmark_shape(self, r):
+        assert_rows_match_naive(self.planted_rows(r), r, 2, range(25))
+
+    @pytest.mark.parametrize("r", [1, 10, 11, 25, 500])
+    def test_one_row_and_column_major_inputs(self, r):
+        # check_compression selects from one w[None] row; a column-major
+        # array must give the row-major bits
+        w = self.planted_rows(r)
+        for i in (0, 1, 2, 3):
+            assert_rows_match_naive(w[i][None], r, 1, [i])
+        assert_rows_match_naive(np.asfortranarray(w[:6]), r, 1, range(6))
 
     def test_swap_targets_match_scalar_draws(self):
         for seed, (m, k, rounds) in enumerate([(1, 1, 5), (10, 2, 200), (64, 32, 3), (500, 2, 9)]):
@@ -389,6 +403,15 @@ class TestSparsifierSpec:
     def test_validation(self):
         with pytest.raises(BadRank):
             SparsifierSpec.rtop(2, 5)
+        for make, k, message in (
+            (SparsifierSpec.top, 0, "r=0 below 1"),
+            (SparsifierSpec.top, -2, "r=-2 below 1"),
+            (SparsifierSpec.random, 0, "k=0 below 1"),
+            (SparsifierSpec.random, -1, "k=-1 below 1"),
+            (lambda k: SparsifierSpec.rtop(3, k), 0, "need 1 <= k=0 <= r=3"),
+        ):
+            with pytest.raises(BadRank, match=re.escape(message)):
+                make(k)  # at construction, before any d is known
         with pytest.raises(ValueError):
             SparsifierSpec(kind="middle_out", k=1)
         with pytest.raises(ValueError):
