@@ -395,9 +395,9 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 # each stage has one definition and draws nothing itself.  The Monte Carlo
 # risk kernel calls only the selection rule, ``_keep_largest_keys``: an exact
 # codec decodes each transcript to the count and kept support it came from,
-# which c1, CodecRoundtrip (through ``decode_batch``) and the codec tests
-# check.  Exhaustive and property tests pin the batch paths to the scalar
-# functions.  Ranks take the dtype of the cached tables, int64 or Python
+# which c1, CodecRoundtrip (through ``encode_batch`` and ``decode_batch``)
+# and the codec tests check.  Exhaustive and property tests pin the batch
+# paths to the scalar functions.  Ranks take the dtype of the cached tables, int64 or Python
 # ints, so one code path serves every codebook size.
 
 

@@ -31,11 +31,11 @@ from .codec import (
     BudgetTooSmall,
     CodecConfig,
     CodecError,
-    _class_offsets,
     ceil_log2,
     decode,  # noqa: F401  unused here; bench/tracing.py wraps it by this name
     decode_batch,
     encode,
+    encode_batch,
     make_config,
     serialize,
 )
@@ -608,18 +608,21 @@ def _admissible_budgets(d: int) -> list[int]:
     return list(range(low, header + d + 1))
 
 
-# Supports are drawn or enumerated, turned into columns and encoded in
-# pieces of at most _SUPPORT_PIECE entries, and decoded and checked in blocks
-# of at most _SUPPORT_BLOCK entries: 1024 rows per ``decode_batch`` call at
-# d = 16 and 64 at d = 256.  The float draws and the ``nonzero`` column
-# arrays, the largest temporaries, stay piece-sized (64 KB each); only the
-# boolean block and the decoded mask (16 KB each) grow with the block.  On
-# the codec_roundtrip benchmark (alternating runs, 2-core x86_64, numpy 2.4)
-# peak RSS was 37.28-37.30 MB with one 2^13-entry block for both, 37.40-37.42
-# MB here and 37.41-37.42 MB with 2^15-entry decode blocks; drawing and
-# taking ``nonzero`` over whole 2^15-entry blocks gave 37.56 MB.
+# Supports are drawn or enumerated in pieces of at most _SUPPORT_PIECE
+# entries, and encoded, decoded and checked in blocks of at most
+# _SUPPORT_BLOCK entries: 1024 rows per ``encode_batch`` and ``decode_batch``
+# call at d = 16 and 64 at d = 256.  The float support draws stay
+# piece-sized (64 KB); the block's subsample keys and ``encode_batch``'s
+# sorted copy of them (128 KB each) are the largest temporaries.  On the
+# codec_roundtrip benchmark (seed 9, 2-core x86_64, numpy 2.4) peak RSS was
+# 37.52-37.54 MB with these sizes, about the same with 2^13-entry blocks
+# (which ran 15% slower), and 37.40 MB when scalar ``encode`` sent every
+# support: the batch encoder's code pages, more than its buffers.
 _SUPPORT_PIECE = 1 << 13
 _SUPPORT_BLOCK = 1 << 14
+# Each point's first supports also go through scalar ``encode`` and
+# ``serialize``, on a second generator started at the same stream state.
+_CROSS_CHECK_ROWS = 32
 
 
 def _support_blocks(d: int, samples: int, rng: np.random.Generator):
@@ -650,17 +653,21 @@ def _support_blocks(d: int, samples: int, rng: np.random.Generator):
 def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
     """Roundtrip every support of one (d, k) point; raise if any fails.
 
-    Each support goes through ``Observation``, scalar ``encode`` on
-    ``substream(seed, 7)`` and ``serialize`` in support order, so the stream
-    is consumed support by support; each block from :func:`_support_blocks`
-    goes through :func:`_block_failures`.
+    Each block from :func:`_support_blocks` goes through
+    :func:`_block_failures`, which draws its subsample keys from
+    ``substream(seed, 7)`` in the order scalar ``encode`` draws them
+    support by support.  The first ``_CROSS_CHECK_ROWS`` supports are also
+    encoded by scalar ``encode`` on a copy of the stream's start state.
     """
     d, k = cfg.d, cfg.k
     failures = 0
     total = 0
     rng = substream(seed, 7)
+    scalar_rng = np.random.Generator(np.random.PCG64())
+    scalar_rng.bit_generator.state = rng.bit_generator.state
     for block in _support_blocks(d, samples, np.random.default_rng(seed)):
-        failures += _block_failures(block, cfg, rng)
+        checked = min(len(block), max(0, _CROSS_CHECK_ROWS - total))
+        failures += _block_failures(block, cfg, rng, scalar_rng, checked)
         total += len(block)
     echo(f"roundtrips: {total - failures}/{total} ok (d={d}, k={k})")
     if failures:
@@ -677,38 +684,40 @@ def _codec_point(cfg: CodecConfig, samples: int, seed: int, echo) -> dict:
     }
 
 
-def _block_failures(block: np.ndarray, cfg: CodecConfig, rng: np.random.Generator) -> int:
+def _block_failures(
+    block: np.ndarray, cfg: CodecConfig, rng: np.random.Generator,
+    scalar_rng: np.random.Generator, checked: int,
+) -> int:
     """How many supports (rows) of one block fail their roundtrip.
 
-    The rows are turned into columns and encoded a piece of
-    ``_SUPPORT_PIECE // d`` rows at a time, then the whole block is decoded
-    with one ``decode_batch`` call and checked as arrays: each message has
-    k bits and the true count, and decodes to min(count, kprime) ones, all
-    inside the support.  Its temporaries are freed before the next block
-    is drawn.
+    The block is encoded with one ``encode_batch`` call.  Its keys are one
+    ``rng.random`` draw per position of the rows with count > kprime > 0,
+    filled in row-major order: the draws scalar ``encode`` makes support
+    by support.  One ``decode_batch`` call decodes it, and the rows are
+    checked as arrays: each message fits k bits and has the true count, and
+    decodes to min(count, kprime) ones, all inside the support.  The first
+    ``checked`` rows also go through scalar ``encode`` on ``scalar_rng``
+    and ``serialize``, and fail unless that message is the batch one in k
+    bits.  Its temporaries are freed before the next block is drawn.
     """
     d, kprime = cfg.d, cfg.kprime
-    piece = max(1, _SUPPORT_PIECE // d)
     counts = np.count_nonzero(block, axis=1)
-    lengths, sent, payloads = [], [], []
-    for start in range(0, len(block), piece):
-        columns = block[start : start + piece].nonzero()[1]
-        begin = 0
-        for end in np.cumsum(counts[start : start + piece]).tolist():
-            msg = encode(Observation(d, columns[begin:end]), cfg, rng)
-            lengths.append(len(serialize(msg, cfg)))
-            sent.append(msg.count)
-            payloads.append(msg.payload_index)
-            begin = end
-    sent = np.array(sent)
-    payloads = np.array(payloads, dtype=_class_offsets(d, kprime).dtype)
+    keys = np.zeros(block.shape)
+    if kprime:
+        keys[block & (counts > kprime)[:, None]] = rng.random(counts[counts > kprime].sum())
+    sent, payloads, _ = encode_batch(block, cfg, keys)
+    del keys
     decoded = decode_batch(sent, payloads, cfg)
     ok = (
-        (np.array(lengths) == cfg.k)
+        (sent < 1 << cfg.header_bits) & (payloads < 1 << cfg.payload_bits)  # k bits
         & (sent == counts)
         & (np.count_nonzero(decoded, axis=1) == np.minimum(counts, kprime))
         & ~(decoded > block).any(axis=1)  # no decoded one outside the support
     )
+    for i in range(checked):
+        msg = encode(Observation(d, np.flatnonzero(block[i])), cfg, scalar_rng)
+        bits = serialize(msg, cfg)
+        ok[i] &= (msg.count, msg.payload_index, len(bits)) == (sent[i], payloads[i], cfg.k)
     return len(block) - int(np.count_nonzero(ok))
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -105,6 +106,8 @@ class TrainConfig:
             raise ValueError("n, steps and batch_size must be positive")
         breakpoints = [(0, self.eta)] if isinstance(self.eta, (int, float)) else list(self.eta)
         starts = [start for start, _ in breakpoints]
+        if any(isinstance(start, bool) or not isinstance(start, Integral) for start in starts):
+            raise ValueError(f"eta steps must be integers, got {starts}")
         if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError(f"eta steps must start at 0 and strictly increase, got {starts}")
         if not all(rate > 0 for _, rate in breakpoints):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -203,6 +204,9 @@ class SparsifierSpec:
     def __post_init__(self):
         if self.kind not in ("top_r", "random_k", "rtop_k"):
             raise ValueError(f"unknown sparsifier kind {self.kind!r}")
+        for name, value in (("r", self.r), ("k", self.k)):  # top_r's k is its r
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.kind == "rtop_k":
             if self.r is None:
                 raise ValueError("rtop_k needs an explicit r")

@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from sparsecomm import cli, harness, sgdsim
-from sparsecomm.codec import MalformedMessage, Message, _class_offsets, decode, encode, make_config
+from sparsecomm.codec import (
+    MalformedMessage,
+    Message,
+    _class_offsets,
+    decode,
+    encode,
+    make_config,
+    rank_sparse,
+)
 from sparsecomm.model import Observation
 from sparsecomm.seeding import derive_seed, substream
 from sparsecomm.sparsify import SparsifierSpec
@@ -325,33 +333,38 @@ class TestCodecRoundtripCommand:
         assert not out.exists()
 
     @staticmethod
-    def observed_supports(tmp_path, monkeypatch, cfg):
-        """Run a CodecRoundtrip config; the supports its Observations got."""
-        seen = []
+    def encoded_blocks(tmp_path, monkeypatch, cfg):
+        """Run a CodecRoundtrip config; the support blocks its encode_batch
+        calls got, in call order."""
+        blocks = []
+        original = harness.encode_batch
 
-        def recording(d, support, signs=None):
-            seen.append(np.array(support))
-            return Observation(d, support, signs)
+        def recording(x, codec_cfg, keys):
+            blocks.append(np.array(x))
+            return original(x, codec_cfg, keys)
 
-        monkeypatch.setattr(harness, "Observation", recording)
+        monkeypatch.setattr(harness, "encode_batch", recording)
         assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
-        return seen
+        return blocks
 
     def test_sampled_supports_cross_block_boundaries(self, tmp_path, monkeypatch):
         d = 256
-        samples = 2 * (harness._SUPPORT_BLOCK // d) + 3
+        rows = harness._SUPPORT_BLOCK // d
+        samples = 2 * rows + 3
         cfg = f"command = CodecRoundtrip\nd = {d}\nk = 24\nsamples = {samples}\nseed = 5\n"
-        seen = self.observed_supports(tmp_path, monkeypatch, cfg)
+        blocks = self.encoded_blocks(tmp_path, monkeypatch, cfg)
+        assert [len(block) for block in blocks] == [rows, rows, 3]
+        seen = [np.flatnonzero(row) for block in blocks for row in block]
         g = np.random.default_rng(derive_seed(5, 0))
         expected = [np.flatnonzero(g.random(d) < 0.5) for _ in range(samples)]
-        assert len(seen) == samples
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
     def test_exhaustive_supports_in_product_order(self, tmp_path, monkeypatch):
         cfg = "command = CodecRoundtrip\nd = 6\nk = 9\nsamples = 0\n"
-        seen = self.observed_supports(tmp_path, monkeypatch, cfg)
+        blocks = self.encoded_blocks(tmp_path, monkeypatch, cfg)
+        assert [len(block) for block in blocks] == [64]  # 2^6 rows fit one block
+        seen = [np.flatnonzero(row) for row in blocks[0]]
         expected = [np.flatnonzero(bits) for bits in itertools.product((0, 1), repeat=6)]
-        assert len(seen) == len(expected) == 64
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
     def test_messages_and_stream_use_match_the_scalar_codec(self, tmp_path, monkeypatch):
@@ -387,13 +400,15 @@ class TestCodecRoundtripCommand:
                 assert np.flatnonzero(masks[i]).tolist() == decode(msg, codec_cfg).support.tolist()
 
     def test_block_structure_and_stream_state(self, tmp_path, monkeypatch):
-        """One decode_batch call per block of _SUPPORT_BLOCK // d supports,
-        one Observation and one encode per support, and substream(seed, 7)
+        """One encode_batch and one decode_batch call per block of
+        _SUPPORT_BLOCK // d supports, one Observation and one encode for
+        each of the first _CROSS_CHECK_ROWS supports, and substream(seed, 7)
         left where a plain per-support encode loop leaves it."""
         dims = [16, 64, 256]  # at k = 96: an int64 codebook, then Python-int ones
         # at every d: one whole block, then a whole piece and 5 rows more
         samples = (harness._SUPPORT_BLOCK + harness._SUPPORT_PIECE) // dims[0] + 5
-        calls = {name: {d: 0 for d in dims} for name in ("decode_batch", "Observation", "encode")}
+        names = ("encode_batch", "decode_batch", "Observation", "encode")
+        calls = {name: {d: 0 for d in dims} for name in names}
         streams = []
 
         def counting(name, fn, dim):
@@ -403,7 +418,8 @@ class TestCodecRoundtripCommand:
 
             return wrapper
 
-        for name, dim in (("decode_batch", lambda c, p, cfg: cfg.d),
+        for name, dim in (("encode_batch", lambda x, cfg, keys: cfg.d),
+                          ("decode_batch", lambda c, p, cfg: cfg.d),
                           ("Observation", lambda d, support: d),
                           ("encode", lambda obs, cfg, rng: cfg.d)):
             monkeypatch.setattr(harness, name, counting(name, getattr(harness, name), dim))
@@ -418,8 +434,10 @@ class TestCodecRoundtripCommand:
         assert len(streams) == len(dims)
         for index, d in enumerate(dims):
             assert samples > harness._SUPPORT_BLOCK // d + harness._SUPPORT_PIECE // d
-            assert calls["decode_batch"][d] == math.ceil(samples / (harness._SUPPORT_BLOCK // d))
-            assert calls["Observation"][d] == calls["encode"][d] == samples
+            blocks = math.ceil(samples / (harness._SUPPORT_BLOCK // d))
+            assert calls["encode_batch"][d] == calls["decode_batch"][d] == blocks
+            checked = min(samples, harness._CROSS_CHECK_ROWS)
+            assert calls["Observation"][d] == calls["encode"][d] == checked
             codec_cfg, kprime = make_config(d, 96), make_config(d, 96).kprime
             supports = np.random.default_rng(derive_seed(4, index))
             rng = substream(derive_seed(4, index), 7)
@@ -435,7 +453,7 @@ class TestCodecRoundtripCommand:
     @staticmethod
     def corrupt_one_support(monkeypatch, kind):
         """Patch the roundtrip so that exactly one support of d = 8, k = 10
-        (kprime = 2) fails exactly one of its four checks."""
+        (kprime = 2) fails exactly one of its checks."""
         kprime, done = 2, []
 
         def first(hit):
@@ -473,6 +491,30 @@ class TestCodecRoundtripCommand:
                 return msg
 
             monkeypatch.setattr(harness, "encode", corrupted)
+        elif kind.startswith("batch_"):
+            original = harness.encode_batch
+
+            def corrupted(x, cfg, keys):
+                counts, payloads, mask = original(x, cfg, keys)
+                counts, payloads = counts.copy(), payloads.copy()
+                checked = np.arange(len(counts)) < harness._CROSS_CHECK_ROWS
+                if kind == "batch_count_past_cross_check":
+                    # min(count, kprime) stays kprime: decode_batch accepts it
+                    rows = np.flatnonzero(~checked & (counts > kprime) & (counts < cfg.d))
+                    if first(rows.size > 0):
+                        counts[rows[0]] += 1
+                else:
+                    # another kprime-subset of the same support: only the
+                    # scalar cross-check tells it from the sent one
+                    rows = np.flatnonzero(checked & (counts > kprime))
+                    if first(rows.size > 0):
+                        i = rows[0]
+                        kept, dropped = np.flatnonzero(mask[i]), np.flatnonzero(x[i] & ~mask[i])
+                        other = sorted([*kept[1:], dropped[0]])
+                        payloads[i] = rank_sparse(other, cfg.d, cfg.kprime)
+                return counts, payloads, mask
+
+            monkeypatch.setattr(harness, "encode_batch", corrupted)
         else:
             original = harness.serialize
 
@@ -484,7 +526,11 @@ class TestCodecRoundtripCommand:
         return done
 
     @pytest.mark.parametrize(
-        "kind", ["one_outside_support", "kept_one_cleared", "count_off_by_one", "bit_short"]
+        "kind",
+        [
+            "one_outside_support", "kept_one_cleared", "count_off_by_one", "bit_short",
+            "batch_count_past_cross_check", "batch_payload_in_cross_check",
+        ],
     )
     def test_a_wrong_roundtrip_is_a_failure(self, tmp_path, monkeypatch, kind):
         done = self.corrupt_one_support(monkeypatch, kind)
@@ -498,6 +544,45 @@ class TestCodecRoundtripCommand:
             "ERROR code=4 kind=RuntimeError message=1 codec roundtrips failed for d=8, k=10"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, edges",
+        [('d = 12\nk = "all"\nsamples = 0', {12}), ("d = 8\nk = [5, 13]\nsamples = 300", {0, 8})],
+        ids=["exhaustive_every_budget", "sampled_kprime_0_and_d"],
+    )
+    def test_every_batch_message_is_the_scalar_one(self, tmp_path, monkeypatch, grid, edges):
+        """Past the cross-check too, each support's encode_batch message is
+        the one scalar encode sends on substream(seed, 7), and the stream
+        ends where that per-support loop leaves it, at kprime = 0 and d."""
+        sent, streams = {}, []
+        original = harness.encode_batch
+
+        def recording(x, cfg, keys):
+            counts, payloads, mask = original(x, cfg, keys)
+            sent.setdefault(cfg, []).extend(zip(counts.tolist(), payloads.tolist()))
+            return counts, payloads, mask
+
+        def recording_substream(*path):
+            streams.append(substream(*path))
+            return streams[-1]
+
+        monkeypatch.setattr(harness, "encode_batch", recording)
+        monkeypatch.setattr(harness, "substream", recording_substream)
+        cfg = f"command = CodecRoundtrip\n{grid}\nseed = 6\n"
+        assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
+        assert len(streams) == len(sent) > 1
+        d = next(iter(sent)).d
+        assert edges <= {codec_cfg.kprime for codec_cfg in sent}
+        if "samples = 0" in grid:
+            supports = [np.flatnonzero(bits) for bits in itertools.product((0, 1), repeat=d)]
+        else:
+            g = np.random.default_rng(derive_seed(6, 0))
+            supports = [np.flatnonzero(g.random(d) < 0.5) for _ in range(300)]
+        for codec_cfg, stream in zip(sent, streams):
+            rng = substream(derive_seed(6, 0), 7)
+            messages = [encode(Observation(d, s), codec_cfg, rng) for s in supports]
+            assert sent[codec_cfg] == [(m.count, m.payload_index) for m in messages]
+            assert stream.bit_generator.state == rng.bit_generator.state
 
 
 class TestTrainCommands:

@@ -492,6 +492,18 @@ class TestSchedules:
         with pytest.raises(ValueError, match="learning rates must be"):
             TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
 
+    @pytest.mark.parametrize("eta", [[(False, 0.1)], [(0, 0.1), (True, 0.05)], [(0.0, 0.1)],
+                                     [(0, 0.1), (5.0, 0.05)]])
+    def test_config_rejects_bool_and_non_integer_steps(self, eta):
+        # as the config table's schedule kind does
+        with pytest.raises(ValueError, match="eta steps must be integers"):
+            TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
+
+    def test_config_takes_numpy_integer_steps(self):
+        eta = [(np.int64(0), 0.1), (np.int32(2), 0.05)]
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
+        assert learning_rate(cfg.eta, 2) == 0.05
+
     def test_fixed_horizon_preset(self):
         assert sqrt_horizon_schedule(2.0, 400) == pytest.approx(0.1)
         # satisfies the bound evaluator's step hypothesis when chat is small

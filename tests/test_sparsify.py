@@ -417,6 +417,27 @@ class TestSparsifierSpec:
         with pytest.raises(ValueError):
             SparsifierSpec(kind="rtop_k", k=1)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: SparsifierSpec.top(2.5), "r"),
+            (lambda: SparsifierSpec.top(True), "r"),
+            (lambda: SparsifierSpec.random(2.0), "k"),
+            (lambda: SparsifierSpec.random(True), "k"),
+            (lambda: SparsifierSpec.rtop(4.0, 2), "r"),
+            (lambda: SparsifierSpec.rtop(4, np.True_), "k"),
+            (lambda: SparsifierSpec.rtop(4, np.float64(2)), "k"),
+        ],
+    )
+    def test_non_integer_budgets_fail_at_construction(self, make, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            make()
+
+    def test_numpy_integer_budgets_are_accepted(self):
+        assert SparsifierSpec.top(np.int64(3)).window(8) == 3
+        assert SparsifierSpec.random(np.int32(2)).window(8) == 8
+        assert SparsifierSpec.rtop(np.int64(5), np.uint8(2)).label == "rtop_r5_k2"
+
     def test_apply_dispatch(self):
         w = np.array([5.0, -4.0, 3.0, 2.0, 1.0])
         rng = substream(16)
