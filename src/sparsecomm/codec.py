@@ -277,7 +277,7 @@ def _kept_positions(
     position: the rule of :func:`subsample_mask`.  As there, the keys that
     reach the kprime-th largest key are kept; only when ties at that
     threshold would keep more is the row re-ranked exactly (a stable sort
-    of the keys, descending), as ``_keep_largest_keys`` re-ranks tied rows.
+    of the keys, descending), as ``_rank_first`` re-ranks tied rows.
     Keys are drawn only when the support exceeds kprime > 0; smaller
     supports are kept whole, and a degenerate budget (kprime = 0) keeps
     none of them.
@@ -392,13 +392,19 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 # The batch functions below run the same subsample / rank / unrank
 # algorithms as the scalar ones on whole (rows, d) matrices at once.  The
 # caller draws the subsample keys (uniforms in [0, 1), one per position), so
-# each stage has one definition and draws nothing itself.  The Monte Carlo
-# risk kernel calls only the selection rule, ``_keep_largest_keys``: an exact
-# codec decodes each transcript to the count and kept support it came from,
-# which c1, CodecRoundtrip (through ``encode_batch`` and ``decode_batch``)
-# and the codec tests check.  Exhaustive and property tests pin the batch
-# paths to the scalar functions.  Ranks take the dtype of the cached tables, int64 or Python
-# ints, so one code path serves every codebook size.
+# each stage has one definition and draws nothing itself.  The selection
+# rule (keep the keys that reach a row's kprime-th largest, ``_kth_largest``,
+# and re-rank tied rows, ``_rank_first``) has two layouts, and the caller
+# picks one: ``_keep_largest_keys`` on dense (rows, d) rows, which
+# ``encode_batch`` and ``subsample_mask`` use, and ``_keep_largest_packed``
+# on the flat indices of the nonzeros, which the Monte Carlo risk kernel
+# uses, because its rows hold few ones.  The kernel calls nothing else here:
+# an exact codec decodes each transcript to the count and kept support it
+# came from, which c1, CodecRoundtrip (through ``encode_batch`` and
+# ``decode_batch``) and the codec tests check.  Exhaustive and property
+# tests pin the batch paths to the scalar functions, and the packed layout
+# to the dense one.  Ranks take the dtype of the cached tables, int64 or
+# Python ints, so one code path serves every codebook size.
 
 
 def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
@@ -428,15 +434,36 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
     return x if x.dtype == bool else x != 0
 
 
+def _kth_largest(filled: np.ndarray, kprime: int) -> np.ndarray:
+    """Each row's kprime-th largest entry of ``filled``, rows of keys padded
+    with -1.0 (0 < kprime <= width): the keep-largest-keys threshold.
+    A row keeps the keys that reach it, and a padded row with at most
+    kprime keys has threshold -1.0, so it keeps them all.  Sorts ``filled``
+    in place."""
+    filled.sort(axis=1)  # in place; faster than a row-wise partition
+    return filled[:, filled.shape[1] - kprime].copy()  # so ``filled`` can be freed
+
+
+def _rank_first(filled: np.ndarray, kprime: int) -> np.ndarray:
+    """Whether each entry of ``filled`` (rows of keys padded with -1.0) is
+    among its row's kprime largest, by a stable descending sort: ties to
+    the lower position.  This re-ranks the rows where keys tied at the
+    threshold of :func:`_kth_largest` would keep more than kprime."""
+    order = np.argsort(np.argsort(-filled, axis=1, kind="stable"), axis=1)
+    return order < kprime
+
+
 def _keep_largest_keys(
     nonzero: np.ndarray, counts: np.ndarray, kprime: int, keys: np.ndarray
 ) -> np.ndarray:
     """Per row, the min(count, kprime) nonzero positions with the largest keys.
 
-    A row keeps the nonzero positions whose keys reach its kprime-th
-    largest nonzero key.  Rows where tied keys at that threshold would keep
-    more than kprime positions are re-ranked exactly: keys in descending
-    order, ties to the lower index.
+    The dense layout of the rule: each (rows, d) row of keys is padded with
+    -1.0 at its zero positions, keeps the nonzero positions whose keys
+    reach :func:`_kth_largest`, and is re-ranked by :func:`_rank_first`
+    when tied keys at that threshold would keep more than kprime positions
+    (keys in descending order, ties to the lower index).
+    :func:`_keep_largest_packed` is the same rule on packed rows.
     """
     if keys.shape != nonzero.shape:  # a broadcast row of keys would tie the rows' subsets
         raise ValueError(f"keys of shape {keys.shape} for a matrix of shape {nonzero.shape}")
@@ -445,17 +472,47 @@ def _keep_largest_keys(
         return np.zeros_like(nonzero)
     if kprime >= d:
         return nonzero.copy()  # never the caller's own boolean matrix
-    filled = np.where(nonzero, keys, -1.0)
-    filled.sort(axis=1)  # in place; faster than a row-wise partition
-    threshold = filled[:, [d - kprime]]  # a copy, so ``filled`` is freed
-    del filled
-    mask = nonzero & (keys >= threshold)
+    threshold = _kth_largest(np.where(nonzero, keys, -1.0), kprime)
+    mask = nonzero & (keys >= threshold[:, None])
     if np.count_nonzero(mask) > np.minimum(counts, kprime).sum():
         tied = np.flatnonzero(np.count_nonzero(mask, axis=1) > kprime)
         filled = np.where(nonzero[tied], keys[tied], -1.0)
-        order = np.argsort(np.argsort(-filled, axis=1, kind="stable"), axis=1)
-        mask[tied] = nonzero[tied] & (order < kprime)
+        mask[tied] = nonzero[tied] & _rank_first(filled, kprime)
     return mask
+
+
+def _keep_largest_packed(
+    rows: np.ndarray, counts: np.ndarray, kprime: int, keys: np.ndarray
+) -> np.ndarray:
+    """Whether each nonzero position is kept, by the rule of
+    :func:`_keep_largest_keys` on packed rows.
+
+    The nonzero positions are given in row-major order: ``rows`` holds the
+    row of each, ``keys`` its key, and ``counts`` each row's number of
+    them (``np.bincount(rows)``, with a length of the row count).  Each
+    row's keys are packed into a (rows, widest count) matrix padded with
+    -1.0, in column order, so a position's rank among its row's keys,
+    ties to the lower position, is its rank in the dense row too.
+    """
+    width = int(counts.max(initial=0))
+    if kprime == 0:
+        return np.zeros(rows.shape, dtype=bool)
+    if width <= kprime:
+        return np.ones(rows.shape, dtype=bool)
+    # flat position in the packed matrix: the row's offset plus the rank of
+    # the position among its row's nonzeros (one 1-d scatter, not a 2-d one)
+    row_start = np.arange(0, counts.size * width, width) - (np.cumsum(counts) - counts)
+    at = np.arange(rows.size) + row_start[rows]
+    filled = np.full(counts.size * width, -1.0)
+    filled[at] = keys
+    keep = keys >= _kth_largest(filled.reshape(-1, width), kprime)[rows]
+    if np.count_nonzero(keep) > np.minimum(counts, kprime).sum():
+        in_tied = (np.bincount(rows[keep], minlength=counts.size) > kprime)[rows]
+        at = at[in_tied]  # the other rows stay all -1.0, and nothing reads them
+        filled = np.full(counts.size * width, -1.0)
+        filled[at] = keys[in_tied]
+        keep[in_tied] = _rank_first(filled.reshape(-1, width), kprime).reshape(-1)[at]
+    return keep
 
 
 def encode_batch(

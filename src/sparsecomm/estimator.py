@@ -8,11 +8,13 @@ clipping would trade the unbiasedness away.
 
 Risk is evaluated by Monte Carlo over sample-subsample-estimate rounds,
 composed of the model's matrix stages, the codec's selection rule (the
-kept support that :func:`~sparsecomm.codec.encode_batch` ranks) and the
-:func:`reweight` that scalar :func:`estimate` also uses.  The trials skip
-the rank and unrank steps: the codec is exact, so a transcript decodes to
-the count and kept support it was built from, which c1, CodecRoundtrip
-and the codec tests check.  Reference curves for the achievable and
+kept support that :func:`~sparsecomm.codec.encode_batch` ranks, here
+applied to each row's packed hit keys) and the :func:`reweight` that
+scalar :func:`estimate` also uses.  Past sampling, the trials work on the
+flat indices of the hits, not on (rows, d) matrices.  They skip the rank
+and unrank steps: the codec is exact, so a transcript decodes to the
+count and kept support it was built from, which c1, CodecRoundtrip and
+the codec tests check.  Reference curves for the achievable and
 unavoidable risk are closed-form bounds with explicit validity regimes.
 """
 
@@ -24,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codec import CodecConfig, SubsampledObservation, _keep_largest_keys, ceil_log2
+from .codec import CodecConfig, SubsampledObservation, _keep_largest_packed, ceil_log2
 # encode_batch and decode_batch stay importable here: bench/tracing.py wraps them by these names
 from .codec import decode_batch, encode_batch  # noqa: F401
 from .model import (
@@ -49,26 +51,32 @@ class EmptyInput(ValueError):
 
 
 def reweight(
-    mask: np.ndarray, counts: np.ndarray, kprime: int, signs=None, nodes: int = 1
+    kept: np.ndarray,
+    counts: np.ndarray,
+    kprime: int,
+    d: int,
+    signs: Optional[np.ndarray] = None,
+    nodes: int = 1,
 ) -> np.ndarray:
-    """Average the reweighted decoded (rows, d) support ``mask`` over each
-    run of ``nodes`` consecutive rows, giving (rows // nodes, d).
+    """Average the reweighted decoded supports of ``counts.size`` rows over
+    each run of ``nodes`` consecutive rows, giving (rows // nodes, d).
 
-    Each kept one weighs ``count / kprime`` when its row's count exceeded
-    ``kprime``, else 1, times its sign when ``signs`` (a per-coordinate
-    vector or a (rows, d) matrix) is given.  The weights are summed into
-    each run's total in row order, from +0.0, as ``mean`` along the rows
-    would add them, and the totals divided by ``nodes``; with ``nodes=1``
-    the result is each row's weighted support.
+    ``kept`` holds the flat indices ``row * d + column`` of the kept ones,
+    with the rows in ascending order.  Each kept one weighs
+    ``count / kprime`` when its row's count exceeded ``kprime``, else 1,
+    times its sign when ``signs`` (one per kept one) is given.  The
+    weights are summed into each run's total in row order, from +0.0, as
+    ``mean`` along the rows of the dense weighted supports would add
+    them, and the totals divided by ``nodes``; with ``nodes=1`` the result
+    is each row's weighted support.
     """
-    runs, rest = divmod(mask.shape[0], nodes)
+    runs, rest = divmod(counts.size, nodes)
     if rest:
-        raise ValueError(f"{mask.shape[0]} rows do not split into runs of {nodes}")
-    d = mask.shape[1]
-    rows, cols = np.divmod(np.flatnonzero(mask), d)
+        raise ValueError(f"{counts.size} rows do not split into runs of {nodes}")
+    rows, cols = np.divmod(kept, d)
     weights = np.where(counts > kprime, counts / kprime, 1.0)[rows]
     if signs is not None:
-        weights *= signs[cols] if signs.ndim == 1 else signs[rows, cols]
+        weights *= signs
     sums = np.bincount(rows // nodes * d + cols, weights, minlength=runs * d)
     return sums.reshape(runs, d) / nodes
 
@@ -85,29 +93,34 @@ def estimate(
     For the signed variant each decoded observation must carry signs; for
     the scaled variant the result is multiplied by ``scale``.  With
     ``clip=True`` the estimate is clamped into the parameter range after
-    averaging (off by default; it biases the estimator).
+    averaging (off by default; it biases the estimator).  A support must
+    name each index at most once.
     """
     if cfg.degenerate:
         raise DegenerateCodec("config has kprime=0; no support survives encoding")
     if len(decoded) == 0:
         raise EmptyInput("need at least one decoded observation")
     d = cfg.d
-    mask = np.zeros((len(decoded), d), dtype=bool)
     counts = np.empty(len(decoded), dtype=np.int64)
-    signs = np.zeros(mask.shape) if variant == SIGNED else None
+    kept = []
+    signs = [np.empty(0)] if variant == SIGNED else None  # concatenable with no signs
     for row, sub in enumerate(decoded):
         sup = sub.support
         if sub.d != d or sub.original_count < 0:
             raise ValueError(f"need dimension {d} and a nonnegative count")
         if sup.size and (sup.min() < 0 or sup.max() >= d):
             raise ValueError(f"support index outside [0, {d})")
-        mask[row, sup] = True
+        if np.unique(sup).size < sup.size:
+            raise ValueError("support names an index twice")
+        kept.append(sup + row * d)
         counts[row] = sub.original_count
         if signs is not None and sup.size:
-            if sub.signs is None:
-                raise ValueError("signed estimation requires per-support signs")
-            signs[row, sup] = sub.signs
-    theta_hat = reweight(mask, counts, cfg.kprime, signs, nodes=len(decoded))[0]
+            if sub.signs is None or sub.signs.shape != sup.shape:
+                raise ValueError("signed estimation requires one sign per support index")
+            signs.append(sub.signs)
+    if signs is not None:
+        signs = np.concatenate(signs)
+    theta_hat = reweight(np.concatenate(kept), counts, cfg.kprime, d, signs, len(decoded))[0]
     if variant == SCALED:
         theta_hat *= scale
     if clip:
@@ -215,11 +228,13 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
     sample uniforms, the (n, d) perturbation noise when ``perturb`` is
     set, the (n, d) subsample keys.  Each trial's uniforms go into one
     reused (n, d) buffer and are sampled (and perturbed) at once into the
-    chunk's hits; the chunk's stacked hits and keys then go through the
-    codec's selection rule and :func:`reweight` as one matrix.  The hits,
-    keys and per-row signs buffers are allocated once and reused by every
-    chunk, so the heap is not released and faulted in again chunk after
-    chunk.
+    chunk's hits.  From there on the chunk works on the flat indices of
+    its hits: one ``bincount`` gives the counts, the codec's selection
+    rule runs on each row's hit keys packed into a (rows, widest count)
+    matrix (:func:`~sparsecomm.codec._keep_largest_packed`), and
+    :func:`reweight` sums the kept ones' weights.  The hits, keys and
+    per-row signs buffers are allocated once and reused by every chunk, so
+    the heap is not released and faulted in again chunk after chunk.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -252,12 +267,17 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
                 if row_signs is not None:
                     row_signs[j] = perturbed_signs
             rng.random(out=keys[j])
+        ones = np.flatnonzero(hits)  # row-major: each row's columns ascending
+        rows = ones // d
+        counts = np.bincount(rows, minlength=size * n)
+        keep = _keep_largest_packed(rows, counts, cfg.kprime, keys.reshape(-1)[ones])
+        kept = ones[keep]
+        kept_signs = None
         if row_signs is not None:
-            signs = row_signs.reshape(-1, d)
-        x = hits.reshape(-1, d)
-        counts = np.count_nonzero(x, axis=1)
-        mask = _keep_largest_keys(x, counts, cfg.kprime, keys.reshape(-1, d))
-        yield reweight(mask, counts, cfg.kprime, signs, nodes=n) * out_scale
+            kept_signs = row_signs.reshape(-1)[kept]
+        elif signs is not None:
+            kept_signs = signs[kept % d]
+        yield reweight(kept, counts, cfg.kprime, d, kept_signs, nodes=n) * out_scale
 
 
 UPPER_ACHIEVABLE = "upper_achievable"

@@ -663,6 +663,61 @@ class TestSubsampleMaskProperty:
 
 
 @st.composite
+def packed_cases(draw):
+    """(x, kprime, keys): up to 8 rows of width d >= 2, some of them empty,
+    keys from four values so that ties at the threshold are common, and
+    kprime at 0, 1, the widest row's count or above, d or above, or any."""
+    d = draw(st.integers(2, 20))
+    rows = draw(st.integers(0, 8))
+    cells = st.lists(st.booleans(), min_size=rows * d, max_size=rows * d)
+    x = np.array(draw(cells), dtype=bool).reshape(rows, d)
+    x[draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows))] = False
+    pool = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    keys = np.array(draw(st.lists(pool, min_size=rows * d, max_size=rows * d)))
+    widest = int(x.sum(axis=1).max(initial=0))
+    kprime = draw(
+        st.sampled_from([0, 1])
+        | st.integers(widest, widest + 2)
+        | st.integers(d, d + 2)
+        | st.integers(0, d)
+    )
+    return x, kprime, keys.reshape(rows, d)
+
+
+class TestPackedSelection:
+    """``_keep_largest_packed`` keeps, in the packed layout, exactly the
+    positions the dense ``_keep_largest_keys`` marks.  Keys drawn with
+    ``random`` almost never tie, so planted ties here are the only pin of
+    the packed tie re-ranking."""
+
+    @pytest.mark.slow
+    @settings(max_examples=400, deadline=None)
+    @given(packed_cases())
+    @example((np.ones((2, 4), dtype=bool), 2, np.full((2, 4), 0.5)))  # every row tied
+    @example((np.zeros((0, 5), dtype=bool), 2, np.zeros((0, 5))))  # no rows
+    @example((np.array([[True, True], [False, False]]), 1, np.full((2, 2), 0.25)))  # d = 2
+    def test_packed_keeps_the_dense_mask(self, case):
+        x, kprime, keys = case
+        dense = codec._keep_largest_keys(x, x.sum(axis=1), kprime, keys)
+        assert np.array_equal(self.packed_kept(x, kprime, keys), np.flatnonzero(dense))
+        assert np.array_equal(dense, double_argsort_mask(x, kprime, keys))
+
+    def test_tied_rows_keep_their_lowest_positions(self):
+        x = np.array([[True, True, True, True], [False, True, True, True], [True] * 4])
+        keys = np.array([[0.5] * 4, [0.0, 0.25, 0.25, 0.25], [0.75, 0.25, 0.75, 0.75]])
+        kept = self.packed_kept(x, 2, keys)
+        assert np.divmod(kept, 4)[1].tolist() == [0, 1, 1, 2, 0, 2]
+
+    @staticmethod
+    def packed_kept(x, kprime, keys):
+        """The flat indices that the packed selection keeps of ``x``'s ones."""
+        ones = np.flatnonzero(x)
+        rows = ones // x.shape[1]
+        counts = np.bincount(rows, minlength=x.shape[0])
+        return ones[codec._keep_largest_packed(rows, counts, kprime, keys.reshape(-1)[ones])]
+
+
+@st.composite
 def codec_cases(draw):
     """(d, k, rows, seed): any admissible budget up to codebook saturation at
     d <= 256, so codebooks above 2^62 (Python-int ranks) come up often."""

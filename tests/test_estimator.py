@@ -46,18 +46,27 @@ from sparsecomm.seeding import substream
 from oracles import exact_pipeline_risk, per_trial_monte_carlo
 
 
+def flat_reweight(mask, counts, kprime, signs=None, nodes=1):
+    """``reweight`` of a (rows, d) support mask, with ``signs`` given as a
+    per-coordinate vector or a (rows, d) matrix and read at the kept ones."""
+    kept = np.flatnonzero(mask)
+    if signs is not None:
+        signs = np.broadcast_to(signs, mask.shape).reshape(-1)[kept]
+    return reweight(kept, np.asarray(counts), kprime, mask.shape[1], signs, nodes)
+
+
 class TestReweight:
     def test_subsampled_rows_scale_by_count_over_kprime(self):
         mask = np.array([[True, False, True], [False, True, False], [False] * 3])
-        out = reweight(mask, np.array([5, 1, 0]), kprime=2)
+        out = flat_reweight(mask, np.array([5, 1, 0]), kprime=2)
         assert out.tolist() == [[2.5, 0.0, 2.5], [0.0, 1.0, 0.0], [0.0] * 3]
 
     def test_signs_vector_or_matrix(self):
         mask = np.array([[True, True], [True, False]])
         counts = np.array([4, 1])
-        by_coordinate = reweight(mask, counts, 2, signs=np.array([-1.0, 1.0]))
+        by_coordinate = flat_reweight(mask, counts, 2, signs=np.array([-1.0, 1.0]))
         assert by_coordinate.tolist() == [[-2.0, 2.0], [-1.0, 0.0]]
-        by_row = reweight(mask, counts, 2, signs=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        by_row = flat_reweight(mask, counts, 2, signs=np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert by_row.tolist() == [[2.0, -2.0], [-1.0, 0.0]]
 
     @pytest.mark.parametrize("signed", ["none", "vector", "matrix"])
@@ -77,11 +86,12 @@ class TestReweight:
         if signs is not None:
             dense = dense * signs
         expected = dense.reshape(-1, n, d).mean(axis=1)
-        assert reweight(mask, counts, kprime, signs, nodes=n).tobytes() == expected.tobytes()
+        out = flat_reweight(mask, counts, kprime, signs, nodes=n)
+        assert out.tobytes() == expected.tobytes()
 
     def test_rows_must_split_into_runs(self):
         with pytest.raises(ValueError, match="runs of 2"):
-            reweight(np.ones((3, 4), dtype=bool), np.ones(3, dtype=np.int64), 1, nodes=2)
+            reweight(np.arange(12), np.ones(3, dtype=np.int64), 1, 4, nodes=2)
 
 
 class TestEstimate:
@@ -123,11 +133,24 @@ class TestEstimate:
             with pytest.raises(ValueError, match="outside"):
                 estimate([SubsampledObservation(8, support, original_count=5)], cfg)
 
+    def test_repeated_support_index_rejected(self):
+        # a repeated index would add its weight twice
+        cfg = make_config(8, 10)
+        with pytest.raises(ValueError, match="twice"):
+            estimate([SubsampledObservation(8, [3, 1, 3], original_count=5)], cfg)
+
     def test_signed_requires_signs(self):
         cfg = make_config(8, 10)
         decoded = [SubsampledObservation(8, [1], original_count=1)]
         with pytest.raises(ValueError):
             estimate(decoded, cfg, variant=SIGNED)
+
+    def test_signed_requires_one_sign_per_index(self):
+        cfg = make_config(8, 10)
+        for signs in ([-1], [1, -1, 1]):
+            decoded = [SubsampledObservation(8, [1, 3], original_count=2, signs=signs)]
+            with pytest.raises(ValueError, match="one sign per support index"):
+                estimate(decoded, cfg, variant=SIGNED)
 
     def test_signed_and_scaled_weighting(self):
         cfg = make_config(8, 10)
@@ -318,10 +341,39 @@ class TestTrialKernel:
         ],
     )
     def test_matches_per_trial_reference_bit_for_bit(self, variant, d, k, n, trials, halfwidth):
-        per_chunk = _CHUNK_ELEMENTS // (n * d)
-        assert per_chunk < trials and trials % per_chunk != 0  # straddles chunk ends
-        cfg = make_config(d, k)
         theta = ramp_probe(variant, d, max(1, d // 8))
+        self.assert_matches_reference(theta, n, make_config(d, k), trials, halfwidth)
+
+    @pytest.mark.parametrize(
+        "values,k,kprime,n,trials,halfwidth",
+        [
+            # four live coordinates and 4 < kprime < d: no row is wider than
+            # kprime, so every chunk skips the selection (noise below 1/2
+            # neither adds nor drops a hit)
+            ([0.5, 0.9, 0.3, 0.7] + [0.0] * 12, 18, 5, 4, 600, None),
+            ([0.5, 0.9, 0.3, 0.7] + [0.0] * 12, 18, 5, 4, 600, 0.4),
+            # components at 1.0: about half the packed rows are d wide
+            ([1.0] * 7 + [0.5], 10, 2, 6, 700, None),
+            ([1.0] * 7 + [0.5], 10, 2, 6, 700, 0.45),
+            # one node per trial
+            (np.linspace(0.0, 0.25, 32), 12, 1, 1, 1100, None),
+            (np.linspace(0.0, 0.25, 32), 12, 1, 1, 1100, 0.3),
+        ],
+        ids=["no-selection", "no-selection-perturbed", "d-wide", "d-wide-perturbed",
+             "one-node", "one-node-perturbed"],
+    )
+    def test_edges_match_per_trial_reference_bit_for_bit(
+        self, values, k, kprime, n, trials, halfwidth
+    ):
+        theta = ParamVector(values, s=float(np.sum(values)))
+        cfg = make_config(theta.d, k)
+        assert cfg.kprime == kprime
+        self.assert_matches_reference(theta, n, cfg, trials, halfwidth)
+
+    @staticmethod
+    def assert_matches_reference(theta, n, cfg, trials, halfwidth):
+        per_chunk = _CHUNK_ELEMENTS // (n * cfg.d)
+        assert per_chunk < trials and trials % per_chunk != 0  # straddles chunk ends
         perturb = UniformPerturbation(halfwidth) if halfwidth else None
         seed = 2**64 - 3 + trials
         est = monte_carlo_risk(theta, n, cfg, trials, perturb=perturb, seed=seed)
@@ -332,10 +384,11 @@ class TestTrialKernel:
 
 
 class TestKernelWorkingSet:
-    """One chunk of the trial kernel allocates about 20 bytes per capped
-    element at its peak: the stacked keys (8) and hits (1) plus the codec's
-    selection buffers.  Stacking the sample uniforms per chunk, as the
-    kernel once did, would add 8 more."""
+    """One chunk of the trial kernel allocates 17-19.5 bytes per capped
+    element at its peak: the stacked keys (8) and hits (1), the reused
+    (n, d) uniforms, and the packed selection's buffers, which scale with
+    the hits rather than with rows * d.  Stacking the sample uniforms per
+    chunk, as the kernel once did, would add 8 more."""
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_one_warm_chunk_peak(self, n):
