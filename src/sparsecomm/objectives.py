@@ -73,10 +73,16 @@ class QuadraticObjective:
 
     def grad_rows(self, weights, picks) -> np.ndarray:
         """``grad_minibatch`` of every node's picks at its seed's weights:
-        (S, d) weights and (S, n, B) picks give (S, n, d) gradients."""
+        (S, d) weights and (S, n, B) picks give (S, n, d) gradients.
+
+        The samples are gathered minibatch axis first, as (B, S*n, d), so
+        the reduce over that leading axis adds each column as
+        ``mean(axis=0)`` over a (B, d) gather does, pairwise at d = 1 too."""
         seeds, n, batch = picks.shape
-        means = self.b_samples[picks.reshape(seeds * n, batch)].mean(axis=1)
-        return (self.diag * weights)[:, None, :] - means.reshape(seeds, n, self.d)
+        grads = np.add.reduce(self.b_samples[picks.reshape(seeds * n, batch).T], axis=0)
+        grads /= batch
+        grads = grads.reshape(seeds, n, self.d)
+        return np.subtract((self.diag * weights)[:, None, :], grads, out=grads)
 
     def loss_rows(self, weights) -> np.ndarray:
         """``loss`` of every row of (S, d) weights, as (S,): each dot

@@ -20,17 +20,19 @@ round at a time would consume it, so ``train`` and repeated ``sgd_round``
 calls give the same bits.
 
 Seeds run in lockstep: ``train_seeds`` advances S seeds of one config
-together, as (S, d) weights and (S, n, d) memories, with one
-``SparsifierSpec.apply_rows`` call per round on the (S*n, d) carried rows
-and the gradient rows from the objective's ``grad_rows``.  ``train`` is
-its S = 1 case and ``compare_sparsifiers`` calls it once per spec.  Every
-seed keeps its own streams, initial weights, node-ordered aggregation and
-records, so each seed's bits are those of a lone run.  The round metrics
-keep those bits too: the objectives' ``loss_rows`` and ``full_grad_rows``
-reduce each seed's row as the single-vector call does (a stacked
-``np.matmul`` for a dot product is BLAS ddot like ``np.dot``; ``W @ b``
-is a gemv and gives other bits), and sums of squares reduce along the
-contiguous last axis.
+together, as (S, d) weights and (S, n, d) memories, with the gradient rows
+from the objective's ``grad_rows`` and one ``SparsifierSpec.select_rows``
+call per round on the (S*n, d) carried rows.  The round then works on the
+sent entries alone: their values, an in-place update of the memories and
+one node-ordered ``bincount`` for the aggregate (``_exchange``); no dense
+update matrix is built.  ``train`` is its S = 1 case and
+``compare_sparsifiers`` calls it once per spec.  Every seed keeps its own
+streams, initial weights, node-ordered aggregation and records, so each
+seed's bits are those of a lone run.  The round metrics keep those bits
+too: the objectives' ``loss_rows`` and ``full_grad_rows`` reduce each
+seed's row as the single-vector call does (a stacked ``np.matmul`` for a
+dot product is BLAS ddot like ``np.dot``; ``W @ b`` is a gemv and gives
+other bits), and sums of squares reduce along the contiguous last axis.
 
 ``train`` keeps a record for every round.  ``compare_sparsifiers`` reads
 only the final one, so it asks ``train_seeds`` for that record alone
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from numbers import Integral
 from typing import Optional, Sequence, Union
 
@@ -207,30 +210,57 @@ def _draw_rounds(
     return np.stack(picks, axis=1), np.stack(targets, axis=1)
 
 
+@lru_cache(maxsize=16)
+def _row_offsets(seeds: int, n: int, d: int) -> np.ndarray:
+    """Read-only (2, seeds*n, 1) offsets of the (seeds*n, d) carried rows:
+    row*d, the row's flat start, and seed*d, its seed's first bin.  Cached
+    because a run asks for one shape every round."""
+    rows = np.arange(seeds * n)[:, None]
+    offsets = np.stack([rows * d, rows // n * d])
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
     """One synchronous round of S seeds on (S, n, d) node arrays, before
     any check; ``weights`` is (S, d), ``picks`` (S, n, B) and ``targets``
     (S, n, k).
 
-    Returns the gradients, the updates, the new memories and the new
-    weights.
+    Returns the gradients, the flat positions in an (S, n, d) array of the
+    entries the nodes send, as (S*n, k), their values, the new memories
+    and the new weights.
+
+    Only the sent entries are touched: in error-feedback mode the carried
+    array becomes the memories by subtracting each sent value in place,
+    and the aggregate is one ``bincount`` over the bins seed*d + column.
+    These are the bits of the dense round (zero-filled updates, memories
+    ``carried - updates``, node sums ``agg += updates[:, i]`` in node
+    order):
+
+    - ``bincount`` adds each bin's weights in input order, starting from
+      +0.0.  The sent positions come row by row, node-major, so each bin
+      adds its nodes in node order.
+    - The dense loop also added +0.0 for every entry a node did not send.
+      Adding +0.0 leaves every partial sum unchanged, because no sent value
+      is -0.0 (each is ``x + 0.0``), so no partial sum is -0.0.
+    - An unsent memory entry ``x - 0.0`` is ``x``; a sent one is the
+      dense subtraction itself, once, as a row keeps distinct indices.
     """
     seeds, n, d = memories.shape
     grads = obj.grad_rows(weights, picks)
     use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
     carried = grads + memories if use_memory else grads
-    updates = spec.apply_rows(
-        carried.reshape(seeds * n, d), targets.reshape(seeds * n, -1)
-    ).reshape(seeds, n, d)
+    kept = spec.select_rows(carried.reshape(seeds * n, d), targets.reshape(seeds * n, -1))
+    sent, bins = kept + _row_offsets(seeds, n, d)  # bins seed*d + column, node-major
+    values = carried.flat[sent] + 0.0
     if use_memory:
-        memories = carried - updates
-    agg = np.zeros((seeds, d))
-    for i in range(n):  # fixed node order: deterministic reduction
-        agg += updates[:, i]
+        carried.flat[sent] -= values
+        memories = carried
+    agg = np.bincount(bins.ravel(), weights=values.ravel(), minlength=seeds * d).reshape(seeds, d)
     agg /= n
     if cfg.aggregation == UNBIASED_RESCALE:
         agg *= spec.unbiased_rescale(d)
-    return grads, updates, memories, weights - learning_rate(cfg.eta, t) * agg
+    return grads, sent, values, memories, weights - learning_rate(cfg.eta, t) * agg
 
 
 def _check_finite(t, weights, new_weights) -> None:
@@ -278,12 +308,14 @@ def sgd_round(
     picks, targets = _draw_rounds(nodes, spec, cfg.batch_size, obj.d, 1)
     weights = np.asarray(w, dtype=float)[None]
     before = np.array([[node.memory for node in nodes]])
-    grads, updates, memories, new_weights = _exchange(
+    grads, sent, values, memories, new_weights = _exchange(
         obj, spec, cfg, t, weights, before, picks, targets
     )
     for node, memory in zip(nodes, memories[0]):
         node.memory = memory
     if trace is not None:
+        updates = np.zeros(before.shape)
+        updates.flat[sent] = values
         trace["gradients"], trace["memories_before"], trace["updates"] = (
             list(grads[0]), list(before[0]), list(updates[0])
         )
@@ -319,7 +351,7 @@ def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int], final_only: bool) -
             picks = picks.reshape(rounds, *shape, -1)
             targets = targets.reshape(rounds, *shape, -1)
             for t in range(start, start + rounds):
-                _, _, memories, new_weights = _exchange(
+                _, _, _, memories, new_weights = _exchange(
                     obj, spec, cfg, t, weights, memories, picks[t - start], targets[t - start]
                 )
                 _check_finite(t, weights, new_weights)

@@ -88,6 +88,25 @@ def _top_rows(w: np.ndarray, r: int) -> np.ndarray:
     return top.T
 
 
+def _check_targets(targets: np.ndarray, window: int) -> None:
+    """Raise ValueError, naming the first bad swap target in row-major
+    order, unless every target is an integer with i <= targets[:, i] <
+    window, the range ``SparsifierSpec.swap_targets`` draws from.  A
+    negative target would wrap around and a target below i would undo an
+    earlier swap, both silently."""
+    if targets.dtype.kind not in "iu":
+        raise ValueError(
+            f"swap target {targets[0, 0]} (row 0, swap 0) is not an integer: "
+            f"targets of dtype {targets.dtype}"
+        )
+    bad = (targets < np.arange(targets.shape[1])) | (targets >= window)
+    if np.count_nonzero(bad):  # a fraction of ``bad.any()``'s cost on small arrays
+        row, i = np.argwhere(bad)[0]
+        raise ValueError(
+            f"swap target {targets[row, i]} (row {row}, swap {i}) outside [{i}, {window})"
+        )
+
+
 def _fisher_yates(pools: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Row-wise partial Fisher-Yates: swap i exchanges position i of each
     row of ``pools`` with position ``targets[row, i]``.  Returns the first
@@ -291,18 +310,21 @@ class SparsifierSpec:
         """Row-wise ``apply`` as an (n, entries) array of the indices each
         row keeps, in selection order, exact zeros included; row t uses the
         swap targets ``targets[t]`` (see ``swap_targets``), so ``targets``
-        must be (n, k), or (n, 0) for top-r."""
+        must be (n, k) integers with i <= ``targets[:, i]`` < window, or
+        (n, 0) for top-r; anything else is a ValueError."""
         return self._select_rows(_as_rows(w), targets)
 
     def _select_rows(self, w: np.ndarray, targets: np.ndarray) -> np.ndarray:
         n, d = w.shape
         window = self.window(d)
         need = (n, 0 if self.kind == "top_r" else self.k)
-        shape = np.shape(targets)
-        if shape != need:  # a broadcast row of targets would tie the rows' picks
+        targets = np.asarray(targets)
+        if targets.shape != need:  # a broadcast row of targets would tie the rows' picks
             raise ValueError(
-                f"swap targets of shape {shape} for rows of shape {w.shape}; need {need}"
+                f"swap targets of shape {targets.shape} for rows of shape {w.shape}; need {need}"
             )
+        if targets.size:
+            _check_targets(targets, window)
         if self.kind == "random_k":
             return _fisher_yates(np.broadcast_to(np.arange(d), (n, d)), targets)
         top = _top_rows(w, window)

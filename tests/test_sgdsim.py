@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from sparsecomm import sgdsim
+from sparsecomm.harness import parse_spec_string
 from sparsecomm.objectives import (
     LogisticObjective,
+    QuadraticObjective,
     make_concentrated_quadratic,
     make_logistic,
     make_quadratic,
@@ -103,6 +105,21 @@ class TestObjectives:
             e[j] = h
             numeric = (obj.loss(w + e) - obj.loss(w - e)) / (2 * h)
             assert g[j] == pytest.approx(numeric, abs=5e-5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 64, 500])
+    def test_quadratic_grad_rows_is_grad_minibatch_per_row(self, d):
+        # d = 1 with B >= 8 is where numpy's mean sums the batch pairwise
+        obj = make_quadratic(d, n_samples=40, noise_std=1.0, seed=d)
+        rng = substream(70, d)
+        for seeds, n in ((1, 1), (1, 5), (5, 5), (3, 8)):
+            weights = rng.normal(size=(seeds, d))
+            for batch in (1, 2, 3, 8, 9, 16, 17, 33):
+                picks = rng.integers(0, obj.n_samples, size=(seeds, n, batch))
+                rows = obj.grad_rows(weights, picks)
+                assert rows.shape == (seeds, n, d)
+                for s, i in itertools.product(range(seeds), range(n)):
+                    lone = obj.grad_minibatch(weights[s], picks[s, i])
+                    assert rows[s, i].tobytes() == lone.tobytes(), (seeds, n, batch, s, i)
 
     def test_minibatch_gradient_is_unbiased(self):
         obj = make_quadratic(6, n_samples=128, noise_std=1.0, seed=7)
@@ -463,6 +480,137 @@ class TestLockstep:
         with pytest.raises(NonFiniteState) as caught:
             compare_sparsifiers(obj, cfg, [cfg.sparsifier], seeds)
         assert str(caught.value) == lone_errors[0]
+
+
+class PlantedGradients(QuadraticObjective):
+    """A quadratic (unit diagonal, zero samples) whose ``grad_rows``
+    returns a fresh copy of planted (S, n, d) gradients."""
+
+    def __init__(self, grads):
+        super().__init__(np.ones(grads.shape[2]), np.zeros((4 * grads.shape[1], grads.shape[2])))
+        self.planted = grads
+
+    def grad_rows(self, weights, picks):
+        return self.planted.copy()
+
+
+def dense_exchange(spec, cfg, t, weights, memories, grads, targets):
+    """The dense round the sparse exchange replaces: ``apply_rows`` for the
+    updates, ``carried - updates`` for the memories and ``agg +=
+    updates[:, i]`` in node order.  Returns updates, memories, weights."""
+    seeds, n, d = memories.shape
+    use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
+    carried = grads + memories if use_memory else grads
+    updates = spec.apply_rows(
+        carried.reshape(seeds * n, d), targets.reshape(seeds * n, -1)
+    ).reshape(seeds, n, d)
+    if use_memory:
+        memories = carried - updates
+    agg = np.zeros((seeds, d))
+    for i in range(n):
+        agg += updates[:, i]
+    agg /= n
+    if cfg.aggregation == UNBIASED_RESCALE:
+        agg *= spec.unbiased_rescale(d)
+    return updates, memories, weights - learning_rate(cfg.eta, t) * agg
+
+
+def assert_same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    assert ours.shape == theirs.shape
+    assert np.array_equal(ours, theirs)
+    assert np.array_equal(np.signbit(ours), np.signbit(theirs))  # signed zeros too
+
+
+def planted_state(rng, seeds, n, d):
+    """Gradients and memories over 16 orders of magnitude, so the order of
+    a sum shows in its bits, with signed zeros planted at the same entries
+    of both: a carried entry there is -0.0 exactly when both zeros are."""
+    grads = rng.normal(size=(seeds, n, d)) * 10.0 ** rng.integers(-8, 9, size=(seeds, n, d))
+    memories = rng.normal(size=(seeds, n, d)) * 10.0 ** rng.integers(-8, 9, size=(seeds, n, d))
+    zeros = rng.random((seeds, n, d)) < 0.4
+    grads[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    memories[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return grads, memories
+
+
+EXCHANGE_CASES = [
+    # d = 1: n >= 8 nodes, where a pairwise node sum would give other bits;
+    # every spec there has r = d or k = d
+    *[(1, n, spec) for n in (8, 9) for spec in ("top:1", "random:1", "rtop:4:1")],
+    # d = 6: top-r and rtop-k windows holding signed zeros, r = d, k = d
+    *[(6, 3, spec) for spec in ("top:4", "top:6", "rtop:4:2", "rtop:6:3", "random:2", "random:6")],
+]
+
+
+class TestExchange:
+    """``_exchange`` works on the sent entries only; it must give the bits
+    of the dense round it replaced."""
+
+    @pytest.mark.parametrize("seeds", [1, 3])
+    @pytest.mark.parametrize("aggregation", [ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE])
+    @pytest.mark.parametrize("d,n,spec", EXCHANGE_CASES)
+    def test_matches_dense_round(self, d, n, spec, aggregation, seeds):
+        spec = parse_spec_string(spec, d, n)
+        rng = substream(50, d, n, seeds)
+        cfg = TrainConfig(n=n, steps=1, sparsifier=spec, eta=0.3, aggregation=aggregation)
+        for t in range(5):
+            grads, memories = planted_state(rng, seeds, n, d)
+            weights = rng.normal(size=(seeds, d))
+            targets = spec.swap_targets(rng, d, seeds * n).reshape(seeds, n, -1)
+            obj = PlantedGradients(grads)
+            before = memories.copy()
+            got_grads, sent, values, new_memories, new_weights = sgdsim._exchange(
+                obj, spec, cfg, t, weights, memories, None, targets
+            )
+            updates, want_memories, want_weights = dense_exchange(
+                spec, cfg, t, weights, before, grads, targets
+            )
+            assert_same_bits(got_grads, grads)
+            assert_same_bits(memories, before)  # the caller's memories are not written
+            assert_same_bits(new_memories, want_memories)
+            assert_same_bits(new_weights, want_weights)
+            rebuilt = np.zeros(updates.shape)
+            rebuilt.flat[sent] = values
+            assert_same_bits(rebuilt, updates)
+
+    @pytest.mark.parametrize("aggregation", [ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE])
+    @pytest.mark.parametrize("d,n,spec", EXCHANGE_CASES)
+    def test_sgd_round_trace_matches_dense_round(self, d, n, spec, aggregation):
+        spec = parse_spec_string(spec, d, n)
+        rng = substream(51, d, n)
+        grads, memories = planted_state(rng, 1, n, d)
+        obj = PlantedGradients(grads)
+        cfg = TrainConfig(n=n, steps=1, sparsifier=spec, eta=0.3, aggregation=aggregation, seed=8)
+        nodes, twins = make_nodes(obj, cfg), make_nodes(obj, cfg)
+        for node, memory in zip(nodes, memories[0]):
+            node.memory = memory.copy()
+        targets = np.stack([spec.swap_targets(twin.selection_rng, d, 1) for twin in twins], axis=1)
+        w = rng.normal(size=d)
+        trace = {}
+        new_w, _ = sgd_round(nodes, obj, w, cfg, 0, trace=trace)
+        updates, want_memories, want_weights = dense_exchange(
+            spec, cfg, 0, w[None], memories, grads, targets
+        )
+        assert_same_bits(trace["gradients"], grads[0])
+        assert_same_bits(trace["memories_before"], memories[0])
+        assert_same_bits(trace["updates"], updates[0])
+        assert_same_bits([node.memory for node in nodes], want_memories[0])
+        assert_same_bits(new_w, want_weights[0])
+
+    def test_training_builds_no_dense_updates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_rows called")
+
+        monkeypatch.setattr(SparsifierSpec, "apply_rows", refuse)
+        obj = make_quadratic(12, n_samples=60, noise_std=0.7, seed=31)
+        for aggregation in (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE):
+            for make in SPECS.values():
+                cfg = TrainConfig(
+                    n=3, steps=5, batch_size=2, eta=0.05, aggregation=aggregation,
+                    sparsifier=make(obj.d),
+                )
+                train_seeds(obj, cfg, [1, 2])
 
 
 class TestSchedules:

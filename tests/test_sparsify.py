@@ -391,6 +391,43 @@ class TestRowwiseSelection:
             with pytest.raises(ValueError, match=shapes):
                 spec.apply_rows(w, targets)
 
+    def test_targets_must_lie_in_their_swap_range(self):
+        # swap i draws from [i, window): a negative target would wrap around,
+        # one below i would undo an earlier swap, and one past the window or
+        # a float would fail inside numpy's indexing
+        w = np.arange(1.0, 17.0).reshape(2, 8)
+        random, rtop = SparsifierSpec.random(2), SparsifierSpec.rtop(4, 2)
+        cases = [
+            (random, [[0, 1], [-1, -1]], "swap target -1 (row 1, swap 0) outside [0, 8)"),
+            (rtop, [[0, 0], [0, 1]], "swap target 0 (row 0, swap 1) outside [1, 4)"),
+            (rtop, [[0, 3], [4, 1]], "swap target 4 (row 1, swap 0) outside [0, 4)"),
+            (random, [[0, 8], [0, 1]], "swap target 8 (row 0, swap 1) outside [1, 8)"),
+            # r caps at d: the window is 8, not 20
+            (
+                SparsifierSpec.rtop(20, 2), [[0, 1], [8, 1]],
+                "swap target 8 (row 1, swap 0) outside [0, 8)",
+            ),
+            (
+                random, np.array([[0.0, 1.0], [2.0, 3.0]]),
+                "swap target 0.0 (row 0, swap 0) is not an integer: targets of dtype float64",
+            ),
+        ]
+        for spec, targets, message in cases:
+            for call in (spec.select_rows, spec.apply_rows):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call(w, targets)
+
+    def test_targets_at_their_range_ends_are_accepted(self):
+        w = np.arange(1.0, 17.0).reshape(2, 8)
+        spec = SparsifierSpec.random(2)
+        for targets in ([[0, 1], [7, 7]], np.array([[0, 1], [7, 7]], dtype=np.uint8)):
+            kept = spec.select_rows(w, targets)
+            assert kept.tolist() == [[0, 1], [7, 0]]
+            expected = np.zeros((2, 8))
+            expected[0, [0, 1]] = [1.0, 2.0]
+            expected[1, [7, 0]] = [16.0, 9.0]
+            assert np.array_equal(spec.apply_rows(w, targets), expected)
+
 
 class TestSparsifierSpec:
     def test_labels_and_budgets(self):
