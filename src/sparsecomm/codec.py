@@ -12,12 +12,12 @@ dominates the looser rule of thumb ``(k - log d) / log d`` and can be 0 for
 very small budgets, in which case the config is flagged degenerate (the
 payload can only name the empty set).
 
-Scalar and batch functions run the same algorithms and read one cached
-comb table (built by Pascal's rule) and one cached table of class offsets:
-the batch paths index the table as an array, the scalar paths read its
-rows (one per popcount class) as Python tuples, so a rank is a sum of
-table entries and each unrank step is a binary search in one
-nondecreasing row (Cover's enumerative code).
+Scalar and batch functions read one cached comb table (built by Pascal's
+rule) and one cached table of class offsets, so a rank is a sum of table
+entries and each unrank step is a binary search in one nondecreasing row
+(Cover's enumerative code).  There is one unrank loop, ``_unrank_rows``:
+:func:`decode_batch` runs it on all its rows, and :func:`unrank_sparse`
+(so :func:`decode` too) on one.
 
 The message rule is stated once, in :func:`_check_message`, which
 :func:`decode` and :func:`serialize` call; :func:`decode_batch` is its array form.
@@ -31,7 +31,6 @@ support, which that class has already checked.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -111,14 +110,14 @@ def _comb_table(d: int, kprime: int) -> np.ndarray:
 @lru_cache(maxsize=_TABLES_CACHED)
 def _comb_columns(d: int, kprime: int) -> tuple[tuple[int, ...], ...]:
     """The rows of :func:`_comb_table` as tuples of Python ints, so
-    ``cols[j][c] == comb(c, j)``; the scalar rank/unrank loops read these."""
+    ``cols[j][c] == comb(c, j)``; the scalar rank loop reads these."""
     return tuple(map(tuple, _comb_table(d, kprime).tolist()))
 
 
 @lru_cache(maxsize=_TABLES_CACHED)
 def _class_offset_ints(d: int, kprime: int) -> tuple[int, ...]:
     """:func:`_class_offsets` as a tuple of Python ints, so the scalar
-    paths index and bisect it without comparing numpy scalars."""
+    rank and message checks index it without comparing numpy scalars."""
     return tuple(_class_offsets(d, kprime).tolist())
 
 
@@ -242,28 +241,17 @@ def _rank_sum(support: list[int], d: int, kprime: int) -> int:
 
 
 def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
-    """Inverse of :func:`rank_sparse` over the full codebook.  The rank must
-    be an integer; floats and bools raise ``TypeError``."""
+    """Inverse of :func:`rank_sparse`: one row of ``_unrank_rows``.  The rank
+    must be an integer; floats and bools raise ``TypeError``."""
     if rank.__class__ is bool:
         raise TypeError("rank must be an integer, not bool")
     rank = operator.index(rank)
-    offsets = _class_offset_ints(d, kprime)
+    offsets = _class_offsets(d, kprime)
     if rank < 0 or rank >= offsets[-1]:
         raise RankOutOfRange(f"rank {rank} outside codebook of size {offsets[-1]}")
-    m = bisect.bisect_right(offsets, rank) - 1  # popcount class of the rank
-    rem = rank - offsets[m]
-    cols = _comb_columns(d, kprime)
-    support: list[int] = []
-    ceiling = d  # candidates are strictly below the previously chosen index
-    for i in range(m - 1, -1, -1):
-        # the largest c < ceiling with comb(c, i + 1) <= rem
-        col = cols[i + 1]
-        c = bisect.bisect_right(col, rem, 0, ceiling) - 1
-        support.append(c)
-        rem -= col[c]
-        ceiling = c
-    support.reverse()
-    return support
+    m = offsets.searchsorted(rank, side="right") - 1  # popcount class of the rank
+    rem = np.array([rank - offsets[m]], dtype=offsets.dtype)
+    return np.flatnonzero(_unrank_rows(np.array([m]), rem, d, kprime)).tolist()
 
 
 def _kept_positions(
@@ -402,9 +390,9 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 # an exact codec decodes each transcript to the count and kept support it
 # came from, which c1, CodecRoundtrip (through ``encode_batch`` and
 # ``decode_batch``) and the codec tests check.  Exhaustive and property
-# tests pin the batch paths to the scalar functions, and the packed layout
-# to the dense one.  Ranks take the dtype of the cached tables, int64 or
-# Python ints, so one code path serves every codebook size.
+# tests pin the batch paths to the scalar functions and to math.comb
+# oracles, the packed layout to the dense one.  Ranks take the tables'
+# dtype, int64 or Python ints, so one code path serves every codebook size.
 
 
 def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
@@ -570,24 +558,29 @@ def decode_batch(
     if bad.any():
         row = int(bad.argmax())
         raise _malformed(int(counts[row]), int(payloads[row]), cfg)
-    # Unrank the i-th ones of all rows holding more than i ones at once;
-    # with rows sorted by popcount, descending, those rows are a prefix.
+    return _unrank_rows(e, np.asarray(payloads, dtype=offsets.dtype) - low, d, kprime)
+
+
+def _unrank_rows(e: np.ndarray, rem: np.ndarray, d: int, kprime: int) -> np.ndarray:
+    """(rows, d) supports of the in-class ranks ``rem`` (tables' dtype) of
+    popcount classes ``e``.  Step i unranks the i-th ones of all rows holding
+    more than i ones; sorted by popcount, descending, they are a prefix."""
     order = np.argsort(-e, kind="stable")
-    rem = (np.asarray(payloads, dtype=offsets.dtype) - low)[order]
+    rem = rem[order]
     starts = order * d
-    holding = np.cumsum(np.bincount(e, minlength=kprime + 1)[::-1])[::-1]
+    holding = np.cumsum(np.bincount(e)[::-1])[::-1]  # up to the widest row's class
     table = _comb_table(d, kprime)
-    flat = np.zeros(counts.size * d, dtype=bool)
-    for i in range(kprime - 1, 0, -1):
+    flat = np.zeros(e.size * d, dtype=bool)
+    for i in range(holding.size - 2, 0, -1):
         active = holding[i + 1]
         col = table[i + 1, :d]
-        c = np.searchsorted(col, rem[:active], side="right") - 1
+        c = col.searchsorted(rem[:active], side="right") - 1
         flat[starts[:active] + c] = True
         rem[:active] -= col[c]
-    if kprime:  # the last one of each row is its remainder: comb(c, 1) == c
+    if holding.size > 1:  # the last one of each row is its remainder: comb(c, 1) == c
         active = holding[1]
         flat[starts[:active] + rem[:active].astype(np.intp, copy=False)] = True
-    return flat.reshape(counts.size, d)
+    return flat.reshape(e.size, d)
 
 
 def _field_array(values, dtype) -> np.ndarray:

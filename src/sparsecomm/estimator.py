@@ -1,36 +1,35 @@
 """Decoder-side unbiased mean estimation and Monte Carlo risk evaluation.
 
-The estimator averages reweighted subsampled supports: each node's decoded
-support is multiplied by count / kprime when its count exceeded kprime,
-else by 1, which makes the average unbiased for the mean parameter.
-Components are not clipped into the parameter range by default, since
-clipping would trade the unbiasedness away.
+The one estimator, :func:`reweight`, averages reweighted subsampled
+supports: each node's decoded support is multiplied by count / kprime when
+its count exceeded kprime, else by 1, which makes the average unbiased for
+the mean parameter.  Components are not clipped into the parameter range,
+since clipping would trade the unbiasedness away.
 
 Risk is evaluated by Monte Carlo over sample-subsample-estimate rounds,
 composed of the model's matrix stages, the codec's selection rule (the
 kept support that :func:`~sparsecomm.codec.encode_batch` ranks, here
-applied to each row's packed hit keys) and the :func:`reweight` that
-scalar :func:`estimate` also uses.  Past sampling, the trials work on the
-flat indices of the hits, not on (rows, d) matrices.  They skip the rank
-and unrank steps: the codec is exact, so a transcript decodes to the
-count and kept support it was built from, which c1, CodecRoundtrip and
-the codec tests check.  Reference curves for the achievable and
-unavoidable risk are closed-form bounds with explicit validity regimes.
+applied to each row's packed hit keys) and :func:`reweight`.  Past
+sampling, the trials work on the flat indices of the hits, not on (rows,
+d) matrices.  They skip the rank and unrank steps: the codec is exact, so
+a transcript decodes to the count and kept support it was built from,
+which c1, CodecRoundtrip and the codec tests check.  Reference curves for
+the achievable and unavoidable risk are closed-form bounds with explicit
+validity regimes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .codec import CodecConfig, SubsampledObservation, _keep_largest_packed, ceil_log2
+from .codec import CodecConfig, _keep_largest_packed, ceil_log2
 # encode_batch and decode_batch stay importable here: bench/tracing.py wraps them by these names
 from .codec import decode_batch, encode_batch  # noqa: F401
 from .model import (
-    PLAIN,
     SCALED,
     SIGNED,
     ParamVector,
@@ -46,10 +45,6 @@ class DegenerateCodec(ValueError):
     """The codec cannot carry any support index (kprime == 0)."""
 
 
-class EmptyInput(ValueError):
-    """No decoded observations were supplied."""
-
-
 def reweight(
     kept: np.ndarray,
     counts: np.ndarray,
@@ -58,18 +53,23 @@ def reweight(
     signs: Optional[np.ndarray] = None,
     nodes: int = 1,
 ) -> np.ndarray:
-    """Average the reweighted decoded supports of ``counts.size`` rows over
-    each run of ``nodes`` consecutive rows, giving (rows // nodes, d).
+    """The estimator: average the reweighted decoded supports of
+    ``counts.size`` rows over each run of ``nodes`` consecutive rows, giving
+    (rows // nodes, d); a scaled estimand is this times its scale.
 
-    ``kept`` holds the flat indices ``row * d + column`` of the kept ones,
-    with the rows in ascending order.  Each kept one weighs
+    ``kept`` holds the flat indices ``row * d + column`` of the decoded
+    supports' ones, with the rows in ascending order.  Each kept one weighs
     ``count / kprime`` when its row's count exceeded ``kprime``, else 1,
     times its sign when ``signs`` (one per kept one) is given.  The
     weights are summed into each run's total in row order, from +0.0, as
     ``mean`` along the rows of the dense weighted supports would add
     them, and the totals divided by ``nodes``; with ``nodes=1`` the result
-    is each row's weighted support.
+    is each row's weighted support.  kprime < 1 is a ``DegenerateCodec``.
     """
+    if kprime < 1:
+        raise DegenerateCodec(f"kprime={kprime}: no support survives encoding")
+    if nodes < 1:
+        raise ValueError(f"need at least one node per run, got nodes={nodes}")
     runs, rest = divmod(counts.size, nodes)
     if rest:
         raise ValueError(f"{counts.size} rows do not split into runs of {nodes}")
@@ -79,55 +79,6 @@ def reweight(
         weights *= signs
     sums = np.bincount(rows // nodes * d + cols, weights, minlength=runs * d)
     return sums.reshape(runs, d) / nodes
-
-
-def estimate(
-    decoded: Sequence[SubsampledObservation],
-    cfg: CodecConfig,
-    variant: str = PLAIN,
-    scale: float = 1.0,
-    clip: bool = False,
-) -> np.ndarray:
-    """Average the reweighted decoded supports into a mean estimate.
-
-    For the signed variant each decoded observation must carry signs; for
-    the scaled variant the result is multiplied by ``scale``.  With
-    ``clip=True`` the estimate is clamped into the parameter range after
-    averaging (off by default; it biases the estimator).  A support must
-    name each index at most once.
-    """
-    if cfg.degenerate:
-        raise DegenerateCodec("config has kprime=0; no support survives encoding")
-    if len(decoded) == 0:
-        raise EmptyInput("need at least one decoded observation")
-    d = cfg.d
-    counts = np.empty(len(decoded), dtype=np.int64)
-    kept = []
-    signs = [np.empty(0)] if variant == SIGNED else None  # concatenable with no signs
-    for row, sub in enumerate(decoded):
-        sup = sub.support
-        if sub.d != d or sub.original_count < 0:
-            raise ValueError(f"need dimension {d} and a nonnegative count")
-        if sup.size and (sup.min() < 0 or sup.max() >= d):
-            raise ValueError(f"support index outside [0, {d})")
-        if np.unique(sup).size < sup.size:
-            raise ValueError("support names an index twice")
-        kept.append(sup + row * d)
-        counts[row] = sub.original_count
-        if signs is not None and sup.size:
-            if sub.signs is None or sub.signs.shape != sup.shape:
-                raise ValueError("signed estimation requires one sign per support index")
-            signs.append(sub.signs)
-    if signs is not None:
-        signs = np.concatenate(signs)
-    theta_hat = reweight(np.concatenate(kept), counts, cfg.kprime, d, signs, len(decoded))[0]
-    if variant == SCALED:
-        theta_hat *= scale
-    if clip:
-        lo = -1.0 if variant == SIGNED else 0.0
-        hi = scale if variant == SCALED else 1.0
-        theta_hat = np.clip(theta_hat, lo, hi)
-    return theta_hat
 
 
 def hardest_param(d: int, s: float) -> ParamVector:

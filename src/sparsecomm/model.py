@@ -117,13 +117,6 @@ class Observation:
     def count(self) -> int:
         return int(self.support.size)
 
-    def indicator(self) -> np.ndarray:
-        """Dense vector of the binary (or signed binary) sample."""
-        x = np.zeros(self.d)
-        if self.support.size:
-            x[self.support] = 1.0 if self.signs is None else self.signs
-        return x
-
 
 @dataclass
 class ValidityReport:
@@ -179,14 +172,3 @@ def perturb_and_quantize(
         signs = np.where(y < 0, -1.0, 1.0)
     return np.abs(y) > 0.5, signs
 
-
-def poisson_binomial_moments(theta: ParamVector) -> tuple[float, float]:
-    """First and second moments of the support size ``||X||_1``.
-
-    With p_j = |theta_j|, the count is a sum of independent Bernoulli(p_j)
-    variables, so mean = sum p_j and E[count^2] = mean^2 + sum p_j (1 - p_j).
-    """
-    p = theta.probabilities()
-    mean = float(np.sum(p))
-    second = mean * mean + float(np.sum(p * (1.0 - p)))
-    return mean, second

@@ -105,8 +105,9 @@ class TrainConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.partition not in ("contiguous", "interleaved"):
             raise ValueError(f"unknown partition {self.partition!r}")
-        if self.n < 1 or self.steps < 1 or self.batch_size < 1:
-            raise ValueError("n, steps and batch_size must be positive")
+        for name, value in (("n", self.n), ("steps", self.steps), ("batch_size", self.batch_size)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         breakpoints = [(0, self.eta)] if isinstance(self.eta, (int, float)) else list(self.eta)
         starts = [start for start, _ in breakpoints]
         if any(isinstance(start, bool) or not isinstance(start, Integral) for start in starts):

@@ -5,11 +5,11 @@ largest-magnitude coordinates ("rtop-k"); top-r and random-k are its k=r
 and r=d extremes.  Ties in magnitude are always broken toward the lower
 index, so the deterministic part of every operator is reproducible.
 
-Every selection goes through one row kernel: ``SparsifierSpec.swap_targets``
-draws the Fisher-Yates swap targets, and ``_select_rows`` takes the top-r
-window of each row and applies the swaps.  ``top_r``, ``random_k``,
-``rtop_k`` and ``SparsifierSpec.apply`` are its one-row case, and
-``check_compression`` runs its trials through it.
+Every selection goes through one row operator: ``SparsifierSpec.swap_targets``
+draws the Fisher-Yates swap targets, and ``SparsifierSpec.select_rows`` takes
+each row's top-r window and applies the swaps, for all of an SGD round's
+nodes at once.  ``top_r``, ``random_k``, ``rtop_k`` and ``SparsifierSpec.apply``
+are its one-row case; ``check_compression`` runs its steps on its trials.
 
 The expected squared residual of rtop-k has the closed form
 ``(1 - k/r) * sum_{j<=r} w_(j)^2 + sum_{j>r} w_(j)^2`` over the
@@ -304,6 +304,8 @@ class SparsifierSpec:
         window = self.window(d)
         if self.kind == "top_r":
             return np.empty((rounds, 0), dtype=np.int64)
+        if rng is None:
+            raise ValueError(f"{self.kind} draws its swap targets: it needs a generator, not None")
         return rng.integers(np.tile(np.arange(self.k), rounds), window).reshape(rounds, self.k)
 
     def select_rows(self, w, targets: np.ndarray) -> np.ndarray:
@@ -330,13 +332,3 @@ class SparsifierSpec:
         top = _top_rows(w, window)
         return top if self.kind == "top_r" else _fisher_yates(top, targets)
 
-    def apply_rows(self, w, targets: np.ndarray) -> np.ndarray:
-        """Row-wise ``apply(...).to_dense()``: the kept entries of every row
-        scattered into zeros, exact zeros dropped (so no -0.0 enters);
-        ``targets`` is shaped as for ``select_rows``."""
-        w = _as_rows(w)
-        rows = np.arange(w.shape[0])[:, None]
-        kept = self._select_rows(w, targets)
-        out = np.zeros(w.shape)
-        out[rows, kept] = w[rows, kept] + 0.0  # -0.0 + 0.0 is +0.0: zeros stay unset
-        return out

@@ -13,23 +13,6 @@ import math
 import numpy as np
 
 
-def enumerate_count_moments(p) -> tuple[float, float]:
-    """E[S] and E[S^2] for S = sum of independent Bernoulli(p_j), by
-    enumerating all 2^d outcomes."""
-    p = list(map(float, p))
-    d = len(p)
-    mean = 0.0
-    second = 0.0
-    for bits in itertools.product((0, 1), repeat=d):
-        prob = 1.0
-        for b, pj in zip(bits, p):
-            prob *= pj if b else (1.0 - pj)
-        s = sum(bits)
-        mean += prob * s
-        second += prob * s * s
-    return mean, second
-
-
 def poisson_binomial_pmf(p) -> np.ndarray:
     """pmf of the number of successes among independent Bernoulli(p_j),
     by direct convolution."""

@@ -555,15 +555,27 @@ class TestBatchEquivalence:
                 decode_batch(counts, payloads, cfg)
 
     @pytest.mark.parametrize("d,k", [(4, 6), (8, 10), (10, 12)])
-    def test_batch_decode_matches_scalar_unrank(self, d, k):
+    def test_batch_decode_matches_comb_walk_unrank(self, d, k):
         cfg = make_config(d, k)
         ranks = np.arange(cfg.codebook, dtype=np.int64)
         counts = np.array([len(sup) for sup in colex_codebook(d, cfg.kprime)])
         mask = decode_batch(counts, ranks, cfg)
         for rank in ranks:
-            assert np.flatnonzero(mask[rank]).tolist() == unrank_sparse(
+            assert np.flatnonzero(mask[rank]).tolist() == comb_walk_unrank(
                 int(rank), d, cfg.kprime
             )
+
+    @pytest.mark.parametrize("widest", [0, 1, 2])
+    def test_batch_decode_below_kprime_matches_comb_walk_unrank(self, widest):
+        # the unrank loop stops at the widest row's popcount class, here below kprime
+        cfg = make_config(20, 18)
+        assert cfg.kprime > widest + 1
+        supports = colex_codebook(cfg.d, widest)
+        counts = np.array([len(sup) for sup in supports])
+        mask = decode_batch(counts, np.arange(len(supports), dtype=np.int64), cfg)
+        assert mask.shape == (len(supports), cfg.d)
+        for rank, row in enumerate(mask):
+            assert np.flatnonzero(row).tolist() == comb_walk_unrank(rank, cfg.d, cfg.kprime)
 
     def test_batch_subsampling_obeys_kept_size(self):
         cfg = make_config(8, 10)
@@ -610,7 +622,7 @@ class TestBatchEquivalence:
         for form in (payloads, np.array(payloads, dtype=object)):
             mask = decode_batch([64, 1], form, cfg)
             assert mask.sum(axis=1).tolist() == [64, 1]
-            assert np.flatnonzero(mask[1]).tolist() == unrank_sparse(5, 64, cfg.kprime)
+            assert np.flatnonzero(mask[1]).tolist() == comb_walk_unrank(5, 64, cfg.kprime)
         for bad in ([2**64 - 1, 5.0], [2**64 - 1, True], [1.0, 5], [True, 5]):
             for form in (bad, np.array(bad, dtype=object)):
                 with pytest.raises(MalformedMessage, match="must be integers"):
@@ -743,12 +755,12 @@ class TestCodecProperty:
         assert [int(p) for p in payloads] == [rank_sparse(sup, d, cfg.kprime) for sup in kept]
 
         ranks = [random.Random(seed + i).randrange(cfg.codebook) for i in range(rows)]
-        ones = [len(unrank_sparse(r, d, cfg.kprime)) for r in ranks]
+        ones = [len(comb_walk_unrank(r, d, cfg.kprime)) for r in ranks]
         decoded = decode_batch(
             np.concatenate([counts, ones]), np.array([*payloads, *ranks], dtype=object), cfg
         )
         assert [np.flatnonzero(row).tolist() for row in decoded] == kept + [
-            unrank_sparse(r, d, cfg.kprime) for r in ranks
+            comb_walk_unrank(r, d, cfg.kprime) for r in ranks
         ]
 
         for i in range(rows):

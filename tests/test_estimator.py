@@ -5,14 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsecomm.codec import (
-    SubsampledObservation,
-    decode,
-    decode_batch,
-    encode,
-    encode_batch,
-    make_config,
-)
+from sparsecomm.codec import decode_batch, encode_batch, make_config
 from sparsecomm.estimator import (
     _CHUNK_ELEMENTS,
     CENTRALIZED,
@@ -20,11 +13,9 @@ from sparsecomm.estimator import (
     UPPER_ACHIEVABLE,
     BoundCurve,
     DegenerateCodec,
-    EmptyInput,
     OutOfRegime,
     _trial_estimates,
     bound_value,
-    estimate,
     hardest_param,
     monte_carlo_mean,
     monte_carlo_risk,
@@ -34,7 +25,6 @@ from sparsecomm.model import (
     PLAIN,
     SCALED,
     SIGNED,
-    Observation,
     ParamVector,
     UniformPerturbation,
     perturb_and_quantize,
@@ -93,95 +83,37 @@ class TestReweight:
         with pytest.raises(ValueError, match="runs of 2"):
             reweight(np.arange(12), np.ones(3, dtype=np.int64), 1, 4, nodes=2)
 
-
-class TestEstimate:
-    def test_single_node_inverse_weighting(self):
-        cfg = make_config(8, 10)  # kprime=2
-        decoded = [SubsampledObservation(8, [1, 3], original_count=5)]
-        hat = estimate(decoded, cfg)
-        expected = np.zeros(8)
-        expected[[1, 3]] = 2.5  # 1 / (2/5)
-        assert np.allclose(hat, expected)
-
     def test_empty_message_halves_the_estimate(self):
-        cfg = make_config(8, 10)
-        decoded = [
-            SubsampledObservation(8, [], original_count=0),
-            SubsampledObservation(8, [1, 3], original_count=5),
-        ]
-        hat = estimate(decoded, cfg)
-        expected = np.zeros(8)
-        expected[[1, 3]] = 1.25
-        assert np.allclose(hat, expected)
+        # a run divides by its nodes, an empty message counted among them
+        mask = np.zeros((2, 8), dtype=bool)
+        mask[1, [1, 3]] = True
+        out = flat_reweight(mask, np.array([0, 5]), kprime=2, nodes=2)
+        expected = np.zeros((1, 8))
+        expected[0, [1, 3]] = 1.25
+        assert out.tolist() == expected.tolist()
 
-    def test_degenerate_config_rejected(self):
-        cfg = make_config(1024, 20)
-        with pytest.raises(DegenerateCodec):
-            estimate([SubsampledObservation(1024, [], original_count=3)], cfg)
+    def test_degenerate_kprime_rejected(self):
+        # kprime = 0 would divide each subsampled row's count by zero
+        for kprime in (0, -1):
+            with pytest.raises(DegenerateCodec, match=f"kprime={kprime}"):
+                reweight(np.array([], dtype=np.intp), np.array([3]), kprime, 4)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInput):
-            estimate([], make_config(8, 10))
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            estimate([SubsampledObservation(8, [1], original_count=-1)], make_config(8, 10))
-
-    def test_support_outside_dimension_rejected(self):
-        cfg = make_config(8, 10)
-        for support in ([-1], [8], [2, 9]):
-            with pytest.raises(ValueError, match="outside"):
-                estimate([SubsampledObservation(8, support, original_count=5)], cfg)
-
-    def test_repeated_support_index_rejected(self):
-        # a repeated index would add its weight twice
-        cfg = make_config(8, 10)
-        with pytest.raises(ValueError, match="twice"):
-            estimate([SubsampledObservation(8, [3, 1, 3], original_count=5)], cfg)
-
-    def test_signed_requires_signs(self):
-        cfg = make_config(8, 10)
-        decoded = [SubsampledObservation(8, [1], original_count=1)]
-        with pytest.raises(ValueError):
-            estimate(decoded, cfg, variant=SIGNED)
-
-    def test_signed_requires_one_sign_per_index(self):
-        cfg = make_config(8, 10)
-        for signs in ([-1], [1, -1, 1]):
-            decoded = [SubsampledObservation(8, [1, 3], original_count=2, signs=signs)]
-            with pytest.raises(ValueError, match="one sign per support index"):
-                estimate(decoded, cfg, variant=SIGNED)
-
-    def test_signed_and_scaled_weighting(self):
-        cfg = make_config(8, 10)
-        signed = [SubsampledObservation(8, [1, 3], original_count=5, signs=[-1, 1])]
-        hat = estimate(signed, cfg, variant=SIGNED)
-        assert hat[1] == pytest.approx(-2.5) and hat[3] == pytest.approx(2.5)
-        plain = [SubsampledObservation(8, [2], original_count=1)]
-        hat = estimate(plain, cfg, variant=SCALED, scale=4.0)
-        assert hat[2] == pytest.approx(4.0)
-
-    def test_components_may_exceed_one_without_clip(self):
-        cfg = make_config(8, 10)
-        decoded = [SubsampledObservation(8, [0, 1], original_count=8)]
-        hat = estimate(decoded, cfg)
-        assert hat[0] == pytest.approx(4.0)
-        clipped = estimate(decoded, cfg, clip=True)
-        assert clipped[0] == 1.0
+    def test_nodes_must_be_positive(self):
+        for nodes in (0, -2):
+            with pytest.raises(ValueError, match=f"nodes={nodes}"):
+                reweight(np.array([1]), np.array([1, 2]), 1, 4, nodes=nodes)
 
     def test_centralized_limit_is_exact_sample_mean(self):
         # kprime >= d: nothing is ever dropped, the estimate is the mean.
         d = 6
-        cfg = make_config(d, cfg_k := (3 + d))  # header=3, payload=6 -> kprime=6
+        cfg = make_config(d, 3 + d)  # header=3, payload=6 -> kprime=6
         assert cfg.kprime == d
         theta = ParamVector([0.3, 0.8, 0.1, 0.5, 0.0, 1.0], s=3)
         rng = substream(11)
         hits, _ = sample_rows(theta, rng.random((40, d)))
-        observations = [Observation(d, np.flatnonzero(row)) for row in hits]
-        decoded = [decode(encode(o, cfg, rng), cfg) for o in observations]
-        hat = estimate(decoded, cfg)
-        mean = np.mean([o.indicator() for o in observations], axis=0)
-        assert np.array_equal(hat, mean)
+        counts, payloads, _ = encode_batch(hits, cfg, rng.random(hits.shape))
+        hat = flat_reweight(decode_batch(counts, payloads, cfg), counts, cfg.kprime, nodes=40)
+        assert np.array_equal(hat[0], hits.mean(axis=0))
 
 
 class TestHardestParam:
@@ -205,23 +137,19 @@ class TestHardestParam:
 
 
 def unbiasedness_probe(theta, cfg, n, trials, seed):
-    """Componentwise Monte Carlo mean of the estimate via the scalar API:
-    rows from ``sample_rows``, then scalar encode, decode and estimate."""
+    """Componentwise Monte Carlo mean of the estimate through the codec:
+    rows from ``sample_rows``, then ``encode_batch``, ``decode_batch`` and
+    ``reweight``."""
     rng = substream(seed)
     total = np.zeros(cfg.d)
     total_sq = np.zeros(cfg.d)
     for _ in range(trials):
         hits, signs = sample_rows(theta, rng.random((n, cfg.d)))
-        decoded = []
-        for row in hits:
-            obs = Observation(cfg.d, np.flatnonzero(row))
-            sub = decode(encode(obs, cfg, rng), cfg)
-            if signs is not None:
-                sub = SubsampledObservation(
-                    sub.d, sub.support, sub.original_count, signs[sub.support]
-                )
-            decoded.append(sub)
-        hat = estimate(decoded, cfg, variant=theta.variant, scale=theta.scale)
+        counts, payloads, _ = encode_batch(hits, cfg, rng.random(hits.shape))
+        mask = decode_batch(counts, payloads, cfg)
+        hat = flat_reweight(mask, counts, cfg.kprime, signs, nodes=n)[0]
+        if theta.variant == SCALED:
+            hat *= theta.scale
         total += hat
         total_sq += hat * hat
     mean = total / trials
@@ -407,23 +335,8 @@ class TestKernelWorkingSet:
         assert peak <= 768 * 1024
 
 
-def as_observations(mask, counts, signs):
-    """A decoded batch as SubsampledObservations, with the signs (a
-    per-coordinate vector or a per-row matrix) read at each support."""
-    signs = None if signs is None else np.broadcast_to(signs, mask.shape)
-    return [
-        SubsampledObservation(
-            mask.shape[1],
-            np.flatnonzero(kept),
-            int(count),
-            None if signs is None else signs[r, kept],
-        )
-        for r, (kept, count) in enumerate(zip(mask, counts))
-    ]
-
-
-class TestScalarEstimateMatchesKernel:
-    """Scalar ``estimate`` on trial 0's decoded rows gives the kernel's bits.
+class TestDecodedTranscriptsMatchKernel:
+    """``reweight`` of trial 0's decoded rows gives the kernel's bits.
 
     The kernel takes each row's kept support from the codec's selection rule
     without ranking it; here the rows go through ``encode_batch`` and
@@ -446,8 +359,10 @@ class TestScalarEstimateMatchesKernel:
                 noise = rng.uniform(-halfwidth, halfwidth, (n, d))
                 hits, signs = perturb_and_quantize(hits, signs, noise)
             counts, payloads, _ = encode_batch(hits, cfg, rng.random((n, d)))
-            decoded = as_observations(decode_batch(counts, payloads, cfg), counts, signs)
-            hat = estimate(decoded, cfg, variant=variant, scale=theta.scale)
+            mask = decode_batch(counts, payloads, cfg)
+            hat = flat_reweight(mask, counts, cfg.kprime, signs, nodes=n)[0]
+            if variant == SCALED:
+                hat *= theta.scale
             assert hat.tobytes() == kernel[0].tobytes(), seed
 
 

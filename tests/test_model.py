@@ -14,13 +14,10 @@ from sparsecomm.model import (
     ParamVector,
     UniformPerturbation,
     perturb_and_quantize,
-    poisson_binomial_moments,
     sample_rows,
     validate_param,
 )
 from sparsecomm.seeding import substream
-
-from oracles import enumerate_count_moments
 
 
 class TestValidateParam:
@@ -149,39 +146,6 @@ class TestQuantize:
             UniformPerturbation(halfwidth=0.51)
 
 
-class TestCountMoments:
-    def test_deterministic_count(self):
-        assert poisson_binomial_moments(ParamVector([1.0, 1.0, 1.0], s=3)) == (3.0, 9.0)
-
-    def test_two_fair_coins(self):
-        # brute force over the 4 outcomes: E[S^2] = 0/4 + 1/2 + 4/4 = 1.5
-        mean, second = poisson_binomial_moments(ParamVector([0.5, 0.5], s=1))
-        assert mean == pytest.approx(1.0, abs=1e-15)
-        assert second == pytest.approx(1.5, abs=1e-15)
-
-    def test_three_coin_example(self):
-        mean, second = poisson_binomial_moments(ParamVector([0.2, 0.3, 0.5], s=1))
-        assert mean == pytest.approx(1.0, abs=1e-12)
-        assert second == pytest.approx(1.62, abs=1e-12)
-
-    def test_signed_uses_magnitudes(self):
-        mean, second = poisson_binomial_moments(
-            ParamVector([-0.2, 0.3, -0.5], s=1, variant=SIGNED)
-        )
-        assert (mean, second) == (pytest.approx(1.0), pytest.approx(1.62))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
-    )
-    def test_matches_exhaustive_enumeration(self, probs):
-        theta = ParamVector(probs, s=max(1.0, sum(probs)))
-        mean, second = poisson_binomial_moments(theta)
-        ref_mean, ref_second = enumerate_count_moments(probs)
-        assert mean == pytest.approx(ref_mean, abs=1e-12)
-        assert second == pytest.approx(ref_second, abs=1e-12)
-
-
 @st.composite
 def integer_supports(draw):
     """(d, support): an integer array of any dtype, either a sorted subset of
@@ -217,6 +181,14 @@ class TestObservationInvariants:
                 Observation(8, support)
         assert Observation(8, np.array([1, 3], dtype=np.uint8)).support.tolist() == [1, 3]
 
+    def test_signs_are_one_unit_per_support_index(self):
+        for signs in ([-1], [1, -1, 1], [1, 2], [0, 1], [-1.0, 0.5]):
+            with pytest.raises(ValueError, match="one per support index"):
+                Observation(5, [1, 3], signs=signs)
+        obs = Observation(5, [1, 3], signs=[-1.0, 1.0])
+        assert obs.signs.tolist() == [-1, 1] and obs.signs.dtype == np.int64
+        assert not obs.signs.flags.writeable
+
     @settings(max_examples=300, deadline=None)
     @given(integer_supports())
     @example((8, np.array([1, 2**63 + 5], dtype=np.uint64)))  # wraps negative in int64
@@ -240,7 +212,3 @@ class TestObservationInvariants:
         for support in ([], np.array([]), np.array([], dtype=bool), np.array([], dtype=np.int32)):
             obs = Observation(8, support)
             assert obs.count == 0 and obs.support.dtype == np.int64
-
-    def test_indicator_dense_roundtrip(self):
-        obs = Observation(5, [1, 3], signs=[-1, 1])
-        assert obs.indicator().tolist() == [0.0, -1.0, 0.0, 1.0, 0.0]

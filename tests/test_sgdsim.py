@@ -1,6 +1,7 @@
 """Tests for the distributed SGD simulator and convergence-bound evaluators."""
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from sparsecomm.sgdsim import (
     train,
     train_seeds,
 )
-from sparsecomm.sparsify import SparsifierSpec, top_r
+from sparsecomm.sparsify import SparseUpdate, SparsifierSpec, top_r
 
 from oracles import naive_train
 
@@ -495,15 +496,19 @@ class PlantedGradients(QuadraticObjective):
 
 
 def dense_exchange(spec, cfg, t, weights, memories, grads, targets):
-    """The dense round the sparse exchange replaces: ``apply_rows`` for the
-    updates, ``carried - updates`` for the memories and ``agg +=
-    updates[:, i]`` in node order.  Returns updates, memories, weights."""
+    """The dense round the sparse exchange replaces: the entries
+    ``select_rows`` keeps scattered into zero updates, ``carried - updates``
+    for the memories and ``agg += updates[:, i]`` in node order.  Returns
+    updates, memories, weights."""
     seeds, n, d = memories.shape
     use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
     carried = grads + memories if use_memory else grads
-    updates = spec.apply_rows(
-        carried.reshape(seeds * n, d), targets.reshape(seeds * n, -1)
-    ).reshape(seeds, n, d)
+    rows = carried.reshape(seeds * n, d)
+    kept = spec.select_rows(rows, targets.reshape(seeds * n, -1))
+    at = np.arange(seeds * n)[:, None]
+    updates = np.zeros(rows.shape)
+    updates[at, kept] = rows[at, kept] + 0.0  # -0.0 + 0.0 is +0.0: zeros stay unset
+    updates = updates.reshape(seeds, n, d)
     if use_memory:
         memories = carried - updates
     agg = np.zeros((seeds, d))
@@ -599,10 +604,12 @@ class TestExchange:
         assert_same_bits(new_w, want_weights[0])
 
     def test_training_builds_no_dense_updates(self, monkeypatch):
+        # the one-vector operator and its dense scatter are off the training path
         def refuse(*args, **kwargs):
-            raise AssertionError("apply_rows called")
+            raise AssertionError("a per-vector or dense update was built")
 
-        monkeypatch.setattr(SparsifierSpec, "apply_rows", refuse)
+        monkeypatch.setattr(SparsifierSpec, "apply", refuse)
+        monkeypatch.setattr(SparseUpdate, "to_dense", refuse)
         obj = make_quadratic(12, n_samples=60, noise_std=0.7, seed=31)
         for aggregation in (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE):
             for make in SPECS.values():
@@ -651,6 +658,25 @@ class TestSchedules:
         eta = [(np.int64(0), 0.1), (np.int32(2), 0.05)]
         cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
         assert learning_rate(cfg.eta, 2) == 0.05
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 2.5), ("n", True), ("n", 0), ("batch_size", 2.0), ("batch_size", 0),
+         ("steps", 3.5), ("steps", -1), ("steps", np.float64(3))],
+    )
+    def test_config_rejects_non_integer_and_nonpositive_sizes(self, field, value):
+        # a float or bool size used to construct and fail later inside train
+        sizes = {"n": 2, "steps": 3, "batch_size": 2, field: value}
+        message = re.escape(f"{field} must be a positive integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(sparsifier=SparsifierSpec.rtop(4, 2), **sizes)
+
+    def test_config_takes_numpy_integer_sizes(self):
+        obj = make_quadratic(6, n_samples=20, seed=1)
+        sizes = {"n": np.int64(2), "steps": np.int32(3), "batch_size": np.int64(2)}
+        cfg = TrainConfig(sparsifier=SparsifierSpec.rtop(4, 2), **sizes)
+        plain = TrainConfig(sparsifier=SparsifierSpec.rtop(4, 2), n=2, steps=3, batch_size=2)
+        assert np.array_equal(train(obj, cfg).weights, train(obj, plain).weights)
 
     def test_fixed_horizon_preset(self):
         assert sqrt_horizon_schedule(2.0, 400) == pytest.approx(0.1)

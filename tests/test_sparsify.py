@@ -28,16 +28,15 @@ def entries(update) -> dict:
 
 
 def assert_rows_match_naive(w, r, k, seeds):
-    """Each row of ``select_rows`` and ``apply_rows`` equals one naive
-    single-vector selection on a generator with the same seed, draws
-    included, for rtop-k, random-k and top-r."""
+    """Each row of ``select_rows`` equals one naive single-vector selection
+    on a generator with the same seed, draws included, for rtop-k, random-k
+    and top-r."""
     d = w.shape[1]
     for spec in (SparsifierSpec.rtop(r, k), SparsifierSpec.random(k), SparsifierSpec.top(r)):
         ours = [substream(seed) for seed in seeds]
         theirs = [substream(seed) for seed in seeds]
         targets = np.concatenate([spec.swap_targets(rng, d, 1) for rng in ours])
         kept = spec.select_rows(w, targets)
-        dense = spec.apply_rows(w, targets)
         for i, values in enumerate(w):
             if spec.kind == "rtop_k":
                 picked = naive_rtop_k(values, r, k, theirs[i])
@@ -46,11 +45,6 @@ def assert_rows_match_naive(w, r, k, seeds):
             else:
                 picked = np.argsort(-np.abs(values), kind="stable")[:r].tolist()
             assert kept[i].tolist() == picked
-            expected = np.zeros(d)
-            for j in picked:
-                if values[j] != 0.0:
-                    expected[j] = values[j]
-            assert dense[i].tobytes() == expected.tobytes()  # no -0.0 enters
             assert ours[i].random() == theirs[i].random()
 
 
@@ -142,12 +136,12 @@ class TestRandomK:
             assert rng.random() == substream(8).random()  # nothing drawn
 
     def test_unbiased_after_rescale(self):
-        # one row per random_k(w, 2, rng).to_dense() call, same draws
+        # one row per random_k(w, 2, rng) call, same draws
         w = np.array([2.0, -1.0, 0.5, 3.0])
         draws = 40_000
         spec = SparsifierSpec.random(2)
-        dense = spec.apply_rows(np.tile(w, (draws, 1)), spec.swap_targets(substream(3), 4, draws))
-        mean = dense.mean(axis=0)
+        kept = spec.select_rows(np.tile(w, (draws, 1)), spec.swap_targets(substream(3), 4, draws))
+        mean = np.bincount(kept.ravel(), w[kept.ravel()], minlength=4) / draws
         tol = 4 * np.abs(w) * 0.5 / np.sqrt(draws) + 1e-3
         assert np.all(np.abs(mean - 0.5 * w) < tol)
 
@@ -367,13 +361,22 @@ class TestRowwiseSelection:
         assert SparsifierSpec.top(3).swap_targets(ours, 5, 4).shape == (4, 0)
         assert ours.random() == theirs.random()  # top-r draws nothing
 
+    def test_drawing_kinds_need_a_generator(self):
+        # top-r draws nothing; random-k and rtop-k name themselves
+        assert SparsifierSpec.top(2).apply(np.ones(4), None).nnz == 2
+        for spec in (SparsifierSpec.random(2), SparsifierSpec.rtop(3, 2)):
+            with pytest.raises(ValueError, match=f"^{spec.kind} draws its swap targets"):
+                spec.apply(np.ones(4), None)
+            with pytest.raises(ValueError, match=f"^{spec.kind} draws its swap targets"):
+                spec.swap_targets(None, 4, 3)
+
     def test_rank_and_finiteness_checks(self):
         with pytest.raises(BadRank, match="k=6 outside"):
             SparsifierSpec.random(6).swap_targets(substream(1), 5, 1)
         with pytest.raises(BadRank, match="r=6 outside"):
-            SparsifierSpec.top(6).apply_rows(np.ones((2, 5)), np.empty((2, 0), dtype=int))
+            SparsifierSpec.top(6).select_rows(np.ones((2, 5)), np.empty((2, 0), dtype=int))
         with pytest.raises(ValueError, match="non-finite"):
-            SparsifierSpec.top(2).apply_rows([[1.0, np.inf, 0.0]], np.empty((1, 0), dtype=int))
+            SparsifierSpec.top(2).select_rows([[1.0, np.inf, 0.0]], np.empty((1, 0), dtype=int))
 
     def test_targets_must_have_one_row_per_vector(self):
         w = np.ones((2, 4))
@@ -388,8 +391,6 @@ class TestRowwiseSelection:
             shapes = re.escape(f"{targets.shape} for rows of shape (2, 4); need {need}")
             with pytest.raises(ValueError, match=shapes):
                 spec.select_rows(w, targets)
-            with pytest.raises(ValueError, match=shapes):
-                spec.apply_rows(w, targets)
 
     def test_targets_must_lie_in_their_swap_range(self):
         # swap i draws from [i, window): a negative target would wrap around,
@@ -413,20 +414,14 @@ class TestRowwiseSelection:
             ),
         ]
         for spec, targets, message in cases:
-            for call in (spec.select_rows, spec.apply_rows):
-                with pytest.raises(ValueError, match=re.escape(message)):
-                    call(w, targets)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                spec.select_rows(w, targets)
 
     def test_targets_at_their_range_ends_are_accepted(self):
         w = np.arange(1.0, 17.0).reshape(2, 8)
         spec = SparsifierSpec.random(2)
         for targets in ([[0, 1], [7, 7]], np.array([[0, 1], [7, 7]], dtype=np.uint8)):
-            kept = spec.select_rows(w, targets)
-            assert kept.tolist() == [[0, 1], [7, 0]]
-            expected = np.zeros((2, 8))
-            expected[0, [0, 1]] = [1.0, 2.0]
-            expected[1, [7, 0]] = [16.0, 9.0]
-            assert np.array_equal(spec.apply_rows(w, targets), expected)
+            assert spec.select_rows(w, targets).tolist() == [[0, 1], [7, 0]]
 
 
 class TestSparsifierSpec:
