@@ -21,12 +21,13 @@ entries and each unrank step is a binary search in one nondecreasing row
 
 The message rule is stated once, in :func:`_check_message`, which
 :func:`decode` and :func:`serialize` call; :func:`decode_batch` is its array form.
-The scalar subsample rule is stated once too, in ``_kept_positions``:
-:func:`subsample` wraps the kept positions as a :class:`SubsampledObservation`,
-and :func:`encode` ranks them directly.  So is the scalar rank, in
-``_rank_sum``: :func:`rank_sparse` runs it after checking its input,
-and :func:`encode` runs it unchecked on a subset of an ``Observation``'s
-support, which that class has already checked.
+The scalar subsample, ``_kept_positions``, runs the batch paths'
+threshold and tie rule on one row of keys: :func:`subsample` wraps the
+kept positions as a :class:`SubsampledObservation`, and :func:`encode`
+ranks them directly.  The scalar rank is stated once, in ``_rank_sum``:
+:func:`rank_sparse` runs it after checking its input, and :func:`encode`
+runs it unchecked on a subset of an ``Observation``'s support, which
+that class has already checked.
 """
 
 from __future__ import annotations
@@ -182,24 +183,14 @@ class Message:
 
 @dataclass(frozen=True, eq=False)
 class SubsampledObservation:
-    """A support capped at kprime ones, remembering the original count.
-
-    ``signs`` rides along for signed observations; it is populated by
-    :func:`subsample` (the encoder side, which sees the sample) and left
-    ``None`` by :func:`decode` (a transcript carries no sign bits).
-    """
+    """A support capped at kprime ones, remembering the original count."""
 
     d: int
     support: np.ndarray
     original_count: int
-    signs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "support", as_support(self.support))
-        if self.signs is not None:
-            sg = np.array(self.signs, dtype=np.int64, copy=True)
-            sg.setflags(write=False)
-            object.__setattr__(self, "signs", sg)
 
 
 def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:
@@ -258,28 +249,23 @@ def _kept_positions(
     obs: Observation, cfg: CodecConfig, rng: np.random.Generator
 ) -> np.ndarray | slice:
     """The positions into ``obs.support`` that a kprime-subsample keeps, as
-    a boolean mask, an index array or a slice.
+    a boolean mask or a slice.
 
     The uniform subset is realized by attaching an iid uniform key to each
     support index and keeping the kprime largest keys, ties to the lower
-    position: the rule of :func:`subsample_mask`.  As there, the keys that
-    reach the kprime-th largest key are kept; only when ties at that
-    threshold would keep more is the row re-ranked exactly (a stable sort
-    of the keys, descending), as ``_rank_first`` re-ranks tied rows.
-    Keys are drawn only when the support exceeds kprime > 0; smaller
-    supports are kept whole, and a degenerate budget (kprime = 0) keeps
-    none of them.
+    position: the rule of :func:`subsample_mask` (``_kth_largest``, then
+    ``_rank_first`` for tied keys) on one row.  Keys are drawn only when
+    the support exceeds kprime > 0; smaller supports are kept whole, and a
+    degenerate budget (kprime = 0) keeps none of them.
     """
     if obs.d != cfg.d:
         raise ValueError(f"observation dimension {obs.d} != config dimension {cfg.d}")
     m, kprime = obs.count, cfg.kprime
     if m > kprime > 0:
         keys = rng.random(m)
-        part = keys.copy()
-        part.partition(m - kprime)  # in place: no np.partition wrapper call
-        kept = keys >= part[m - kprime]
+        kept = keys >= _kth_largest(keys[None].copy(), kprime)
         if np.count_nonzero(kept) > kprime:
-            kept = np.sort(np.argsort(-keys, kind="stable")[:kprime])
+            kept = _rank_first(keys[None], kprime)[0]
         return kept
     return slice(None) if kprime else slice(0)
 
@@ -288,11 +274,8 @@ def subsample(
     obs: Observation, cfg: CodecConfig, rng: np.random.Generator
 ) -> SubsampledObservation:
     """Keep a uniformly random kprime-subset of the support when it is larger
-    (the rule of ``_kept_positions``), signs included; the original count
-    rides along."""
-    kept = _kept_positions(obs, cfg, rng)
-    signs = obs.signs[kept] if obs.signs is not None else None
-    return SubsampledObservation(obs.d, obs.support[kept], obs.count, signs)
+    (the rule of ``_kept_positions``); the original count rides along."""
+    return SubsampledObservation(obs.d, obs.support[_kept_positions(obs, cfg, rng)], obs.count)
 
 
 def encode(obs: Observation, cfg: CodecConfig, rng: np.random.Generator) -> Message:
@@ -382,11 +365,12 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 # caller draws the subsample keys (uniforms in [0, 1), one per position), so
 # each stage has one definition and draws nothing itself.  The selection
 # rule (keep the keys that reach a row's kprime-th largest, ``_kth_largest``,
-# and re-rank tied rows, ``_rank_first``) has two layouts, and the caller
-# picks one: ``_keep_largest_keys`` on dense (rows, d) rows, which
+# and re-rank tied rows, ``_rank_first``) has two batch layouts, and the
+# caller picks one: ``_keep_largest_keys`` on dense (rows, d) rows, which
 # ``encode_batch`` and ``subsample_mask`` use, and ``_keep_largest_packed``
 # on the flat indices of the nonzeros, which the Monte Carlo risk kernel
-# uses, because its rows hold few ones.  The kernel calls nothing else here:
+# uses, because its rows hold few ones; the scalar ``_kept_positions`` runs
+# it on one row of keys.  The kernel calls nothing else here:
 # an exact codec decodes each transcript to the count and kept support it
 # came from, which c1, CodecRoundtrip (through ``encode_batch`` and
 # ``decode_batch``) and the codec tests check.  Exhaustive and property
@@ -511,7 +495,7 @@ def encode_batch(
     ``keys`` are the subsample keys of :func:`subsample_mask`.  Returns
     ``(counts, payloads, kept_mask)`` where the first two columns are the
     message fields per row and ``kept_mask`` marks the subsampled support
-    (the encoder-side view, used to carry signs out of band).
+    (the encoder-side view; :func:`decode_batch` returns it from the fields).
     """
     d, kprime = cfg.d, cfg.kprime
     x, keys = _sample_matrix(x, d), np.asarray(keys)

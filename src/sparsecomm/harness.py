@@ -18,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import os
 import sys
 import tempfile
 from dataclasses import asdict
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -93,14 +92,6 @@ class PreconditionError(Exception):
     """A work item violates an operation precondition."""
 
 
-class InsufficientData(ValueError):
-    """Slope fitting needs at least three rows."""
-
-
-class NonPositiveValue(ValueError):
-    """Slope fitting needs strictly positive numeric values in both columns."""
-
-
 # --- config parsing ---------------------------------------------------------
 
 
@@ -108,7 +99,9 @@ def _parse_scalar(token: str):
     token = token.strip()
     if not token:
         raise ValueError("empty value")
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
+    if token[0] == '"' or token[-1] == '"':
+        if len(token) < 2 or token[0] != token[-1]:
+            raise ValueError("unterminated string")
         return token[1:-1]
     low = token.lower()
     if low == "true":
@@ -402,53 +395,14 @@ def write_csv_atomic(path: str, columns: list[str], rows: list[dict]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
+        umask = os.umask(0)  # read it back: mkstemp creates the file 0600
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# --- slope fitting ----------------------------------------------------------
-
-
-def fit_slope(source: Union[str, list[dict]], x_col: str, y_col: str) -> tuple[float, float]:
-    """Ordinary least squares of log(y) on log(x): (slope, std error).
-
-    ``source`` is a CSV path or a list of row dicts.  Requires at least
-    three rows and strictly positive values in both columns.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = source
-    xs, ys = [], []
-    for row in rows:
-        for col, dest in ((x_col, xs), (y_col, ys)):
-            cell = row.get(col)
-            if cell is None or cell == "":
-                raise NonPositiveValue(f"column '{col}' has an empty cell")
-            try:
-                value = float(cell)
-            except (TypeError, ValueError) as exc:
-                raise NonPositiveValue(f"column '{col}' has non-numeric {cell!r}") from exc
-            if value <= 0:
-                raise NonPositiveValue(f"column '{col}' has non-positive value {value}")
-            dest.append(value)
-    if len(xs) < 3:
-        raise InsufficientData(f"need at least 3 rows, got {len(xs)}")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    dx = lx - lx.mean()
-    sxx = float(np.sum(dx * dx))
-    if sxx == 0.0:
-        raise NonPositiveValue("x column is constant")
-    slope = float(np.sum(dx * (ly - ly.mean())) / sxx)
-    resid = ly - (ly.mean() + slope * dx)
-    dof = len(xs) - 2
-    std_err = math.sqrt(max(float(np.sum(resid**2)), 0.0) / dof / sxx) if dof else 0.0
-    return slope, std_err
 
 
 # --- probes -----------------------------------------------------------------

@@ -89,15 +89,11 @@ def as_support(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """One node's sample: a sorted support set plus optional signs.
-
-    ``signs`` is present exactly when the generating parameter is signed
-    and holds one entry in {-1, +1} per support index.
-    """
+    """One node's sample: a sorted support set, without signs (the k-bit
+    transcript carries none; the Monte Carlo kernel keeps them per row)."""
 
     d: int
     support: np.ndarray
-    signs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         sup = as_support(self.support)
@@ -106,12 +102,6 @@ class Observation:
         ):
             raise ValueError("support must be strictly increasing indices in [0, d)")
         object.__setattr__(self, "support", sup)
-        if self.signs is not None:
-            sg = np.array(self.signs, dtype=np.int64, copy=True)
-            if sg.shape != sup.shape or not np.all(np.abs(sg) == 1):
-                raise ValueError("signs must be +/-1, one per support index")
-            sg.setflags(write=False)
-            object.__setattr__(self, "signs", sg)
 
     @property
     def count(self) -> int:

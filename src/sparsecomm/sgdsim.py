@@ -108,6 +108,7 @@ class TrainConfig:
         for name, value in (("n", self.n), ("steps", self.steps), ("batch_size", self.batch_size)):
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a narrow numpy int overflows in products
         breakpoints = [(0, self.eta)] if isinstance(self.eta, (int, float)) else list(self.eta)
         starts = [start for start, _ in breakpoints]
         if any(isinstance(start, bool) or not isinstance(start, Integral) for start in starts):

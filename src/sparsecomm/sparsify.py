@@ -226,6 +226,7 @@ class SparsifierSpec:
         for name, value in (("r", self.r), ("k", self.k)):  # top_r's k is its r
             if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value if value is None else int(value))  # no numpy wrap
         if self.kind == "rtop_k":
             if self.r is None:
                 raise ValueError("rtop_k needs an explicit r")

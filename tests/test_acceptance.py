@@ -36,7 +36,7 @@ from sparsecomm.estimator import (
     monte_carlo_mean,
     monte_carlo_risk,
 )
-from sparsecomm.harness import _admissible_budgets, fit_slope
+from sparsecomm.harness import _admissible_budgets
 from sparsecomm.model import Observation
 from sparsecomm.objectives import make_concentrated_quadratic, make_quadratic
 from sparsecomm.seeding import substream
@@ -51,7 +51,7 @@ from sparsecomm.sgdsim import (
 )
 from sparsecomm.sparsify import SparsifierSpec, check_compression, expected_sq_error
 
-from oracles import mean_sq_error_enumeration
+from oracles import mean_sq_error_enumeration, ols_loglog_slope
 
 
 def report(name, detail):
@@ -117,43 +117,41 @@ def test_c2_estimator_unbiasedness():
 K_SWEEP = [14, 19, 26, 35, 48]  # log-spaced across the admissible regime
 N_SWEEP = [32, 64, 128, 256]
 SLOPE_BAND = (-1.25, -0.75)
-_SWEEP_CACHE = {}
 
 
 def _sweep_risks(axis):
-    """Monte Carlo risks for the d=64, s=8 sweeps (10^4 trials/point)."""
-    if axis in _SWEEP_CACHE:
-        return _SWEEP_CACHE[axis]
+    """Monte Carlo risks for the d=64, s=8 sweeps (10^4 trials/point), at
+    each k of K_SWEEP (n = 128) or each n of N_SWEEP (k = 23)."""
     theta = hardest_param(64, 8)
     if axis == "k":
-        rows = [
-            {
-                "x": k,
-                "risk": monte_carlo_risk(
-                    theta, 128, make_config(64, k), 10_000, seed=301
-                ).mean_sq_error,
-            }
+        return [
+            monte_carlo_risk(theta, 128, make_config(64, k), 10_000, seed=301).mean_sq_error
             for k in K_SWEEP
         ]
-    else:
-        cfg = make_config(64, 23)
-        rows = [
-            {
-                "x": n,
-                "risk": monte_carlo_risk(theta, n, cfg, 10_000, seed=302).mean_sq_error,
-            }
-            for n in N_SWEEP
-        ]
-    _SWEEP_CACHE[axis] = rows
-    return rows
+    cfg = make_config(64, 23)
+    return [monte_carlo_risk(theta, n, cfg, 10_000, seed=302).mean_sq_error for n in N_SWEEP]
+
+
+def test_loglog_slope_of_exact_inverse_law():
+    """The c3 fitter: slope -1 and zero error on y = 7/x."""
+    xs = [1, 2, 4, 8]
+    slope, err = ols_loglog_slope(xs, [7.0 / x for x in xs])
+    assert slope == pytest.approx(-1.0, abs=1e-12)
+    assert err == pytest.approx(0.0, abs=1e-9)
+
+
+def test_loglog_slope_of_exact_square_law():
+    """The c3 fitter: slope +2 on y = 3.5 x^2."""
+    xs = [1, 3, 9, 27]
+    slope, _ = ols_loglog_slope(xs, [3.5 * x * x for x in xs])
+    assert slope == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.slow
 def test_c3_risk_scaling_slope_in_nodes():
     """log-log slope of risk against n at fixed budget lies in
     [-1.25, -0.75] (it is -1 up to Monte Carlo noise)."""
-    rows = _sweep_risks("n")
-    slope, std_err = fit_slope(rows, "x", "risk")
+    slope, std_err = ols_loglog_slope(N_SWEEP, _sweep_risks("n"))
     report(
         "c3 risk scaling (nodes)",
         f"slope {slope:.3f} +- {std_err:.3f} over n={N_SWEEP}, band {SLOPE_BAND}",
@@ -171,8 +169,7 @@ def test_c3_risk_scaling_slope_in_bits():
     range; the closed-form oracle puts the slope at -1.845 and no fair
     point choice lands in [-1.25, -0.75].
     """
-    rows = _sweep_risks("k")
-    slope, std_err = fit_slope(rows, "x", "risk")
+    slope, std_err = ols_loglog_slope(K_SWEEP, _sweep_risks("k"))
     detail = (
         f"slope {slope:.3f} +- {std_err:.3f} over k={K_SWEEP}, band {SLOPE_BAND}; "
         "closed-form oracle slope -1.845 (header overhead + codebook staircase)"

@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -33,9 +34,6 @@ from sparsecomm.harness import (
     EXIT_RUNTIME,
     RISK_COLUMNS,
     ConfigParseError,
-    InsufficientData,
-    NonPositiveValue,
-    fit_slope,
     format_cell,
     load_experiment,
     parse_config_text,
@@ -98,6 +96,11 @@ class TestParseValue:
             parse_value("[1, 2")
         with pytest.raises(ValueError):
             parse_value("")
+        # a quote that opens or closes no whole quoted string; '#' starts a
+        # comment even inside quotes, so 'out = "a#b.csv"' leaves '"a'
+        for text in ('"', '"a', 'b"', '[flat, "corner]', '[flat, corner"]'):
+            with pytest.raises(ValueError, match="^unterminated string$"):
+                parse_value(text)
 
 
 class TestParseConfigText:
@@ -972,34 +975,16 @@ class TestBoundsCommand:
         assert float(by[("16", "24")]["upper_bound"]) > 0
         assert float(by[("64", "24")]["centralized"]) == pytest.approx(7.0 / 64)
 
-
-class TestFitSlope:
-    def test_exact_inverse_law(self):
-        rows = [{"x": x, "y": 7.0 / x} for x in (1, 2, 4, 8)]
-        slope, err = fit_slope(rows, "x", "y")
-        assert slope == pytest.approx(-1.0, abs=1e-12)
-        assert err == pytest.approx(0.0, abs=1e-9)
-
-    def test_exact_square_law(self):
-        rows = [{"x": x, "y": 3.5 * x * x} for x in (1, 3, 9, 27)]
-        slope, _ = fit_slope(rows, "x", "y")
-        assert slope == pytest.approx(2.0, abs=1e-12)
-
-    def test_reads_csv_files(self, tmp_path):
-        out = str(tmp_path / "pow.csv")
-        write_csv_atomic(out, ["x", "y"], [{"x": x, "y": 5.0 / x} for x in (1, 2, 4)])
-        slope, _ = fit_slope(out, "x", "y")
-        assert slope == pytest.approx(-1.0, abs=1e-12)
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
-            fit_slope([{"x": 1, "y": 1}, {"x": 2, "y": 2}], "x", "y")
-
-    def test_non_positive_and_empty_cells(self):
-        with pytest.raises(NonPositiveValue):
-            fit_slope([{"x": 1, "y": 0}, {"x": 2, "y": 1}, {"x": 3, "y": 1}], "x", "y")
-        with pytest.raises(NonPositiveValue):
-            fit_slope([{"x": 1, "y": ""}, {"x": 2, "y": 1}, {"x": 3, "y": 1}], "x", "y")
+    def test_hash_in_a_quoted_out_path_is_a_config_error(self, tmp_path, monkeypatch):
+        # the comment cuts the path to '"bounds', which used to be written
+        monkeypatch.chdir(tmp_path)
+        cfg = 'command = Bounds\nn = 16\nk = 24\nd = 64\ns = 8\nout = "bounds#1.csv"\n'
+        path = write_config(tmp_path, cfg)
+        errors = []
+        assert run(path, errcho=errors.append) == EXIT_CONFIG
+        assert errors == ["ERROR code=2 kind=ConfigParseError "
+                          "message=line 6: key 'out': unterminated string"]
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 class TestCsvFormatting:
@@ -1018,6 +1003,17 @@ class TestCsvFormatting:
         target = tmp_path / "out.csv"
         write_csv_atomic(str(target), ["a"], [{"a": 1.5}])
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            write_csv_atomic(str(target), ["a", "b"], [{"a": 1, "b": 0.5}])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert target.read_bytes() == b"a,b\n1,0.5\n"
 
 
 class TestGoldenFile:

@@ -181,14 +181,6 @@ class TestObservationInvariants:
                 Observation(8, support)
         assert Observation(8, np.array([1, 3], dtype=np.uint8)).support.tolist() == [1, 3]
 
-    def test_signs_are_one_unit_per_support_index(self):
-        for signs in ([-1], [1, -1, 1], [1, 2], [0, 1], [-1.0, 0.5]):
-            with pytest.raises(ValueError, match="one per support index"):
-                Observation(5, [1, 3], signs=signs)
-        obs = Observation(5, [1, 3], signs=[-1.0, 1.0])
-        assert obs.signs.tolist() == [-1, 1] and obs.signs.dtype == np.int64
-        assert not obs.signs.flags.writeable
-
     @settings(max_examples=300, deadline=None)
     @given(integer_supports())
     @example((8, np.array([1, 2**63 + 5], dtype=np.uint64)))  # wraps negative in int64

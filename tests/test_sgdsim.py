@@ -678,6 +678,24 @@ class TestSchedules:
         plain = TrainConfig(sparsifier=SparsifierSpec.rtop(4, 2), n=2, steps=3, batch_size=2)
         assert np.array_equal(train(obj, cfg).weights, train(obj, plain).weights)
 
+    @pytest.mark.parametrize("field", ["n", "batch_size", "k"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+    def test_narrow_numpy_integer_sizes_and_budget(self, dtype, field):
+        # the config and the spec keep Python ints: in a narrow dtype the node
+        # split (260 samples // n), the rounds drawn per block (2**16 // (n *
+        # max(batch_size, k))) and the entries sent per round (n * k) overflowed
+        obj = make_quadratic(6, n_samples=260, seed=1)
+
+        def run(n, batch_size, k):
+            cfg = TrainConfig(n, 3, SparsifierSpec.rtop(4, k), batch_size=batch_size)
+            result = train(obj, cfg)
+            return signature(result.weights, result.records)
+
+        sizes = {"n": 130, "batch_size": 4 if field == "batch_size" else 2, "k": 3}
+        expected = run(**sizes)
+        sizes[field] = dtype(sizes[field])
+        assert run(**sizes) == expected
+
     def test_fixed_horizon_preset(self):
         assert sqrt_horizon_schedule(2.0, 400) == pytest.approx(0.1)
         # satisfies the bound evaluator's step hypothesis when chat is small
