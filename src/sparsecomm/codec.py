@@ -72,8 +72,12 @@ def ceil_log2(x: int) -> int:
     return (int(x) - 1).bit_length()
 
 
-# Ranks are held in int64 when the codebook has at most this many vectors,
-# and as Python ints (object arrays) otherwise.
+# Ranks and tables are int64 when the codebook has at most this many
+# vectors, and object arrays of Python ints otherwise.  Past it the batch
+# paths still keep in int64 every number bounded by it: the rank terms and
+# unrank steps of the comb-table rows j < J, where C(d, j) is at most this
+# for every j < J (``_int64_rows``), and the remainders before those steps.
+# Only the class offsets and the rows j >= J stay Python ints.
 _INT64_SAFE = 1 << 62
 
 # Tables kept per process: more than the distinct (d, kprime) pairs of any
@@ -98,7 +102,9 @@ def _class_offsets(d: int, kprime: int) -> np.ndarray:
 def _comb_table(d: int, kprime: int) -> np.ndarray:
     """``table[j, c] == comb(c, j)`` for 0 <= j <= kprime, 0 <= c <= d,
     C-contiguous and read-only, in the dtype of :func:`_class_offsets` (no
-    entry exceeds the codebook size); each class j is one contiguous row."""
+    entry exceeds the codebook size); each class j is one contiguous row.
+    Row j's largest entry is C(d, j), so in an object table the rows of
+    :func:`_int64_rows` fit int64 too."""
     table = np.zeros((d + 1, kprime + 1), dtype=_class_offsets(d, kprime).dtype)
     table[:, 0] = 1
     for i in range(1, d + 1):  # Pascal's rule, one row per step
@@ -106,6 +112,29 @@ def _comb_table(d: int, kprime: int) -> np.ndarray:
     table = np.ascontiguousarray(table.T)
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=_TABLES_CACHED)
+def _int64_rows(d: int, kprime: int) -> np.ndarray:
+    """The leading J rows of :func:`_comb_table` as int64, read-only: the
+    largest J <= kprime + 1 with C(d, j) <= ``_INT64_SAFE`` for every j < J.
+    An int64 table is returned itself (J = kprime + 1).
+
+    These rows bound the numbers the batch paths keep in int64.  A rank's
+    terms from a row's first J - 1 kept ones, sum_{i < J} C(s_{i-1}, i),
+    are the colex rank of a (J - 1)-subset of [0, d), so they sum below
+    C(d, J - 1); and the unrank remainder before row p's step lies below
+    C(d, p).  Both are at most ``_INT64_SAFE`` for p < J.
+    """
+    table = _comb_table(d, kprime)
+    if table.dtype != object:
+        return table
+    fits = 0
+    while fits <= kprime and math.comb(d, fits) <= _INT64_SAFE:
+        fits += 1
+    rows = table[:fits].astype(np.int64)
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=_TABLES_CACHED)
@@ -375,8 +404,13 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 # came from, which c1, CodecRoundtrip (through ``encode_batch`` and
 # ``decode_batch``) and the codec tests check.  Exhaustive and property
 # tests pin the batch paths to the scalar functions and to math.comb
-# oracles, the packed layout to the dense one.  Ranks take the tables'
-# dtype, int64 or Python ints, so one code path serves every codebook size.
+# oracles, the packed layout to the dense one.  Payloads take the tables'
+# dtype: int64 up to 2^62 vectors, object arrays of Python ints past it.
+# In the object case only the numbers that can pass 2^62 are Python ints
+# (the class offsets, the rank terms and unrank steps of the comb-table
+# rows j >= J of ``_int64_rows``, and the remainders before those steps);
+# the rest is int64 arithmetic, exact by the two bounds stated there.  So
+# one code path serves every codebook size.
 
 
 def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
@@ -508,8 +542,20 @@ def encode_batch(
     if ones.size:
         rows, cols = np.divmod(ones, d)
         ends = np.cumsum(kept)
-        position = np.arange(ones.size) - (ends - kept)[rows]
-        np.add.at(payloads, rows, _comb_table(d, kprime)[position + 1, cols])
+        j = np.arange(ones.size) - (ends - kept)[rows] + 1  # each one's table row
+        table, fits = _comb_table(d, kprime), _int64_rows(d, kprime)
+        # the int64 part of each rank lies below C(d, J - 1); an int64
+        # codebook adds straight into its payloads
+        ranks = payloads if fits is table else np.zeros(payloads.size, dtype=np.int64)
+        if len(fits) > kprime:  # every row fits
+            np.add.at(ranks, rows, fits[j, cols])
+        else:
+            low = j < len(fits)
+            np.add.at(ranks, rows[low], fits[j[low], cols[low]])
+            high = ~low
+            np.add.at(payloads, rows[high], table[j[high], cols[high]])
+        if ranks is not payloads:
+            payloads += ranks
     return counts, payloads, mask
 
 
@@ -548,14 +594,21 @@ def decode_batch(
 def _unrank_rows(e: np.ndarray, rem: np.ndarray, d: int, kprime: int) -> np.ndarray:
     """(rows, d) supports of the in-class ranks ``rem`` (tables' dtype) of
     popcount classes ``e``.  Step i unranks the i-th ones of all rows holding
-    more than i ones; sorted by popcount, descending, they are a prefix."""
+    more than i ones; sorted by popcount, descending, they are a prefix.
+
+    Step i searches comb-table row i + 1.  Every remainder before it lies
+    below C(d, i + 1), so in an object codebook the steps of rows below
+    the J of :func:`_int64_rows` run on an int64 copy of the remainders and
+    of those rows; only the steps of rows J and up use Python ints."""
     order = np.argsort(-e, kind="stable")
     rem = rem[order]
     starts = order * d
     holding = np.cumsum(np.bincount(e)[::-1])[::-1]  # up to the widest row's class
-    table = _comb_table(d, kprime)
+    table, fits = _comb_table(d, kprime), _int64_rows(d, kprime)
     flat = np.zeros(e.size * d, dtype=bool)
     for i in range(holding.size - 2, 0, -1):
+        if table is not fits and i + 1 < len(fits):
+            table, rem = fits, rem.astype(np.int64)
         active = holding[i + 1]
         col = table[i + 1, :d]
         c = col.searchsorted(rem[:active], side="right") - 1

@@ -99,6 +99,8 @@ def _parse_scalar(token: str):
     token = token.strip()
     if not token:
         raise ValueError("empty value")
+    if '"' in token[1:-1]:
+        raise ValueError("a string may not contain '\"'")
     if token[0] == '"' or token[-1] == '"':
         if len(token) < 2 or token[0] != token[-1]:
             raise ValueError("unterminated string")

@@ -636,6 +636,105 @@ class TestBatchEquivalence:
                 decode_batch(counts, payloads, cfg)
 
 
+# Codebooks past 2^62 vectors, as (d, k, kprime, J): the batch paths keep
+# Python ints only for the class offsets and the comb-table rows j >= J
+# (``codec._int64_rows``).
+WIDE = [
+    (64, 96, 64, 65),  # the 2^64 codebook: every row fits int64
+    (256, 96, 17, 11),  # 87 bits: rows 11..17 are Python ints
+    (256, 72, 11, 11),  # exactly one Python-int row
+    (128, 72, 15, 15),
+    (66, 72, 32, 30),
+]
+
+
+def wide_supports(d, kprime, seed):
+    """The supports of the first and last rank of every popcount class, of
+    random ranks, and random supports of any size up to d (those above
+    kprime get subsampled)."""
+    offsets = list(itertools.accumulate((math.comb(d, m) for m in range(kprime + 1)), initial=0))
+    draw = random.Random(seed)
+    ranks = [r for m in range(kprime + 1) for r in (offsets[m], offsets[m + 1] - 1)]
+    ranks += [draw.randrange(offsets[-1]) for _ in range(20)]
+    supports = [comb_walk_unrank(r, d, kprime) for r in ranks]
+    return supports + [sorted(draw.sample(range(d), draw.randint(0, d))) for _ in range(20)]
+
+
+def support_matrix(d, supports):
+    x = np.zeros((len(supports), d), dtype=bool)
+    for row, support in zip(x, supports):
+        row[support] = True
+    return x
+
+
+class TestWideCodebooks:
+    """Past int64, rank and unrank against the math.comb walks of
+    ``tests/oracles.py``, which share no table with the package."""
+
+    @pytest.mark.parametrize("d,k,kprime,fits", WIDE)
+    def test_int64_rows_are_the_rows_that_fit(self, d, k, kprime, fits):
+        cfg = make_config(d, k)
+        assert cfg.kprime == kprime and cfg.codebook > 2**62
+        rows = codec._int64_rows(d, kprime)
+        assert rows.dtype == np.int64 and len(rows) == fits
+        assert all(math.comb(d, j) <= 2**62 for j in range(fits))
+        assert fits == kprime + 1 or math.comb(d, fits) > 2**62
+        assert rows.tolist() == codec._comb_table(d, kprime)[:fits].tolist()
+        table = codec._comb_table(256, 10)  # an int64 codebook keeps its one table
+        assert codec._int64_rows(256, 10) is table and table.dtype == np.int64
+
+    @pytest.mark.parametrize("poison", [False, True])
+    @pytest.mark.parametrize(
+        "d,k,kprime,fits", WIDE + [(256, 71, 10, 11)]  # and the largest int64 codebook at d = 256
+    )
+    def test_batch_paths_match_the_comb_walk(self, d, k, kprime, fits, poison, monkeypatch):
+        """With ``poison`` the object table's rows below J read -1, so a step
+        that left int64 too late gives a wrong rank or support, and one that
+        took it too early reads past the int64 rows."""
+        cfg = make_config(d, k)
+        supports = wide_supports(d, kprime, seed=d + k)
+        x = support_matrix(d, supports)
+        keys = substream(d, k).random(x.shape)
+        if poison and cfg.codebook > 2**62:
+            codec._int64_rows(d, kprime)  # cached from the true table
+            poisoned = codec._comb_table(d, kprime).copy()
+            poisoned[:fits] = -1
+            monkeypatch.setattr(codec, "_comb_table", lambda *_: poisoned)
+        counts, payloads, mask = encode_batch(x, cfg, keys)
+        kept = [np.flatnonzero(row).tolist() for row in mask]
+        for support, ones in zip(supports, kept):
+            assert ones == support if len(support) <= kprime else len(ones) == kprime
+        assert payloads.tolist() == [comb_walk_rank(ones, d, kprime) for ones in kept]
+        if cfg.codebook > 2**62:
+            assert payloads.dtype == object and {p.__class__ for p in payloads} == {int}
+        else:
+            assert payloads.dtype == np.int64
+        decoded = decode_batch(counts, payloads, cfg)
+        assert [np.flatnonzero(row).tolist() for row in decoded] == kept
+        assert kept == [comb_walk_unrank(rank, d, kprime) for rank in payloads.tolist()]
+
+    @pytest.mark.parametrize("d,k,kprime,fits", WIDE)
+    def test_scalar_paths_agree_with_the_batch_paths(self, d, k, kprime, fits):
+        cfg = make_config(d, k)
+        supports = wide_supports(d, kprime, seed=d * k)
+        x, keys, messages = support_matrix(d, supports), np.zeros((len(supports), d)), []
+        for i, support in enumerate(supports):
+            rng, replay = substream(d, k, i), substream(d, k, i)
+            messages.append(encode(Observation(d, support), cfg, rng))
+            if len(support) > kprime:  # the keys scalar encode drew, in support order
+                keys[i, support] = replay.random(len(support))
+        counts, payloads, _ = encode_batch(x, cfg, keys)
+        assert [(msg.count, msg.payload_index) for msg in messages] == list(
+            zip(counts.tolist(), payloads.tolist())
+        )
+        for msg, row in zip(messages, decode_batch(counts, payloads, cfg)):
+            support = np.flatnonzero(row).tolist()
+            assert msg.payload_index.__class__ is int
+            assert rank_sparse(support, d, kprime) == msg.payload_index
+            assert unrank_sparse(msg.payload_index, d, kprime) == support
+            assert decode(msg, cfg).support.tolist() == support
+
+
 @st.composite
 def mask_cases(draw):
     """(x, kprime, keys): rows of up to d ones, row 0 all zero, keys drawn

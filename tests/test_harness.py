@@ -101,6 +101,10 @@ class TestParseValue:
         for text in ('"', '"a', 'b"', '[flat, "corner]', '[flat, corner"]'):
             with pytest.raises(ValueError, match="^unterminated string$"):
                 parse_value(text)
+        # a string holds no '"', whether or not it is quoted
+        for text in ('"a" "', '"a" "b"', '""a""', 'a"b', '[flat, "a"b"]'):
+            with pytest.raises(ValueError, match="^a string may not contain '\"'$"):
+                parse_value(text)
 
 
 class TestParseConfigText:
@@ -984,6 +988,17 @@ class TestBoundsCommand:
         assert run(path, errcho=errors.append) == EXIT_CONFIG
         assert errors == ["ERROR code=2 kind=ConfigParseError "
                           "message=line 6: key 'out': unterminated string"]
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_quote_inside_a_quoted_out_path_is_a_config_error(self, tmp_path, monkeypatch):
+        # stripping only the outer pair would write the path 'a" "b'
+        monkeypatch.chdir(tmp_path)
+        cfg = 'command = Bounds\nn = 16\nk = 24\nd = 64\ns = 8\nout = "a" "b"\n'
+        path = write_config(tmp_path, cfg)
+        errors = []
+        assert run(path, errcho=errors.append) == EXIT_CONFIG
+        assert errors == ["ERROR code=2 kind=ConfigParseError "
+                          "message=line 6: key 'out': a string may not contain '\"'"]
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
