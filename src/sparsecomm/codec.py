@@ -419,7 +419,8 @@ def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
     Returns a boolean mask selecting, per row, all nonzero positions when
     there are at most kprime of them, else a uniformly random kprime-subset:
     the nonzero positions with the largest ``keys`` (uniforms in [0, 1),
-    shaped like ``x``).
+    shaped like ``x``).  Keys at zero positions are ignored, whatever their
+    value (inf, NaN and -0.0 included).
     """
     nonzero = _nonzero(_sample_matrix(x))
     return _keep_largest_keys(nonzero, np.count_nonzero(nonzero, axis=1), kprime, keys)
@@ -468,7 +469,9 @@ def _keep_largest_keys(
     -1.0 at its zero positions, keeps the nonzero positions whose keys
     reach :func:`_kth_largest`, and is re-ranked by :func:`_rank_first`
     when tied keys at that threshold would keep more than kprime positions
-    (keys in descending order, ties to the lower index).
+    (keys in descending order, ties to the lower index).  Keys at zero
+    positions are ignored, whatever their value (inf, NaN and -0.0
+    included): the padding is :func:`_padded_keys`.
     :func:`_keep_largest_packed` is the same rule on packed rows.
     """
     if keys.shape != nonzero.shape:  # a broadcast row of keys would tie the rows' subsets
@@ -478,13 +481,36 @@ def _keep_largest_keys(
         return np.zeros_like(nonzero)
     if kprime >= d:
         return nonzero.copy()  # never the caller's own boolean matrix
-    threshold = _kth_largest(np.where(nonzero, keys, -1.0), kprime)
+    threshold = _kth_largest(_padded_keys(nonzero, keys), kprime)
     mask = nonzero & (keys >= threshold[:, None])
     if np.count_nonzero(mask) > np.minimum(counts, kprime).sum():
         tied = np.flatnonzero(np.count_nonzero(mask, axis=1) > kprime)
-        filled = np.where(nonzero[tied], keys[tied], -1.0)
+        filled = _padded_keys(nonzero[tied], keys[tied])
         mask[tied] = nonzero[tied] & _rank_first(filled, kprime)
     return mask
+
+
+_PAD_BITS = np.float64(-1.0).view(np.int64)
+
+
+def _padded_keys(nonzero: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.where(nonzero, keys, -1.0)`` as float64, bit for bit, whatever
+    the keys off the support hold (inf, NaN, -0.0).
+
+    A bitwise select on the int64 views, ``((keys ^ pad) & pick) ^ pad``
+    with ``pick`` all ones on the support: the same work on every entry,
+    where ``np.where`` branches on a half-dense random mask.  Built in
+    place, so the result and ``pick`` are the only block-sized temporaries.
+    Other keys take a float64 copy, a third: exact for float32 keys, and
+    the cast ``np.where`` makes itself for integer keys, so the rule keeps
+    what that padding would keep.
+    """
+    pick = np.subtract(0, nonzero, dtype=np.int64)  # -1 (all ones) or 0
+    filled = np.bitwise_xor(np.asarray(keys, dtype=np.float64).view(np.int64), _PAD_BITS)
+    filled &= pick
+    del pick
+    filled ^= _PAD_BITS
+    return filled.view(np.float64)
 
 
 def _keep_largest_packed(

@@ -199,12 +199,14 @@ def _above(low) -> Range:
 class Key(NamedTuple):
     """One config key: its kind (a predicate in ``_KINDS``, checked by
     ``load_experiment``), its default (``_REQUIRED`` if the config must set
-    it, ``None`` if the runner computes it) and the range every value, or
-    every list element, must lie in (checked by ``check_ranges``)."""
+    it, ``None`` if the runner computes it), the range every value, or
+    every list element, must lie in, and whether a list of it is a grid
+    axis, whose values must be distinct (both checked by ``check_ranges``)."""
 
     kind: str
     default: object = _REQUIRED
     check: Optional[Range] = None
+    grid: bool = False
 
 
 def _is_int(v) -> bool:
@@ -246,10 +248,10 @@ _COMMON_SCHEMA = {
 }
 
 _RISK_SCHEMA = {
-    "n": Key("int_or_list", check=_at_least(1)),
-    "k": Key("int_or_list", check=_at_least(1)),
-    "d": Key("int_or_list", check=_at_least(2)),
-    "s": Key("num_or_list", check=_above(0)),
+    "n": Key("int_or_list", check=_at_least(1), grid=True),
+    "k": Key("int_or_list", check=_at_least(1), grid=True),
+    "d": Key("int_or_list", check=_at_least(2), grid=True),
+    "s": Key("num_or_list", check=_above(0), grid=True),
     "trials": Key("int", 1000, _at_least(100)),
     "probes": Key("str_list", ["flat"]),
     "perturb_halfwidth": Key("float", 0.0, Range(lambda v: 0 <= v <= 0.5, "in [0, 0.5]")),
@@ -258,8 +260,8 @@ _RISK_SCHEMA = {
 }
 
 _CODEC_SCHEMA = {
-    "d": Key("int_or_list", check=_at_least(2)),
-    "k": Key("budgets", "all"),
+    "d": Key("int_or_list", check=_at_least(2), grid=True),
+    "k": Key("budgets", "all", grid=True),
     "samples": Key("int", 0, _at_least(0)),  # 0 = exhaustive over all 2^d supports
 }
 
@@ -359,13 +361,19 @@ def load_experiment(
 
 def check_ranges(config: ExperimentConfig) -> None:
     """PreconditionError unless every value of ``config`` (each element of
-    a list) lies in its key's range; ``run`` calls it before any work."""
+    a list) lies in its key's range, and no grid axis lists a value twice
+    (each repeat would rerun a whole grid point); ``run`` calls it before
+    any work."""
     schema = COMMANDS[config.command].schema
     for key, value in config.params.items():
         check = schema[key].check
         for item in _as_list(value) if check else ():
             if not check.holds(item):
                 raise PreconditionError(f"'{key}' must be {check.text}, got {item}")
+        grid = value if schema[key].grid and isinstance(value, list) else []
+        repeats = [item for i, item in enumerate(grid) if item in grid[:i]]
+        if repeats:
+            raise PreconditionError(f"'{key}' lists {repeats[0]} twice; each value is a grid point")
 
 
 # --- CSV output -------------------------------------------------------------
@@ -568,12 +576,13 @@ def _admissible_budgets(d: int) -> list[int]:
 # entries, and encoded, decoded and checked in blocks of at most
 # _SUPPORT_BLOCK entries: 1024 rows per ``encode_batch`` and ``decode_batch``
 # call at d = 16 and 64 at d = 256.  The float support draws stay
-# piece-sized (64 KB); the block's subsample keys and ``encode_batch``'s
-# sorted copy of them (128 KB each) are the largest temporaries.  On the
-# codec_roundtrip benchmark (seed 9, 2-core x86_64, numpy 2.4) peak RSS was
-# 37.52-37.54 MB with these sizes, about the same with 2^13-entry blocks
-# (which ran 15% slower), and 37.40 MB when scalar ``encode`` sent every
-# support: the batch encoder's code pages, more than its buffers.
+# piece-sized (64 KB); the block's subsample keys and the padded copy of
+# them that ``encode_batch`` sorts (128 KB each, with an int64 select mask
+# as large while the copy is built) are the largest temporaries.  On the
+# codec_roundtrip benchmark (seed 9, 2-core x86_64, Python 3.11, numpy 2.4)
+# peak RSS was 37.66 MB with these sizes, 37.54 MB with 2^13-entry blocks
+# (which ran about 18% slower), and 38.35 MB with 2^15-entry blocks (about
+# 2% faster).
 _SUPPORT_PIECE = 1 << 13
 _SUPPORT_BLOCK = 1 << 14
 # Each point's first supports also go through scalar ``encode`` and
@@ -659,8 +668,9 @@ def _block_failures(
     d, kprime = cfg.d, cfg.kprime
     counts = np.count_nonzero(block, axis=1)
     keys = np.zeros(block.shape)
-    if kprime:
-        keys[block & (counts > kprime)[:, None]] = rng.random(counts[counts > kprime].sum())
+    if kprime:  # a 1-d scatter by flat index: no branch on the half-dense mask
+        at = np.flatnonzero(block & (counts > kprime)[:, None])
+        keys.reshape(-1)[at] = rng.random(at.size)
     sent, payloads, _ = encode_batch(block, cfg, keys)
     del keys
     decoded = decode_batch(sent, payloads, cfg)
@@ -747,8 +757,11 @@ def _training_setup(
     so any error here is a precondition error, raised before training."""
     d, n, k, noise = params["d"], params["n"], params["k"], params["obj_noise"]
     try:
+        low, high = params["obj_eig_min"], params["obj_eig_max"]
         if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
             raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
+        if params["objective"] == "quadratic" and low > high:
+            raise PreconditionError(f"'obj_eig_min' must be <= obj_eig_max={high}, got {low}")
         # the builders check their own parameter ranges
         obj = _build_objective(params, derive_seed(seed, 0))
         if obj.n_samples < n:

@@ -816,6 +816,90 @@ class TestPackedSelection:
         return ones[codec._keep_largest_packed(rows, counts, kprime, keys.reshape(-1)[ones])]
 
 
+def where_padded_selection(nonzero, kprime, keys):
+    """The keep-largest-keys rule on rows padded by ``np.where(nonzero, keys,
+    -1.0)``, in the dtype that promotes to: a row keeps the keys that reach
+    its kprime-th largest, and where ties would keep more than kprime, the
+    kprime first by a stable descending sort."""
+    d = nonzero.shape[1]
+    if kprime == 0 or kprime >= d:
+        return nonzero & (kprime > 0)
+    filled = np.where(nonzero, keys, -1.0)
+    mask = nonzero & (filled >= np.sort(filled, axis=1)[:, [d - kprime]])
+    ranked = np.argsort(np.argsort(-filled, axis=1, kind="stable"), axis=1) < kprime
+    tied = mask.sum(axis=1) > kprime
+    mask[tied] = nonzero[tied] & ranked[tied]
+    return mask
+
+
+# Keys off the support that a padding must ignore: non-finite, a negative
+# zero, and values above and below every key on the support.
+OFF_SUPPORT_KEYS = [np.inf, -np.inf, np.nan, -0.0, 5.0, -3.0]
+
+
+@st.composite
+def padding_cases(draw, min_d=1):
+    """(x, kprime, keys): up to 6 boolean rows (0 included) of width
+    ``min_d`` to 12; float64, float32 or int keys, on the support from a
+    few values so that ties at the threshold are common, and off it from
+    ``OFF_SUPPORT_KEYS`` (ints: values above, below and between them)."""
+    d = draw(st.integers(min_d, 12))
+    rows = draw(st.integers(0, 6))
+    size = rows * d
+    x = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    if dtype is np.int64:
+        on, off = st.sampled_from([0, 1, 2, 2, 3]), st.sampled_from([5, -3, 0, 2, 2**62])
+    else:
+        on = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+        off = st.sampled_from(OFF_SUPPORT_KEYS)
+    on_keys = np.array(draw(st.lists(on, min_size=size, max_size=size)), dtype=dtype)
+    off_keys = np.array(draw(st.lists(off, min_size=size, max_size=size)), dtype=dtype)
+    keys = np.where(x, on_keys, off_keys).reshape(rows, d)
+    kprime = draw(st.sampled_from([0, 1]) | st.integers(d, d + 2) | st.integers(0, d))
+    return x.reshape(rows, d), kprime, keys
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWherePadding:
+    """The dense selection pads its rows by a bitwise select; it must select
+    what ``np.where(nonzero, keys, -1.0)`` padding selects, whatever the
+    keys off the support hold, and warn about none of them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(padding_cases())
+    @example((np.ones((2, 4), dtype=bool), 2, np.full((2, 4), 0.5)))  # every row tied
+    @example((np.zeros((0, 3), dtype=bool), 1, np.zeros((0, 3))))  # no rows
+    @example((np.array([[True], [False]]), 1, np.array([[0.5], [np.inf]])))  # d = 1
+    @example(
+        (np.array([[True, False, True, False, True, False, True]]), 2,
+         np.array([[0.5, np.inf, 0.5, np.nan, 0.25, -np.inf, -0.0]]))
+    )
+    def test_selection_matches_the_where_padding(self, case):
+        x, kprime, keys = case
+        expected = where_padded_selection(x, kprime, keys)
+        assert np.array_equal(codec._keep_largest_keys(x, x.sum(axis=1), kprime, keys), expected)
+        assert np.array_equal(
+            codec._padded_keys(x, keys).view(np.int64),
+            np.where(x, keys, -1.0).astype(np.float64).view(np.int64),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(padding_cases(min_d=2), st.data())
+    def test_encode_batch_matches_the_where_padding(self, case, data):
+        x, _, keys = case
+        d = x.shape[1]
+        header = ceil_log2(d + 1)
+        cfg = make_config(d, data.draw(st.integers(header + 1, header + d), label="k"))
+        expected = where_padded_selection(x, cfg.kprime, keys)
+        ranks = [rank_sparse(np.flatnonzero(row).tolist(), d, cfg.kprime) for row in expected]
+        for given_keys in (keys, keys.tolist()) if len(x) else (keys,):
+            counts, payloads, mask = encode_batch(x, cfg, given_keys)
+            assert np.array_equal(mask, expected)
+            assert counts.tolist() == x.sum(axis=1).tolist()
+            assert [int(p) for p in payloads] == ranks
+
+
 @st.composite
 def codec_cases(draw):
     """(d, k, rows, seed): any admissible budget up to codebook saturation at

@@ -374,10 +374,17 @@ class TestCodecRoundtripCommand:
         expected = [np.flatnonzero(bits) for bits in itertools.product((0, 1), repeat=6)]
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
-    def test_messages_and_stream_use_match_the_scalar_codec(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("k", [24, 48, 96])
+    def test_messages_and_stream_use_match_the_scalar_codec(self, tmp_path, monkeypatch, k):
         """What reaches decode_batch is what per-support scalar encode sends
-        on substream(seed, 7), and each decoded row is what decode returns."""
-        dims = [16, 64, 256]  # at k = 96: an int64 codebook, then Python-int ones
+        on substream(seed, 7), and each decoded row is what decode returns.
+
+        Every support is compared, so this pins the row-major order of the
+        drawn keys in every subsampled row, not only in the first
+        _CROSS_CHECK_ROWS.  Rows are subsampled (kprime < d) at d = 64 and
+        256 for k = 24 and 48, and at d = 256 for k = 96, whose codebook
+        there holds Python ints; d = 16 keeps every support whole."""
+        dims = [16, 64, 256]
         samples = harness._SUPPORT_BLOCK // dims[0] + 3  # crosses a block boundary at every d
         seen = {d: [] for d in dims}
         original = harness.decode_batch
@@ -388,10 +395,10 @@ class TestCodecRoundtripCommand:
             return mask
 
         monkeypatch.setattr(harness, "decode_batch", recording)
-        cfg = f"command = CodecRoundtrip\nd = {dims}\nk = 96\nsamples = {samples}\nseed = 3\n"
+        cfg = f"command = CodecRoundtrip\nd = {dims}\nk = {k}\nsamples = {samples}\nseed = 3\n"
         assert run(write_config(tmp_path, cfg), echo=lambda _: None) == EXIT_OK
         for index, d in enumerate(dims):
-            codec_cfg = make_config(d, 96)
+            codec_cfg = make_config(d, k)
             assert len(seen[d]) > 1
             assert {p.dtype for _, p, _ in seen[d]} == {_class_offsets(d, codec_cfg.kprime).dtype}
             counts = np.concatenate([c for c, _, _ in seen[d]]).tolist()
@@ -681,6 +688,22 @@ class TestTrainCommands:
         assert [r["spec"] for r in rows] == ["rtop_r6_k3", "top_3", "random_3"]
         assert all(r["comm_entries_per_round"] == "6" for r in rows)
 
+    def test_compare_keeps_repeated_seeds(self, tmp_path):
+        """A repeated seed reruns its training, bit for bit, so the spread is
+        over copies: accepted, as the library's lockstep training accepts it."""
+        cfg = (
+            "command = CompareSparsifiers\nd = 12\nn = 2\nk = 2\nsteps = 5\n"
+            "obj_samples = 20\nspecs = [top:2]\nseeds = [{seeds}]\nout = {o}\n"
+        )
+        rows = {}
+        for seeds in ("1, 1", "1"):
+            out = str(tmp_path / f"{len(seeds)}.csv")
+            assert run(write_config(tmp_path, cfg.format(seeds=seeds, o=out))) == EXIT_OK
+            rows[seeds] = read_rows(out)[0]
+        assert rows["1, 1"]["seeds"] == "2"
+        assert rows["1, 1"]["mean_final_loss"] == rows["1"]["mean_final_loss"]
+        assert float(rows["1, 1"]["std_final_loss"]) == 0.0
+
     def test_concentrated_objective_available(self, tmp_path):
         cfg = (
             "command = Train\nobjective = concentrated_quadratic\nd = 40\n"
@@ -819,8 +842,11 @@ class TestConfigOnlyPreconditions:
             # checked as the config loads, before numpy sees a negative size
             ("obj_samples = -3", "'obj_samples' must be >= 1, got -3"),
             ("obj_noise = -0.5", "'obj_noise' must be >= 0, got -0.5"),
+            # the names would misstate the spectrum, which runs high to low
+            ("obj_eig_min = 3.0\nobj_eig_max = 1.0",
+             "'obj_eig_min' must be <= obj_eig_max=1.0, got 3.0"),
         ],
-        ids=["obj_samples", "obj_noise"],
+        ids=["obj_samples", "obj_noise", "obj_eig_min_above_max"],
     )
     def test_range_error_names_the_key(self, tmp_path, monkeypatch, command, line, message):
         monkeypatch.setattr(harness, "train", must_not_run)
@@ -906,6 +932,39 @@ class TestConfigOnlyPreconditions:
         out = tmp_path / "g.csv"
         path = write_config(tmp_path, cfg + f"workers = 1\nout = {out}\n")
         assert run(path) == EXIT_PRECONDITION
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ("command = SweepRisk\nn = [4, 4]\nk = 12\nd = 16\ns = 2\ntrials = 120\n",
+             "'n' lists 4 twice"),
+            ("command = SweepRisk\nn = 4\nk = [12, 14, 12]\nd = 16\ns = 2\ntrials = 120\n",
+             "'k' lists 12 twice"),
+            ("command = SweepRisk\nn = 4\nk = 12\nd = [16, 16]\ns = 2\ntrials = 120\n",
+             "'d' lists 16 twice"),
+            ("command = SweepRisk\nn = 4\nk = 12\nd = 16\ns = [2, 2.0]\ntrials = 120\n",
+             "'s' lists 2.0 twice"),
+            ("command = CodecRoundtrip\nd = [16, 64, 16]\nk = 24\nsamples = 5\n",
+             "'d' lists 16 twice"),
+            ("command = CodecRoundtrip\nd = 16\nk = [24, 24]\nsamples = 5\n",
+             "'k' lists 24 twice"),
+            ("command = Bounds\nn = 4\nk = 12\nd = 16\ns = [2, 3, 2]\n", "'s' lists 2 twice"),
+        ],
+        ids=["risk_n", "risk_k", "risk_d", "risk_s_int_and_float", "codec_d", "codec_k",
+             "bounds_s"],
+    )
+    def test_repeated_grid_value(self, tmp_path, monkeypatch, cfg, message):
+        """A grid axis that lists a value twice would rerun a whole point."""
+        for name in ("_risk_point", "_bound_columns", "_codec_point"):
+            monkeypatch.setattr(harness, name, must_not_run)
+        out = tmp_path / "g.csv"
+        errors = []
+        path = write_config(tmp_path, cfg + f"workers = 1\nout = {out}\n")
+        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
+        assert errors == [
+            f"ERROR code=3 kind=PreconditionError message={message}; each value is a grid point"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1208,8 +1267,8 @@ UNCHECKED_NUMERIC_KEYS = {
     "r": "the rtop window check k <= r <= d of harness._training_setup",
     "eta": "TrainConfig",
     "init_scale": "TrainConfig",
-    "obj_eig_min": "the objective builders",
-    "obj_eig_max": "the objective builders",
+    "obj_eig_min": "the objective builders, and obj_eig_min <= obj_eig_max in _training_setup",
+    "obj_eig_max": "the objective builders, and obj_eig_min <= obj_eig_max in _training_setup",
     "obj_reg": "the objective builders",
     "obj_heavy": "the objective builders",
 }
