@@ -187,7 +187,7 @@ def make_config(d: int, k: int) -> CodecConfig:
     header = ceil_log2(d + 1)
     if k < header + 1:
         raise BudgetTooSmall(
-            f"k={k} cannot hold the {header}-bit count header plus a payload bit"
+            f"k={k} cannot hold the {header}-bit count header of d={d} plus a payload bit"
         )
     payload = k - header
     capacity = 1 << payload

@@ -41,6 +41,10 @@ from .model import (
 from .seeding import substream, trial_streams  # noqa: F401
 
 
+# The fewest trials a risk estimate takes; the harness's 'trials' key reads it.
+MIN_TRIALS = 100
+
+
 class DegenerateCodec(ValueError):
     """The codec cannot carry any support index (kprime == 0)."""
 
@@ -118,8 +122,8 @@ def monte_carlo_risk(
     substreams of ``seed``, so results are reproducible and independent of
     any parallel execution order.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     target = theta.estimand()
     mean, m2, t = 0.0, 0.0, 0
     for hats in _trial_estimates(theta, n, cfg, trials, perturb, seed):
@@ -249,7 +253,7 @@ class BoundCurve:
         if self.kind not in _BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if not self.constant > 0:
-            raise ValueError("constant must be positive")
+            raise ValueError(f"{self.kind} constant must be positive, got {self.constant}")
 
 
 @dataclass(frozen=True)

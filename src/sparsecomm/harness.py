@@ -21,13 +21,13 @@ import itertools
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .codec import (
-    BudgetTooSmall,
     CodecConfig,
     CodecError,
     ceil_log2,
@@ -41,6 +41,7 @@ from .codec import (
 from .estimator import (
     CENTRALIZED,
     LOWER_MINIMAX,
+    MIN_TRIALS,
     UPPER_ACHIEVABLE,
     BoundCurve,
     OutOfRegime,
@@ -90,6 +91,18 @@ class ConfigParseError(Exception):
 
 class PreconditionError(Exception):
     """A work item violates an operation precondition."""
+
+
+@contextmanager
+def _preconditions():
+    """The precondition boundary.  Each runner builds its library objects
+    from the config in here, before its first unit of work; each library
+    type judges its own values, naming them, and its ``ValueError`` or
+    ``CodecError`` becomes a ``PreconditionError`` (exit 3)."""
+    try:
+        yield
+    except (ValueError, CodecError) as exc:
+        raise PreconditionError(str(exc)) from exc
 
 
 # --- config parsing ---------------------------------------------------------
@@ -201,7 +214,9 @@ class Key(NamedTuple):
     ``load_experiment``), its default (``_REQUIRED`` if the config must set
     it, ``None`` if the runner computes it), the range every value, or
     every list element, must lie in, and whether a list of it is a grid
-    axis, whose values must be distinct (both checked by ``check_ranges``)."""
+    axis, whose values must be distinct (both checked by ``check_ranges``).
+    A key has a range only where no library type judges the value before
+    work; every other range is the library's (docs/config-schema.md)."""
 
     kind: str
     default: object = _REQUIRED
@@ -247,31 +262,36 @@ _COMMON_SCHEMA = {
     "workers": Key("positive_int", None),  # None: the cpu count
 }
 
+# make_config judges k and d, BoundCurve the constants, UniformPerturbation
+# the halfwidth; monte_carlo_risk judges trials only once a point runs.
 _RISK_SCHEMA = {
     "n": Key("int_or_list", check=_at_least(1), grid=True),
-    "k": Key("int_or_list", check=_at_least(1), grid=True),
-    "d": Key("int_or_list", check=_at_least(2), grid=True),
+    "k": Key("int_or_list", grid=True),
+    "d": Key("int_or_list", grid=True),
     "s": Key("num_or_list", check=_above(0), grid=True),
-    "trials": Key("int", 1000, _at_least(100)),
+    "trials": Key("int", 1000, _at_least(MIN_TRIALS)),
     "probes": Key("str_list", ["flat"]),
-    "perturb_halfwidth": Key("float", 0.0, Range(lambda v: 0 <= v <= 0.5, "in [0, 0.5]")),
-    "upper_constant": Key("float", 1.0, _above(0)),
-    "lower_constant": Key("float", 1.0, _above(0)),
+    "perturb_halfwidth": Key("float", 0.0),
+    "upper_constant": Key("float", 1.0),
+    "lower_constant": Key("float", 1.0),
 }
 
 _CODEC_SCHEMA = {
-    "d": Key("int_or_list", check=_at_least(2), grid=True),
+    "d": Key("int_or_list", grid=True),
     "k": Key("budgets", "all", grid=True),
     "samples": Key("int", 0, _at_least(0)),  # 0 = exhaustive over all 2^d supports
 }
 
+# TrainConfig judges n, steps, batch_size, eta and init_scale, SparsifierSpec
+# k (and Train's r), the objectives their own parameters; no objective
+# judges d before numpy sees it, so its range is here.
 _TRAINING_SCHEMA = {
     "objective": Key("str", "quadratic"),
     "d": Key("int", 100, _at_least(1)),
-    "n": Key("int", 5, _at_least(1)),
-    "batch_size": Key("int", 8, _at_least(1)),
-    "k": Key("int", check=_at_least(1)),
-    "steps": Key("int", check=_at_least(1)),
+    "n": Key("int", 5),
+    "batch_size": Key("int", 8),
+    "k": Key("int"),
+    "steps": Key("int"),
     "eta": Key("schedule", 0.1),
     "aggregation": Key("str", "error_feedback_mean"),
     "partition": Key("str", "contiguous"),
@@ -293,8 +313,12 @@ _TRAINING_SCHEMA = {
 _TRAIN_SCHEMA = dict(_TRAINING_SCHEMA, r=Key("int", None))  # None: min(n*k, d)
 _COMPARE_SCHEMA = dict(_TRAINING_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
 
+# Bounds builds no codec config, so its k and d ranges are here.
 _BOUNDS_SCHEMA = {
-    key: _RISK_SCHEMA[key] for key in ("n", "k", "d", "s", "upper_constant", "lower_constant")
+    "n": _RISK_SCHEMA["n"],
+    "k": Key("int_or_list", check=_at_least(1), grid=True),
+    "d": Key("int_or_list", check=_at_least(2), grid=True),
+    **{key: _RISK_SCHEMA[key] for key in ("s", "upper_constant", "lower_constant")},
 }
 
 
@@ -421,10 +445,7 @@ def write_csv_atomic(path: str, columns: list[str], rows: list[dict]) -> None:
 def probe_param(name: str, d: int, s: float) -> ParamVector:
     """Named worst-case probes for the risk commands."""
     if name == "flat":
-        try:
-            return hardest_param(d, s)
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from exc
+        return hardest_param(d, s)
     if name == "half_flat":
         if s > d:
             raise PreconditionError(f"probe half_flat needs s <= d, got s={s} d={d}")
@@ -459,51 +480,45 @@ def _risk_grid(params: dict) -> list[dict]:
     return grid
 
 
-def _bound_columns(n, k, d, s, theta, upper_c: float, lower_c: float) -> dict:
+def _bound_curves(params: dict) -> tuple[BoundCurve, BoundCurve, BoundCurve]:
+    """The upper, lower and centralized curves of a risk or Bounds run."""
+    return (
+        BoundCurve(UPPER_ACHIEVABLE, params["upper_constant"]),
+        BoundCurve(LOWER_MINIMAX, params["lower_constant"]),
+        BoundCurve(CENTRALIZED),
+    )
+
+
+def _bound_columns(n, k, d, s, theta, curves: tuple[BoundCurve, BoundCurve, BoundCurve]) -> dict:
     """The reference-curve columns of a risk or bounds row at (n, k, d, s).
 
     An out-of-regime curve gets an empty value and names the failed
     hypothesis in its regime column; ``centralized`` is empty without theta.
     """
-    upper = bound_value(BoundCurve(UPPER_ACHIEVABLE, upper_c), n, k, d, s)
-    lower = bound_value(BoundCurve(LOWER_MINIMAX, lower_c), n, k, d, s)
+    upper_curve, lower_curve, centralized = curves
+    upper = bound_value(upper_curve, n, k, d, s)
+    lower = bound_value(lower_curve, n, k, d, s)
     return {
         "upper_bound": None if isinstance(upper, OutOfRegime) else upper,
         "upper_regime": upper.reason if isinstance(upper, OutOfRegime) else "ok",
         "lower_bound": None if isinstance(lower, OutOfRegime) else lower,
         "lower_regime": lower.reason if isinstance(lower, OutOfRegime) else "ok",
         "centralized": (
-            None if theta is None else bound_value(BoundCurve(CENTRALIZED), n, k, d, s, theta=theta)
+            None if theta is None else bound_value(centralized, n, k, d, s, theta=theta)
         ),
     }
 
 
-def _budget_config(d: int, k: int) -> CodecConfig:
-    """The codec config of (d, k); a budget below the count header is a
-    precondition error."""
-    try:
-        return make_config(d, k)
-    except BudgetTooSmall as exc:
-        raise PreconditionError(f"d={d}, k={k}: {exc}") from exc
-
-
 def _risk_point(args: tuple) -> dict:
     """One grid point of a risk sweep (top level: picklable for pools)."""
-    point, theta, cfg, trials, halfwidth, upper_c, lower_c, point_seed = args
+    point, theta, cfg, trials, perturb, curves, point_seed = args
     n, k, d, s = point["n"], point["k"], point["d"], point["s"]
     row = dict(point, trials=trials, kprime=cfg.kprime)
-    row.update(_bound_columns(n, k, d, s, theta, upper_c, lower_c))
+    row.update(_bound_columns(n, k, d, s, theta, curves))
     if cfg.degenerate:
-        row["risk"] = None
-        row["std_err"] = None
-        row["status"] = "degenerate_codec"
-        return row
-    perturb = UniformPerturbation(halfwidth) if halfwidth > 0 else None
+        return dict(row, risk=None, std_err=None, status="degenerate_codec")
     estimate = monte_carlo_risk(theta, n, cfg, trials, perturb=perturb, seed=point_seed)
-    row["risk"] = estimate.mean_sq_error
-    row["std_err"] = estimate.std_error
-    row["status"] = "ok"
-    return row
+    return dict(row, risk=estimate.mean_sq_error, std_err=estimate.std_error, status="ok")
 
 
 def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
@@ -518,23 +533,17 @@ def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
     grid = _risk_grid(params)
     if not grid:
         raise PreconditionError("empty grid")
-    # Every point's probe and codec config is built before the first point
-    # runs, so a probe range or budget error exits 3 with no work done.
-    inputs = [
-        (probe_param(p["probe"], p["d"], p["s"]), _budget_config(p["d"], p["k"])) for p in grid
-    ]
+    with _preconditions():
+        # each point's codec config before its probe, so make_config judges d
+        inputs = [
+            (make_config(p["d"], p["k"]), probe_param(p["probe"], p["d"], p["s"])) for p in grid
+        ]
+        curves = _bound_curves(params)
+        halfwidth = params["perturb_halfwidth"]
+        perturb = UniformPerturbation(halfwidth) if halfwidth != 0 else None
     jobs = [
-        (
-            point,
-            theta,
-            cfg,
-            params["trials"],
-            params["perturb_halfwidth"],
-            params["upper_constant"],
-            params["lower_constant"],
-            derive_seed(config.seed, index),
-        )
-        for index, (point, (theta, cfg)) in enumerate(zip(grid, inputs))
+        (point, theta, cfg, params["trials"], perturb, curves, derive_seed(config.seed, index))
+        for index, (point, (cfg, theta)) in enumerate(zip(grid, inputs))
     ]
     if config.workers > 1 and len(jobs) > 1:
         # imported here: the pool pulls in multiprocessing, which no other
@@ -566,10 +575,10 @@ def _run_risk(config: ExperimentConfig, echo) -> list[dict]:
 
 
 def _admissible_budgets(d: int) -> list[int]:
-    """All budgets from the two-header minimum to codebook saturation."""
-    header = ceil_log2(d + 1)
-    low = max(2 * ceil_log2(d), header + 1)
-    return list(range(low, header + d + 1))
+    """All budgets from the two-header minimum to codebook saturation,
+    header + d bits; the saturated config judges d."""
+    top = make_config(d, ceil_log2(d + 1) + d)
+    return list(range(max(2 * ceil_log2(d), top.header_bits + 1), top.k + 1))
 
 
 # Supports are drawn or enumerated in pieces of at most _SUPPORT_PIECE
@@ -695,11 +704,12 @@ def _run_codec(config: ExperimentConfig, echo) -> list[dict]:
             f"exhaustive roundtrip over 2^{max(dims)} supports is infeasible; "
             "set 'samples' for d > 16"
         )
-    points = [
-        (_budget_config(d, k), derive_seed(config.seed, index))
-        for index, d in enumerate(dims)
-        for k in (_admissible_budgets(d) if k_spec == "all" else _as_list(k_spec))
-    ]
+    with _preconditions():
+        points = [
+            (make_config(d, k), derive_seed(config.seed, index))
+            for index, d in enumerate(dims)
+            for k in (_admissible_budgets(d) if k_spec == "all" else _as_list(k_spec))
+        ]
     return [_codec_point(cfg, samples, seed, echo) for cfg, seed in points]
 
 
@@ -752,51 +762,39 @@ def _training_setup(
 ) -> tuple[TrainConfig, object, list[SparsifierSpec]]:
     """The training config, objective and sparsifiers of a Train config (its
     rtop window) or of a CompareSparsifiers config (its parsed ``specs``,
-    each spending the budget k; the training config holds the first).  All
-    are built from the config alone and every window is checked against d,
-    so any error here is a precondition error, raised before training."""
-    d, n, k, noise = params["d"], params["n"], params["k"], params["obj_noise"]
-    try:
-        low, high = params["obj_eig_min"], params["obj_eig_max"]
-        if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
-            raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
-        if params["objective"] == "quadratic" and low > high:
-            raise PreconditionError(f"'obj_eig_min' must be <= obj_eig_max={high}, got {low}")
-        # the builders check their own parameter ranges
-        obj = _build_objective(params, derive_seed(seed, 0))
-        if obj.n_samples < n:
-            raise PreconditionError(f"'obj_samples' must be >= n={n}, got {obj.n_samples}")
-        if specs is None:
-            r = _rtop_window(n, k, obj.d) if params["r"] is None else params["r"]
-            if not k <= r <= obj.d:
-                raise PreconditionError(f"need k={k} <= r={r} <= d={obj.d}")
-            sparsifiers = [SparsifierSpec.rtop(r, k)]
-        else:
-            sparsifiers = [parse_spec_string(text, obj.d, n) for text in specs]
-            for spec in sparsifiers:
-                spec.window(obj.d)
-            if not sparsifiers or any(spec.entries_budget != k for spec in sparsifiers):
-                raise PreconditionError(
-                    f"'specs' must be nonempty with every entries budget k={k}, got {specs}"
-                )
-        cfg = TrainConfig(
-            n=n,
-            steps=params["steps"],
-            sparsifier=sparsifiers[0],
-            batch_size=params["batch_size"],
-            eta=params["eta"],
-            aggregation=params["aggregation"],
-            partition=params["partition"],
-            init_scale=params["init_scale"],
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
-    return cfg, obj, sparsifiers
+    each spending the budget k; the training config holds the first), built
+    from the config alone: runners call it inside ``_preconditions``.  The
+    training config comes first, so a bad n is judged as n, not as a window
+    n*k; every window is then judged against the objective's d."""
+    d, k, noise = params["d"], params["k"], params["obj_noise"]
+    keys = ("n", "steps", "batch_size", "eta", "aggregation", "partition", "init_scale")
+    # the sparsifier is set below, once the window is known
+    cfg = TrainConfig(sparsifier=None, seed=seed, **{key: params[key] for key in keys})
+    low, high = params["obj_eig_min"], params["obj_eig_max"]
+    if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
+        raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
+    if params["objective"] == "quadratic" and low > high:
+        raise PreconditionError(f"'obj_eig_min' must be <= obj_eig_max={high}, got {low}")
+    obj = _build_objective(params, derive_seed(seed, 0))
+    if obj.n_samples < cfg.n:
+        raise PreconditionError(f"'obj_samples' must be >= n={cfg.n}, got {obj.n_samples}")
+    if specs is None:
+        r = _rtop_window(cfg.n, k, obj.d) if params["r"] is None else params["r"]
+        sparsifiers = [SparsifierSpec.rtop(r, k)]
+    else:
+        sparsifiers = [parse_spec_string(text, obj.d, cfg.n) for text in specs]
+        if not sparsifiers or any(spec.entries_budget != k for spec in sparsifiers):
+            raise PreconditionError(
+                f"'specs' must be nonempty with every entries budget k={k}, got {specs}"
+            )
+    for spec in sparsifiers:
+        spec.window(obj.d)
+    return replace(cfg, sparsifier=sparsifiers[0]), obj, sparsifiers
 
 
 def _run_train(config: ExperimentConfig, echo) -> list[dict]:
-    cfg, obj, _ = _training_setup(config.params, config.seed)
+    with _preconditions():
+        cfg, obj, _ = _training_setup(config.params, config.seed)
     result = train(obj, cfg)
     echo(
         f"trained {config.params['objective']} d={obj.d} for {cfg.steps} rounds -> "
@@ -828,7 +826,8 @@ def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:
 
 def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    cfg, obj, specs = _training_setup(params, config.seed, params["specs"])
+    with _preconditions():
+        cfg, obj, specs = _training_setup(params, config.seed, params["specs"])
     # outside any catch: a run that diverges mid-training is a runtime error
     rows = compare_sparsifiers(obj, cfg, specs, params["seeds"])
     for row in rows:
@@ -844,18 +843,18 @@ def _run_compare(config: ExperimentConfig, echo) -> list[dict]:
 
 def _run_bounds(config: ExperimentConfig, echo) -> list[dict]:
     params = config.params
-    for d, s in itertools.product(_as_list(params["d"]), _as_list(params["s"])):
-        if s > d:
-            raise PreconditionError(f"Bounds needs s <= d, got s={s} d={d}")
+    ns, ks, ds, ss = (_as_list(params[key]) for key in ("n", "k", "d", "s"))
+    thetas = {}  # the flat probe of each (d, s) with s <= d/2
+    with _preconditions():
+        curves = _bound_curves(params)
+        for d, s in itertools.product(ds, ss):
+            if s > d:
+                raise PreconditionError(f"Bounds needs s <= d, got s={s} d={d}")
+            if s <= d / 2:
+                thetas[d, s] = probe_param("flat", d, s)
     rows = []
-    grid = itertools.product(
-        _as_list(params["n"]), _as_list(params["k"]), _as_list(params["d"]), _as_list(params["s"])
-    )
-    for n, k, d, s in grid:
-        theta = probe_param("flat", d, s) if s <= d / 2 else None
-        bounds = _bound_columns(
-            n, k, d, s, theta, params["upper_constant"], params["lower_constant"]
-        )
+    for n, k, d, s in itertools.product(ns, ks, ds, ss):
+        bounds = _bound_columns(n, k, d, s, thetas.get((d, s)), curves)
         rows.append({"n": n, "k": k, "d": d, "s": s, **bounds})
     echo(f"evaluated bounds at {len(rows)} grid points")
     return rows

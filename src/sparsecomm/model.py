@@ -71,7 +71,7 @@ class UniformPerturbation:
 
     def __post_init__(self):
         if not 0.0 < self.halfwidth <= 0.5:
-            raise ValueError("halfwidth must lie in (0, 0.5]")
+            raise ValueError(f"halfwidth must lie in (0, 0.5], got {self.halfwidth}")
 
 
 def as_support(values) -> np.ndarray:

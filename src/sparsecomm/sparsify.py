@@ -133,21 +133,15 @@ def random_k(w, k: int, rng: np.random.Generator) -> SparseUpdate:
 
 
 def rtop_k(w, r: int, k: int, rng: np.random.Generator) -> SparseUpdate:
-    """Keep a uniformly random k-subset of the top-r magnitude coordinates.
-
-    Unlike :class:`SparsifierSpec`, which caps r at d, an r above d is a
-    ``BadRank`` here."""
-    w = _as_vector(w)
-    if not 1 <= k <= r <= w.size:
-        raise BadRank(f"need 1 <= k={k} <= r={r} <= d={w.size}")
+    """Keep a uniformly random k-subset of the top-r magnitude coordinates;
+    ``BadRank`` unless 1 <= k <= r <= d, before anything is drawn."""
     return SparsifierSpec.rtop(r, k).apply(w, rng)
 
 
 def expected_sq_error(w, r: int, k: int) -> float:
     """Closed-form E||w - rtop_k(w)||^2 over the selection randomness."""
     w = _as_vector(w)
-    if not 1 <= k <= r <= w.size:
-        raise BadRank(f"need 1 <= k={k} <= r={r} <= d={w.size}")
+    SparsifierSpec.rtop(r, k).window(w.size)
     sq = np.sort(np.abs(w))[::-1] ** 2
     head = float(np.sum(sq[:r]))
     tail = float(np.sum(sq[r:]))
@@ -261,8 +255,9 @@ class SparsifierSpec:
 
     def window(self, d: int) -> int:
         """How many coordinates the kept entries are chosen among: the
-        top-r window (r capped at d), or all d for random-k.  Raises
-        ``BadRank`` unless k <= window <= d (k >= 1 holds from construction)."""
+        top-r window r, or all d for random-k.  Raises ``BadRank`` unless
+        k <= window <= d (k >= 1, and k <= r for rtop-k, hold from
+        construction): the one statement of the rule 1 <= k <= r <= d."""
         if self.kind == "top_r":
             if self.k > d:
                 raise BadRank(f"r={self.k} outside [1, {d}]")
@@ -271,10 +266,9 @@ class SparsifierSpec:
             if self.k > d:
                 raise BadRank(f"k={self.k} outside [1, {d}]")
             return d
-        r = min(self.r, d)
-        if self.k > r:
-            raise BadRank(f"need 1 <= k={self.k} <= r={r} <= d={d}")
-        return r
+        if self.r > d:
+            raise BadRank(f"need 1 <= k={self.k} <= r={self.r} <= d={d}")
+        return self.r
 
     def unbiased_rescale(self, d: int) -> float:
         """Inverse inclusion probability of a kept coordinate.

@@ -168,7 +168,7 @@ def naive_train(obj, cfg):
     elif kind == "random_k":
         window = d
     else:
-        window = min(r, d)
+        window = r
     if cfg.partition == "contiguous":
         shards = [
             list(range(i * obj.n_samples // n, (i + 1) * obj.n_samples // n)) for i in range(n)

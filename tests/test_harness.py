@@ -629,9 +629,9 @@ class TestTrainCommands:
         monkeypatch.setattr(harness, "train", must_not_run)
         out = tmp_path / "t.csv"
         for k, r, message in (
-            (4, "r = 1\n", "need k=4 <= r=1 <= d=10"),
-            (4, "r = 999\n", "need k=4 <= r=999 <= d=10"),
-            (12, "", "need k=12 <= r=10 <= d=10"),
+            (4, "r = 1\n", "need 1 <= k=4 <= r=1"),
+            (4, "r = 999\n", "need 1 <= k=4 <= r=999 <= d=10"),
+            (12, "", "need 1 <= k=12 <= r=10"),
         ):
             cfg = f"command = Train\nd = 10\nn = 2\nk = {k}\n{r}steps = 5\nout = {out}\n"
             errors = []
@@ -655,7 +655,7 @@ class TestTrainCommands:
         cfg = f"command = Train\nd = 100\nn = 5\nk = 5\nr = 3\nsteps = 1\nout = {out}\n"
         errors = []
         assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == ["ERROR code=3 kind=PreconditionError message=need k=5 <= r=3 <= d=100"]
+        assert errors == ["ERROR code=3 kind=PreconditionError message=need 1 <= k=5 <= r=3"]
         assert len(trained) == 2
 
     @pytest.mark.parametrize("r", [1, 999])
@@ -871,13 +871,24 @@ class TestConfigOnlyPreconditions:
         assert "k=3" in errors[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("specs", ["[top:20]", "[random:11]", "[rtop:4:6]"])
-    def test_spec_wider_than_d(self, tmp_path, monkeypatch, specs):
+    @pytest.mark.parametrize(
+        "specs,k,message",
+        [
+            ("[top:20]", 20, "r=20 outside [1, 10]"),
+            ("[random:11]", 11, "k=11 outside [1, 10]"),
+            ("[rtop:4:6]", 6, "bad sparsifier spec 'rtop:4:6': need 1 <= k=6 <= r=4"),
+            # a window wider than d is refused, not run as the window d
+            ("[rtop:50:2]", 2, "need 1 <= k=2 <= r=50 <= d=10"),
+        ],
+    )
+    def test_spec_wider_than_d(self, tmp_path, monkeypatch, specs, k, message):
         monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
         out = tmp_path / "c.csv"
-        cfg = f"command = CompareSparsifiers\nd = 10\nk = 2\nsteps = 3\nspecs = {specs}\n"
+        cfg = f"command = CompareSparsifiers\nd = 10\nk = {k}\nsteps = 3\nspecs = {specs}\n"
+        errors = []
         path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
-        assert run(path) == EXIT_PRECONDITION
+        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
+        assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -971,7 +982,7 @@ class TestConfigOnlyPreconditions:
         "grid,message",
         [
             ("k = [12, 3]\ns = 2\nprobes = [flat]\n",
-             "d=16, k=3: k=3 cannot hold the 5-bit count header plus a payload bit"),
+             "k=3 cannot hold the 5-bit count header of d=16 plus a payload bit"),
             ("k = 12\ns = [4, 40]\nprobes = [flat]\n", "s=40 must be at most d/2=8.0"),
             ("k = 12\ns = [4, 20]\nprobes = [half_flat]\n",
              "probe half_flat needs s <= d, got s=20 d=16"),
@@ -1260,17 +1271,36 @@ def doc_key_tables():
     return sections
 
 
-# Numeric keys with no ``Key.check``, and where each one's range is enforced.
+# Each command's numeric keys with no ``Key.check``, and the one place where
+# each one's rule lives (None: the keys every command takes).
+_RISK_RULES = {
+    "k": "codec.make_config: k >= header + 1",
+    "d": "codec.make_config: d >= 2",
+    "perturb_halfwidth": "model.UniformPerturbation: in (0, 0.5]; 0 means none",
+    "upper_constant": "estimator.BoundCurve: positive",
+    "lower_constant": "estimator.BoundCurve: positive",
+}
+_TRAINING_RULES = {
+    "n": "sgdsim.TrainConfig: a positive integer",
+    "batch_size": "sgdsim.TrainConfig: a positive integer",
+    "k": "sparsify.SparsifierSpec: k >= 1, and every spec's budget is k",
+    "steps": "sgdsim.TrainConfig: a positive integer",
+    "eta": "sgdsim.TrainConfig: positive rates, steps from 0 up",
+    "init_scale": "sgdsim.TrainConfig: nonnegative",
+    # obj_eig_min <= obj_eig_max spans two keys: harness._training_setup states it
+    "obj_eig_min": "objectives.QuadraticObjective: every eigenvalue positive",
+    "obj_eig_max": "objectives.QuadraticObjective: every eigenvalue positive",
+    "obj_reg": "objectives.LogisticObjective: nonnegative",
+    "obj_heavy": "objectives.make_concentrated_quadratic: in [1, d]",
+}
 UNCHECKED_NUMERIC_KEYS = {
-    "seed": "any int is a valid seed",
-    "seeds": "any int is a valid seed",
-    "r": "the rtop window check k <= r <= d of harness._training_setup",
-    "eta": "TrainConfig",
-    "init_scale": "TrainConfig",
-    "obj_eig_min": "the objective builders, and obj_eig_min <= obj_eig_max in _training_setup",
-    "obj_eig_max": "the objective builders, and obj_eig_min <= obj_eig_max in _training_setup",
-    "obj_reg": "the objective builders",
-    "obj_heavy": "the objective builders",
+    None: {"seed": "any int is a valid seed"},
+    "EstimateRisk": _RISK_RULES,
+    "SweepRisk": _RISK_RULES,
+    "CodecRoundtrip": {"d": "codec.make_config: d >= 2"},
+    "Train": {**_TRAINING_RULES, "r": "sparsify.SparsifierSpec: k <= r, and window(d): r <= d"},
+    "CompareSparsifiers": {**_TRAINING_RULES, "seeds": "any int is a valid seed"},
+    "Bounds": {key: _RISK_RULES[key] for key in ("upper_constant", "lower_constant")},
 }
 
 
@@ -1280,12 +1310,14 @@ class TestConfigTable:
 
     @pytest.mark.parametrize("command", [None, *harness.COMMANDS])
     def test_numeric_keys_have_a_range(self, command):
+        """A numeric key has a range in the table exactly when no library
+        type judges it before work."""
         schema = harness._COMMON_SCHEMA if command is None else harness.COMMANDS[command].schema
         numeric = {"int", "float", "int_or_list", "num_or_list", "int_list", "schedule"}
         unchecked = {
             name for name, key in schema.items() if key.kind in numeric and key.check is None
         }
-        assert unchecked <= set(UNCHECKED_NUMERIC_KEYS)
+        assert unchecked == set(UNCHECKED_NUMERIC_KEYS[command])
 
     @pytest.mark.parametrize("command", [None, *harness.COMMANDS])
     def test_defaults_pass_their_own_checks(self, command):

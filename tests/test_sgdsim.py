@@ -542,7 +542,7 @@ def planted_state(rng, seeds, n, d):
 EXCHANGE_CASES = [
     # d = 1: n >= 8 nodes, where a pairwise node sum would give other bits;
     # every spec there has r = d or k = d
-    *[(1, n, spec) for n in (8, 9) for spec in ("top:1", "random:1", "rtop:4:1")],
+    *[(1, n, spec) for n in (8, 9) for spec in ("top:1", "random:1", "rtop:1:1")],
     # d = 6: top-r and rtop-k windows holding signed zeros, r = d, k = d
     *[(6, 3, spec) for spec in ("top:4", "top:6", "rtop:4:2", "rtop:6:3", "random:2", "random:6")],
 ]

@@ -185,7 +185,7 @@ class TestRTopK:
             assert upd.nnz == 3  # no exact zeros in a continuous draw
 
     def test_bad_rank(self):
-        # r > d is refused here, although SparsifierSpec caps r at d
+        # k above r, r above d and k below 1
         for r, k in ((2, 3), (4, 2), (3, 0)):
             rng = substream(8)
             with pytest.raises(BadRank):
@@ -403,11 +403,6 @@ class TestRowwiseSelection:
             (rtop, [[0, 0], [0, 1]], "swap target 0 (row 0, swap 1) outside [1, 4)"),
             (rtop, [[0, 3], [4, 1]], "swap target 4 (row 1, swap 0) outside [0, 4)"),
             (random, [[0, 8], [0, 1]], "swap target 8 (row 0, swap 1) outside [1, 8)"),
-            # r caps at d: the window is 8, not 20
-            (
-                SparsifierSpec.rtop(20, 2), [[0, 1], [8, 1]],
-                "swap target 8 (row 1, swap 0) outside [0, 8)",
-            ),
             (
                 random, np.array([[0.0, 1.0], [2.0, 3.0]]),
                 "swap target 0.0 (row 0, swap 0) is not an integer: targets of dtype float64",
@@ -416,6 +411,9 @@ class TestRowwiseSelection:
         for spec, targets, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
                 spec.select_rows(w, targets)
+        # a window wider than the rows is refused before any target is read
+        with pytest.raises(BadRank, match=re.escape("need 1 <= k=2 <= r=20 <= d=8")):
+            SparsifierSpec.rtop(20, 2).select_rows(w, [[0, 1], [8, 1]])
 
     def test_targets_at_their_range_ends_are_accepted(self):
         w = np.arange(1.0, 17.0).reshape(2, 8)
@@ -481,5 +479,6 @@ class TestSparsifierSpec:
         assert SparsifierSpec.top(4).unbiased_rescale(10) == 1.0
         assert SparsifierSpec.random(2).unbiased_rescale(10) == 5.0
         assert SparsifierSpec.rtop(8, 2).unbiased_rescale(10) == 4.0
-        # r is capped at d before the factor is formed
-        assert SparsifierSpec.rtop(20, 2).unbiased_rescale(10) == 5.0
+        # a window wider than d is refused, not capped at d
+        with pytest.raises(BadRank, match=re.escape("need 1 <= k=2 <= r=20 <= d=10")):
+            SparsifierSpec.rtop(20, 2).unbiased_rescale(10)
