@@ -98,11 +98,6 @@ class RiskEstimate:
 
     mean_sq_error: float
     std_error: float
-    trials: int
-    n: int
-    d: int
-    s: float
-    k: int
 
 
 def monte_carlo_risk(
@@ -132,15 +127,7 @@ def monte_carlo_risk(
             delta = err - mean
             mean += delta / t
             m2 += delta * (err - mean)
-    return RiskEstimate(
-        mean_sq_error=mean,
-        std_error=math.sqrt(m2 / (trials - 1) / trials),
-        trials=trials,
-        n=n,
-        d=cfg.d,
-        s=float(theta.s),
-        k=cfg.k,
-    )
+    return RiskEstimate(mean_sq_error=mean, std_error=math.sqrt(m2 / (trials - 1) / trials))
 
 
 def monte_carlo_mean(

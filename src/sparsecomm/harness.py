@@ -343,7 +343,9 @@ def load_experiment(
 
     ``command``, ``seed`` and ``out`` given here (e.g. from the CLI)
     override or complete the file's values; a command that contradicts
-    the file is a config error.  Ranges are left to :func:`check_ranges`.
+    the file is a config error, and so is an ``out`` that names no file
+    (empty, ending in a separator, or an existing directory).  Ranges are
+    left to :func:`check_ranges`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -379,6 +381,8 @@ def load_experiment(
     final_out = out if out is not None else cfg_out
     if resolved != "CodecRoundtrip" and final_out is None:
         raise ConfigParseError(f"command {resolved} requires an output path ('out' or --out)")
+    if final_out is not None and (not os.path.basename(final_out) or os.path.isdir(final_out)):
+        raise ConfigParseError(f"key 'out': expected a file path, got {final_out!r}")
     final_seed = seed if seed is not None else cfg_seed
     return ExperimentConfig(resolved, raw, final_seed, final_out, workers or os.cpu_count() or 1)
 
@@ -719,12 +723,11 @@ def _run_codec(config: ExperimentConfig, echo) -> list[dict]:
 def _build_objective(params: dict, seed: int):
     kind = params["objective"]
     if kind == "quadratic":
-        noise = params["obj_noise"]
         return make_quadratic(
             params["d"],
             n_samples=params["obj_samples"],
             eig_range=(params["obj_eig_min"], params["obj_eig_max"]),
-            noise_std=np.asarray(noise, dtype=float) if isinstance(noise, list) else noise,
+            noise_std=params["obj_noise"],
             seed=seed,
         )
     if kind == "concentrated_quadratic":
@@ -765,16 +768,12 @@ def _training_setup(
     each spending the budget k; the training config holds the first), built
     from the config alone: runners call it inside ``_preconditions``.  The
     training config comes first, so a bad n is judged as n, not as a window
-    n*k; every window is then judged against the objective's d."""
-    d, k, noise = params["d"], params["k"], params["obj_noise"]
+    n*k; every window is then judged against the objective's d.  Only the
+    rules that span two of these objects are stated here."""
+    k = params["k"]
     keys = ("n", "steps", "batch_size", "eta", "aggregation", "partition", "init_scale")
     # the sparsifier is set below, once the window is known
     cfg = TrainConfig(sparsifier=None, seed=seed, **{key: params[key] for key in keys})
-    low, high = params["obj_eig_min"], params["obj_eig_max"]
-    if params["objective"] == "quadratic" and isinstance(noise, list) and len(noise) != d:
-        raise PreconditionError(f"'obj_noise' must be a number or a list of d={d}, got {noise}")
-    if params["objective"] == "quadratic" and low > high:
-        raise PreconditionError(f"'obj_eig_min' must be <= obj_eig_max={high}, got {low}")
     obj = _build_objective(params, derive_seed(seed, 0))
     if obj.n_samples < cfg.n:
         raise PreconditionError(f"'obj_samples' must be >= n={cfg.n}, got {obj.n_samples}")

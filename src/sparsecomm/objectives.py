@@ -108,17 +108,24 @@ def make_quadratic(
 ) -> QuadraticObjective:
     """Synthetic quadratic: linearly spaced spectrum, Gaussian b_i noise.
 
-    ``noise_std`` may be a scalar or a per-coordinate vector, which allows
+    Without ``diag`` the spectrum runs from ``eig_range[0]`` up to
+    ``eig_range[1]``, so the range must not descend.  ``noise_std`` may be
+    a scalar or a per-coordinate vector of d numbers, which allows
     concentrating the stochastic-gradient mass on a few coordinates.
     """
+    noise_std = np.asarray(noise_std, dtype=float)
+    if noise_std.shape not in ((), (d,)):
+        raise ValueError(f"noise_std must be a number or d={d} numbers, got {noise_std.tolist()}")
     rng = substream(seed, 90)
     if diag is None:
+        if eig_range[0] > eig_range[1]:
+            raise ValueError(f"eig_range must not descend, got {tuple(eig_range)}")
         diag = np.linspace(eig_range[0], eig_range[1], d)
     diag = np.asarray(diag, dtype=float)
     if b_mean is None:
         b_mean = rng.normal(0.0, 1.0, d)
     b_mean = np.asarray(b_mean, dtype=float)
-    noise = rng.normal(0.0, 1.0, (n_samples, d)) * np.asarray(noise_std, dtype=float)
+    noise = rng.normal(0.0, 1.0, (n_samples, d)) * noise_std
     return QuadraticObjective(diag, b_mean + noise)
 
 

@@ -44,6 +44,7 @@ the same step with the same message.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from numbers import Integral
@@ -59,9 +60,8 @@ UNBIASED_RESCALE = "unbiased_rescale"
 
 _AGGREGATIONS = (ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE)
 
-# Learning-rate schedules are either a constant or a piecewise-constant
-# list of (start_step, rate) breakpoints; TrainConfig requires finite positive
-# rates and steps that start at 0 and strictly increase.
+# A constant learning rate or piecewise-constant (start_step, rate)
+# breakpoints; TrainConfig judges them.
 Schedule = Union[float, Sequence[tuple[int, float]]]
 
 
@@ -88,7 +88,13 @@ class NodeState:
 @dataclass(frozen=True)
 class TrainConfig:
     """Simulator parameters; ``sparsifier`` is the operator every node
-    applies each round, and its entries budget is the k of a run."""
+    applies each round, and its entries budget is the k of a run.
+
+    ``eta`` is judged once, here: a constant, or (start, rate) breakpoints
+    with integer starts from 0, strictly increasing, and finite positive
+    rates.  The judged schedule is kept as its starts and float rates, off
+    the field list (``replace`` and equality see only ``eta``), and
+    ``rate(t)`` is a lookup with no check of its own."""
 
     n: int
     steps: int
@@ -121,22 +127,12 @@ class TrainConfig:
             raise ValueError(f"learning rates must be finite numbers, got {self.eta}")
         if not self.init_scale >= 0:
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale}")
+        object.__setattr__(self, "_starts", [int(start) for start in starts])
+        object.__setattr__(self, "_rates", [float(rate) for _, rate in breakpoints])
 
-
-def learning_rate(eta: Schedule, t: int) -> float:
-    """Rate in effect at step t for a constant or piecewise schedule."""
-    if isinstance(eta, (int, float)):
-        rate = float(eta)
-    else:
-        rate = None
-        for start, value in eta:
-            if t >= start:
-                rate = float(value)
-        if rate is None:
-            raise ValueError(f"schedule has no rate for step {t}")
-    if rate <= 0:
-        raise ValueError("learning rate must be positive")
-    return rate
+    def rate(self, t: int) -> float:
+        """The rate of the last breakpoint at or before step t (t >= 0)."""
+        return self._rates[bisect_right(self._starts, t) - 1]
 
 
 def sqrt_horizon_schedule(chat: float, steps: int) -> float:
@@ -262,7 +258,7 @@ def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
     agg /= n
     if cfg.aggregation == UNBIASED_RESCALE:
         agg *= spec.unbiased_rescale(d)
-    return grads, sent, values, memories, weights - learning_rate(cfg.eta, t) * agg
+    return grads, sent, values, memories, weights - cfg.rate(t) * agg
 
 
 def _check_finite(t, weights, new_weights) -> None:
@@ -416,7 +412,7 @@ def reference_sgd(obj, cfg: TrainConfig) -> TrainResult:
         for node in nodes:
             agg += local_gradient(obj, node, w, cfg.batch_size, node.data_rng)
         agg /= len(nodes)
-        w = w - learning_rate(cfg.eta, t) * agg
+        w = w - cfg.rate(t) * agg
         records.append(
             RoundMetrics(
                 t=t,

@@ -903,33 +903,39 @@ class TestWherePadding:
 @st.composite
 def codec_cases(draw):
     """(d, k, rows, seed): any admissible budget up to codebook saturation at
-    d <= 256, so codebooks above 2^62 (Python-int ranks) come up often."""
+    d <= 256, so codebooks above 2^62 (Python-int ranks) come up often, and
+    0 to 4 rows."""
     d = draw(st.integers(2, 256))
     header = ceil_log2(d + 1)
     k = draw(st.integers(header + 1, header + d))
-    return d, k, draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
+    return d, k, draw(st.integers(0, 4)), draw(st.integers(0, 2**32))
 
 
 class TestCodecProperty:
     @settings(max_examples=200, deadline=None)
-    @given(codec_cases())
-    @example((256, 71, 3, 0))  # the largest int64 codebook at d=256
-    @example((256, 72, 3, 0))  # the smallest Python-int codebook at d=256
-    @example((4, 4, 3, 0))  # degenerate: kprime = 0
-    def test_batch_scalar_and_serialized_codec_agree(self, case):
+    @given(codec_cases(), st.booleans())
+    @example((256, 71, 3, 0), False)  # the largest int64 codebook at d=256
+    @example((256, 72, 3, 0), True)  # the smallest Python-int codebook at d=256
+    @example((4, 4, 3, 0), False)  # degenerate: kprime = 0
+    @example((16, 12, 0, 0), True)  # no rows
+    def test_batch_scalar_and_serialized_codec_agree(self, case, as_lists):
         d, k, rows, seed = case
         cfg = make_config(d, k)
         inputs = substream(seed)
         x = (inputs.random((rows, d)) < inputs.random((rows, 1))).astype(np.int8)
-        counts, payloads, mask = encode_batch(x, cfg, substream(seed, 1).random(x.shape))
+        keys = substream(seed, 1).random(x.shape)
+        if as_lists and rows:  # an empty list has no row width
+            x, keys = x.tolist(), keys.tolist()
+        counts, payloads, mask = encode_batch(x, cfg, keys)
         kept = [np.flatnonzero(row).tolist() for row in mask]
         assert [int(p) for p in payloads] == [rank_sparse(sup, d, cfg.kprime) for sup in kept]
 
         ranks = [random.Random(seed + i).randrange(cfg.codebook) for i in range(rows)]
         ones = [len(comb_walk_unrank(r, d, cfg.kprime)) for r in ranks]
-        decoded = decode_batch(
-            np.concatenate([counts, ones]), np.array([*payloads, *ranks], dtype=object), cfg
-        )
+        fields = [*counts.tolist(), *ones], [*map(int, payloads), *ranks]
+        if not as_lists:
+            fields = np.array(fields[0], dtype=np.int64), np.array(fields[1], dtype=object)
+        decoded = decode_batch(*fields, cfg)
         assert [np.flatnonzero(row).tolist() for row in decoded] == kept + [
             comb_walk_unrank(r, d, cfg.kprime) for r in ranks
         ]

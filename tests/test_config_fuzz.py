@@ -1,18 +1,20 @@
 """Config fuzz: every key of every command, at a value of the wrong kind and
 at values just outside and just inside its rule.
 
-A wrong kind exits 2 and an out-of-range value exits 3, with one ERROR
-line naming the rule, before any grid point or training run starts; a
-value just inside passes set-up and reaches the first unit of work.  No
-case exits 1 or 4, and no case writes a CSV.  Every config runs one
-worker, and no edge is a size that would allocate or spawn at scale.
+A wrong kind, and an ``out`` that names no file (in the config or given
+by ``--out``), exit 2; an out-of-range value exits 3.  Either prints one
+ERROR line, the one its case states, before any grid point or training run
+starts; a value just inside passes set-up and reaches the first unit of
+work.  No case exits 1 or 4, and no case writes a file.  Every config runs
+one worker, and no edge is a size that would allocate or spawn at scale.
 """
 
+import os
 from typing import NamedTuple
 
 import pytest
 
-from sparsecomm import harness
+from sparsecomm import cli, harness
 from sparsecomm.harness import EXIT_CONFIG, EXIT_PRECONDITION, run
 
 # The first unit of work of each command; set-up ends where one is called.
@@ -38,13 +40,15 @@ NUMERIC_KINDS = {"int", "float", "int_or_list", "num_or_list", "int_list", "sche
 
 
 class Edge(NamedTuple):
-    """Values just outside a key's rule, each with a fragment its error
-    message must contain, and values just inside it; ``extra`` sets other
-    keys the rule needs (an objective, say)."""
+    """Values just outside a key's rule, each with the message its error
+    gives and any (key, value) pairs that case also sets; values just
+    inside the rule; ``extra``, the other keys every case of the rule
+    needs (an objective, say); and the exit code of the cases outside."""
 
     outside: tuple = ()
     inside: tuple = ()
     extra: tuple = ()
+    code: int = EXIT_PRECONDITION
 
 
 BASES = {
@@ -61,18 +65,44 @@ BASES["SweepRisk"] = BASES["EstimateRisk"]
 
 SEED = Edge(inside=("-1", str(2**64)))  # any int: seeds are taken mod 2^64
 
+# Every command's output path; "." is the directory the fuzz runs in.
+OUT = Edge(
+    (('""', "key 'out': expected a file path, got ''"),
+     ("sub/", "key 'out': expected a file path, got 'sub/'"),
+     (".", "key 'out': expected a file path, got '.'")),
+    ("new/out.csv",),
+    code=EXIT_CONFIG,
+)
+
+
+def twice(key, value) -> str:
+    return f"'{key}' lists {value} twice; each value is a grid point"
+
+
+HEADER_16 = "cannot hold the 5-bit count header of d=16 plus a payload bit"
+
 RISK_EDGES = {
     "seed": SEED,
-    "n": Edge((("0", "'n' must be >= 1, got 0"),), ("1",)),
-    "k": Edge(
-        (("5", "k=5 cannot hold the 5-bit count header of d=16 plus a payload bit"),), ("6",)
+    "out": OUT,
+    "n": Edge(
+        (("0", "'n' must be >= 1, got 0"), ("[4, 0]", "'n' must be >= 1, got 0"),
+         ("[4, 4]", twice("n", 4))),
+        ("1",),
     ),
+    "k": Edge((("5", f"k=5 {HEADER_16}"),), ("6",)),
     "d": Edge((("1", "d must be >= 2, got 1"),), ("2",)),
     "s": Edge(
-        (("0", "'s' must be > 0, got 0"), ("8.5", "s=8.5 must be at most d/2=8.0")),
+        (("0", "'s' must be > 0, got 0"), ("8.5", "s=8.5 must be at most d/2=8.0"),
+         ("[2, 2.0]", twice("s", 2.0))),
         ("1e-9", "8"),
     ),
     "trials": Edge((("99", "'trials' must be >= 100, got 99"),), ("100",)),
+    "probes": Edge(
+        (("[flat, middle]", "unknown probe 'middle' (expected flat, half_flat, corner)"),
+         ("[half_flat]", "probe half_flat needs s <= d, got s=17 d=16", ("s", "17")),
+         ("[corner]", "probe corner needs 1 <= floor(s) <= d, got s=0.5 d=16", ("s", "0.5"))),
+        ("[flat, half_flat, corner]",),
+    ),
     "perturb_halfwidth": Edge(
         (("-0.01", "halfwidth must lie in (0, 0.5], got -0.01"),
          ("0.51", "halfwidth must lie in (0, 0.5], got 0.51")),
@@ -88,15 +118,39 @@ RISK_EDGES = {
     ),
 }
 
+# A grid list of k, d or s reaches the runner, which EstimateRisk refuses.
+SWEEP_EDGES = {
+    **RISK_EDGES,
+    "k": Edge(
+        (*RISK_EDGES["k"].outside, ("[12, 5]", f"k=5 {HEADER_16}"),
+         ("[12, 14, 12]", twice("k", 12))),
+        ("6",),
+    ),
+    "d": Edge(
+        (*RISK_EDGES["d"].outside, ("[16, 1]", "d must be >= 2, got 1"),
+         ("[16, 16]", twice("d", 16))),
+        ("2",),
+    ),
+    "s": Edge((*RISK_EDGES["s"].outside, ("[4, 9]", "s=9 must be at most d/2=8.0")), ("1e-9", "8")),
+}
+
 TRAINING_EDGES = {
     "seed": SEED,
+    "out": OUT,
+    "objective": Edge(
+        (("bogus", "unknown objective 'bogus'"),),
+        ("concentrated_quadratic", "logistic", "tiny_mlp"),
+    ),
     "d": Edge((("0", "'d' must be >= 1, got 0"),), ("1",)),
     "n": Edge((("0", "n must be a positive integer, got 0"),), ("1",)),
     "batch_size": Edge((("0", "batch_size must be a positive integer, got 0"),), ("1",)),
     "steps": Edge((("0", "steps must be a positive integer, got 0"),), ("1",)),
     "eta": Edge(
         (("0", "learning rates must be positive, got 0"),
-         ("[[1, 0.1]]", "eta steps must start at 0 and strictly increase, got [1]")),
+         ("[[0, -0.2]]", "learning rates must be positive, got [[0, -0.2]]"),
+         ("[[1, 0.1]]", "eta steps must start at 0 and strictly increase, got [1]"),
+         ("[[0, 0.2], [5, 0.1], [2, 0.3]]",
+          "eta steps must start at 0 and strictly increase, got [0, 5, 2]")),
         ("1e-300", "[[0, 0.1], [1, 0.2]]"),
     ),
     "init_scale": Edge((("-1e-9", "init_scale must be nonnegative, got -1e-09"),), ("0.0",)),
@@ -106,17 +160,16 @@ TRAINING_EDGES = {
     ),
     "obj_noise": Edge(
         (("-1e-9", "'obj_noise' must be >= 0, got -1e-09"),
-         ("[0.5, 0.5]", "'obj_noise' must be a number or a list of d=10, got [0.5, 0.5]")),
+         ("[0.5, -1, 0.1]", "'obj_noise' must be >= 0, got -1"),
+         ("[0.5, 0.5]", "noise_std must be a number or d=10 numbers, got [0.5, 0.5]")),
         ("0.0", "[" + ", ".join(["0"] * 10) + "]"),
     ),
     "obj_eig_min": Edge(
         (("0.0", "diagonal must be positive definite"),
-         ("2.5", "'obj_eig_min' must be <= obj_eig_max=2.0, got 2.5")),
+         ("2.5", "eig_range must not descend, got (2.5, 2.0)")),
         ("1e-9", "2.0"),
     ),
-    "obj_eig_max": Edge(
-        (("0.4", "'obj_eig_min' must be <= obj_eig_max=0.4, got 0.5"),), ("0.5",)
-    ),
+    "obj_eig_max": Edge((("0.4", "eig_range must not descend, got (0.5, 0.4)"),), ("0.5",)),
     "obj_reg": Edge(
         (("-1e-9", "regularization must be nonnegative"),), ("0.0",),
         (("objective", "logistic"),),
@@ -139,14 +192,27 @@ TRAINING_EDGES = {
     },
 }
 
+
+def budget(k, specs) -> str:
+    return f"'specs' must be nonempty with every entries budget k={k}, got {specs}"
+
+
 FUZZ_EDGES = {
     "EstimateRisk": RISK_EDGES,
-    "SweepRisk": RISK_EDGES,
+    "SweepRisk": SWEEP_EDGES,
     "CodecRoundtrip": {
         "seed": SEED,
-        "d": Edge((("1", "d must be >= 2, got 1"),), ("2",)),
+        "out": OUT,
+        "d": Edge(
+            (("1", "d must be >= 2, got 1"), ("[8, 1]", "d must be >= 2, got 1"),
+             ("[8, 16, 8]", twice("d", 8))),
+            ("2",),
+        ),
         "k": Edge(
-            (("4", "k=4 cannot hold the 4-bit count header of d=8 plus a payload bit"),),
+            (("4", "k=4 cannot hold the 4-bit count header of d=8 plus a payload bit"),
+             ("[5, 5]", twice("k", 5)),
+             ("[24, 6]", "k=6 cannot hold the 7-bit count header of d=64 plus a payload bit",
+              ("d", "[16, 64]"))),
             ("5", "all"),
         ),
         "samples": Edge((("-1", "'samples' must be >= 0, got -1"),), ("0",)),
@@ -161,16 +227,33 @@ FUZZ_EDGES = {
     },
     "CompareSparsifiers": {
         **TRAINING_EDGES,
-        "k": Edge((("0", "every entries budget k=0"),), ("1",)),
+        "k": Edge((("0", budget(0, ["top:1", "random:1", "rtop:1"])),), ("1",)),
+        "specs": Edge(
+            (("[]", budget(1, [])),
+             ("[top:2, random:2]", budget(1, ["top:2", "random:2"])),
+             ("[top:0]", "bad sparsifier spec 'top:0': r=0 below 1"),
+             ("[random:-1]", "bad sparsifier spec 'random:-1': k=-1 below 1"),
+             ("[rtop:4:0]", "bad sparsifier spec 'rtop:4:0': need 1 <= k=0 <= r=4"),
+             ("[rtop:4:6]", "bad sparsifier spec 'rtop:4:6': need 1 <= k=6 <= r=4"),
+             # a window wider than d is refused, not run as the window d
+             ("[top:20]", "r=20 outside [1, 10]", ("k", "20")),
+             ("[random:11]", "k=11 outside [1, 10]", ("k", "11")),
+             ("[rtop:50:2]", "need 1 <= k=2 <= r=50 <= d=10", ("k", "2"))),
+            ("[random:1]", "[rtop:10:1]"),
+        ),
         "seeds": Edge(inside=("[-1, 2]",)),
     },
     "Bounds": {
         "seed": SEED,
+        "out": OUT,
         "n": RISK_EDGES["n"],
-        "k": Edge((("0", "'k' must be >= 1, got 0"),), ("1",)),
-        "d": Edge((("1", "'d' must be >= 2, got 1"),), ("2",)),
+        "k": Edge((("0", "'k' must be >= 1, got 0"), ("[1, 0]", "'k' must be >= 1, got 0")), ("1",)),
+        "d": Edge((("1", "'d' must be >= 2, got 1"), ("[16, 1]", "'d' must be >= 2, got 1")), ("2",)),
         "s": Edge(
-            (("0", "'s' must be > 0, got 0"), ("17", "Bounds needs s <= d, got s=17 d=16")),
+            (("0", "'s' must be > 0, got 0"), ("[2, 0]", "'s' must be > 0, got 0"),
+             ("[2, 3, 2]", twice("s", 2)),
+             ("17", "Bounds needs s <= d, got s=17 d=16"),
+             ("[8, 20]", "Bounds needs s <= d, got s=20 d=16", ("d", "[64, 16]"))),
             ("1e-9", "16"),
         ),
         "upper_constant": RISK_EDGES["upper_constant"],
@@ -183,14 +266,17 @@ def schema(command: str) -> dict:
     return {**harness._COMMON_SCHEMA, **harness.COMMANDS[command].schema}
 
 
-def write(tmp_path, command: str, values: dict):
-    """The config of ``command`` from its base with ``values`` set, writing
-    to ``out.csv`` with one worker; returns the config path and CSV path."""
-    out = tmp_path / "out.csv"
-    lines = {"command": command, **BASES[command], "workers": "1", "out": str(out), **values}
-    path = tmp_path / "exp.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
-    return str(path), out
+def set_up(tmp_path, monkeypatch, stub, command: str, values: dict) -> str:
+    """Work in ``tmp_path`` with every first unit of work replaced by
+    ``stub``; returns the config of ``command`` from its base with
+    ``values`` set, writing to ``out.csv`` with one worker."""
+    monkeypatch.chdir(tmp_path)
+    for name in WORK:
+        monkeypatch.setattr(harness, name, stub)
+    lines = {"command": command, **BASES[command], "workers": "1", "out": "out.csv", **values}
+    with open("exp.cfg", "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in lines.items()))
+    return "exp.cfg"
 
 
 def must_not_run(*args, **kwargs):
@@ -209,9 +295,9 @@ def cases(kind: str):
     for command, edges in FUZZ_EDGES.items():
         for key, edge in edges.items():
             values = edge.outside if kind == "outside" else [(v, None) for v in edge.inside]
-            for value, fragment in values:
+            for value, message, *pairs in values:
                 yield pytest.param(
-                    command, key, value, fragment, dict(edge.extra),
+                    command, key, value, message, {**dict(edge.extra), **dict(pairs)}, edge.code,
                     id=f"{command}-{key}={value}",
                 )
 
@@ -222,8 +308,9 @@ def test_every_kind_has_a_wrong_value():
 
 @pytest.mark.parametrize("command", harness.COMMANDS)
 def test_every_numeric_key_has_edges(command):
-    numeric = {key for key, spec in schema(command).items() if spec.kind in NUMERIC_KINDS}
-    assert numeric == set(FUZZ_EDGES[command])
+    keys = schema(command)
+    numeric = {key for key, spec in keys.items() if spec.kind in NUMERIC_KINDS}
+    assert numeric | {"out"} <= set(FUZZ_EDGES[command]) <= set(keys)
     for key, edge in FUZZ_EDGES[command].items():
         has_rule = key not in ("seed", "seeds")
         assert edge.inside and bool(edge.outside) == has_rule, key
@@ -234,41 +321,63 @@ def test_every_numeric_key_has_edges(command):
     [(command, key) for command in harness.COMMANDS for key in schema(command)],
 )
 def test_wrong_kind_is_a_config_error(tmp_path, monkeypatch, command, key):
-    for name in WORK:
-        monkeypatch.setattr(harness, name, must_not_run)
     spec = schema(command)[key]
-    path, out = write(tmp_path, command, {key: WRONG_KIND[spec.kind]})
+    path = set_up(tmp_path, monkeypatch, must_not_run, command, {key: WRONG_KIND[spec.kind]})
     errors = []
     assert run(path, echo=lambda _: None, errcho=errors.append) == EXIT_CONFIG
     assert len(errors) == 1
     assert errors[0].startswith(
         f"ERROR code=2 kind=ConfigParseError message=key '{key}': expected {spec.kind}, got "
     )
-    assert not out.exists()
+    assert os.listdir() == ["exp.cfg"]
 
 
-@pytest.mark.parametrize("command,key,value,fragment,extra", cases("outside"))
-def test_just_outside_is_a_precondition_error(
-    tmp_path, monkeypatch, command, key, value, fragment, extra
+@pytest.mark.parametrize("command,key,value,message,extra,code", cases("outside"))
+def test_just_outside_fails_before_work(
+    tmp_path, monkeypatch, command, key, value, message, extra, code
 ):
-    for name in WORK:
-        monkeypatch.setattr(harness, name, must_not_run)
-    path, out = write(tmp_path, command, {**extra, key: value})
+    path = set_up(tmp_path, monkeypatch, must_not_run, command, {**extra, key: value})
     errors = []
-    assert run(path, echo=lambda _: None, errcho=errors.append) == EXIT_PRECONDITION
-    assert len(errors) == 1
-    assert errors[0].startswith("ERROR code=3 kind=PreconditionError message=")
-    assert fragment in errors[0]
-    assert not out.exists()
+    assert run(path, echo=lambda _: None, errcho=errors.append) == code
+    kind = "ConfigParseError" if code == EXIT_CONFIG else "PreconditionError"
+    assert errors == [f"ERROR code={code} kind={kind} message={message}"]
+    assert os.listdir() == ["exp.cfg"]
 
 
-@pytest.mark.parametrize("command,key,value,fragment,extra", cases("inside"))
-def test_just_inside_passes_set_up(tmp_path, monkeypatch, command, key, value, fragment, extra):
-    for name in WORK:
-        monkeypatch.setattr(harness, name, reach_work)
-    path, out = write(tmp_path, command, {**extra, key: value})
+@pytest.mark.parametrize("command,key,value,message,extra,code", cases("inside"))
+def test_just_inside_passes_set_up(
+    tmp_path, monkeypatch, command, key, value, message, extra, code
+):
+    path = set_up(tmp_path, monkeypatch, reach_work, command, {**extra, key: value})
     errors = []
     with pytest.raises(SetUpPassed):
         run(path, echo=lambda _: None, errcho=errors.append)
     assert errors == []
-    assert not out.exists()
+    assert os.listdir() == ["exp.cfg"]
+
+
+def subcommand(command: str) -> str:
+    """The command line name of ``command``."""
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "subcommand"]
+    (name,) = [name for name, p in action.choices.items() if p.get_default("command") == command]
+    return name
+
+
+# ``--out`` meets the rule of the ``out`` key: the same edges, given unquoted.
+@pytest.mark.parametrize("value", ["", "sub/", "."])
+@pytest.mark.parametrize("command", harness.COMMANDS)
+def test_out_flag_outside_fails_before_work(tmp_path, monkeypatch, capsys, command, value):
+    path = set_up(tmp_path, monkeypatch, must_not_run, command, {})
+    assert cli.main([subcommand(command), "--config", path, "--out", value]) == EXIT_CONFIG
+    message = f"key 'out': expected a file path, got {value!r}"
+    assert capsys.readouterr().err == f"ERROR code=2 kind=ConfigParseError message={message}\n"
+    assert os.listdir() == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("command", harness.COMMANDS)
+def test_out_flag_inside_passes_set_up(tmp_path, monkeypatch, capsys, command):
+    path = set_up(tmp_path, monkeypatch, reach_work, command, {})
+    with pytest.raises(SetUpPassed):
+        cli.main([subcommand(command), "--config", path, "--out", "new/out.csv"])
+    assert capsys.readouterr().err == ""
+    assert os.listdir() == ["exp.cfg"]

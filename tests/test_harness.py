@@ -769,254 +769,6 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("a grid point or training run started")
 
 
-class TestConfigOnlyPreconditions:
-    """Errors that depend only on the config exit 3 before any work runs."""
-
-    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
-    @pytest.mark.parametrize(
-        "eta",
-        ["0", "[[1, 0.2]]", "[[0, 0.2], [5, 0.1], [2, 0.3]]", "[[0, -0.2]]"],
-        ids=["constant_rate_not_positive", "first_step_not_0", "steps_not_increasing",
-             "rate_not_positive"],
-    )
-    def test_bad_eta_schedule(self, tmp_path, monkeypatch, command, eta):
-        monkeypatch.setattr(harness, "train", must_not_run)
-        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
-        out = tmp_path / "t.csv"
-        extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
-        cfg = f"command = {command}\nd = 10\nn = 2\nk = 2\nsteps = 12\neta = {eta}\n{extra}"
-        assert run(write_config(tmp_path, cfg + f"out = {out}\n")) == EXIT_PRECONDITION
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            "obj_samples = 3\nn = 5\n",
-            "objective = concentrated_quadratic\nobj_heavy = 20\n",
-            "obj_eig_min = 0.0\n",
-            "objective = logistic\nobj_reg = -1.0\n",
-            "init_scale = -1.0\n",
-            "obj_noise = [0.5, 0.5]\n",
-            "obj_noise = -0.5\n",
-            "d = 3\nobj_noise = [0.5, -1, 0.1]\n",
-            "d = 0\n",
-            "objective = bogus\n",
-            "n = 0\n",
-            "batch_size = 0\n",
-            "k = 0\n",
-            "steps = 0\n",
-            "objective = tiny_mlp\nobj_out = 0\n",
-            "objective = tiny_mlp\nobj_in = 0\n",
-            "objective = tiny_mlp\nobj_hidden = -1\n",
-            "objective = concentrated_quadratic\nobj_heavy_noise = -0.1\n",
-            "objective = concentrated_quadratic\nobj_light_noise = -1.0\n",
-            "obj_samples = 0\n",
-            "obj_samples = -3\n",
-        ],
-        ids=["samples_below_nodes", "heavy_above_d", "eig_min_0", "negative_reg",
-             "negative_init_scale", "noise_list_not_d", "negative_noise",
-             "negative_noise_in_list", "d_0", "unknown_objective",
-             "n_0", "batch_size_0", "k_0", "steps_0", "mlp_out_0", "mlp_in_0",
-             "mlp_hidden_negative", "negative_heavy_noise", "negative_light_noise",
-             "samples_0", "samples_negative"],
-    )
-    def test_training_values(self, tmp_path, monkeypatch, command, keys):
-        monkeypatch.setattr(harness, "train", must_not_run)
-        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
-        out = tmp_path / "t.csv"
-        extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
-        for key, default in (("d", 10), ("k", 2), ("steps", 3)):
-            if not keys.startswith(f"{key} = "):
-                extra += f"{key} = {default}\n"
-        cfg = f"command = {command}\n{keys}{extra}out = {out}\n"
-        errors = []
-        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["Train", "CompareSparsifiers"])
-    @pytest.mark.parametrize(
-        "line,message",
-        [
-            # checked as the config loads, before numpy sees a negative size
-            ("obj_samples = -3", "'obj_samples' must be >= 1, got -3"),
-            ("obj_noise = -0.5", "'obj_noise' must be >= 0, got -0.5"),
-            # the names would misstate the spectrum, which runs high to low
-            ("obj_eig_min = 3.0\nobj_eig_max = 1.0",
-             "'obj_eig_min' must be <= obj_eig_max=1.0, got 3.0"),
-        ],
-        ids=["obj_samples", "obj_noise", "obj_eig_min_above_max"],
-    )
-    def test_range_error_names_the_key(self, tmp_path, monkeypatch, command, line, message):
-        monkeypatch.setattr(harness, "train", must_not_run)
-        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
-        extra = "specs = [top:2]\nseeds = [1]\n" if command == "CompareSparsifiers" else ""
-        out = tmp_path / "t.csv"
-        cfg = f"command = {command}\nk = 2\nsteps = 3\n{line}\n{extra}out = {out}\n"
-        errors = []
-        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("specs", ["[top:5, random:5]", "[rtop:10:5]", "[]"])
-    def test_specs_must_spend_budget_k(self, tmp_path, monkeypatch, specs):
-        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
-        out = tmp_path / "c.csv"
-        cfg = f"command = CompareSparsifiers\nd = 30\nn = 2\nk = 3\nsteps = 3\nspecs = {specs}\n"
-        errors = []
-        path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
-        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
-        assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
-        assert "k=3" in errors[0]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "specs,k,message",
-        [
-            ("[top:20]", 20, "r=20 outside [1, 10]"),
-            ("[random:11]", 11, "k=11 outside [1, 10]"),
-            ("[rtop:4:6]", 6, "bad sparsifier spec 'rtop:4:6': need 1 <= k=6 <= r=4"),
-            # a window wider than d is refused, not run as the window d
-            ("[rtop:50:2]", 2, "need 1 <= k=2 <= r=50 <= d=10"),
-        ],
-    )
-    def test_spec_wider_than_d(self, tmp_path, monkeypatch, specs, k, message):
-        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
-        out = tmp_path / "c.csv"
-        cfg = f"command = CompareSparsifiers\nd = 10\nk = {k}\nsteps = 3\nspecs = {specs}\n"
-        errors = []
-        path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
-        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "specs, message",
-        [("[top:0]", "'top:0': r=0 below 1"), ("[random:-1]", "'random:-1': k=-1 below 1"),
-         ("[rtop:4:0]", "'rtop:4:0': need 1 <= k=0 <= r=4")],
-    )
-    def test_spec_below_one(self, tmp_path, monkeypatch, specs, message):
-        monkeypatch.setattr(harness, "compare_sparsifiers", must_not_run)
-        out = tmp_path / "c.csv"
-        cfg = f"command = CompareSparsifiers\nd = 10\nk = 2\nsteps = 3\nspecs = {specs}\n"
-        errors = []
-        path = write_config(tmp_path, cfg + f"seeds = [1]\nout = {out}\n")
-        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == [
-            f"ERROR code=3 kind=PreconditionError message=bad sparsifier spec {message}"
-        ]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            "command = SweepRisk\nn = [4, 0]\nk = 12\nd = 16\ns = 2\ntrials = 120\n",
-            "command = SweepRisk\nn = 4\nk = 12\nd = [16, 1]\ns = 2\ntrials = 120\n",
-            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 0\ntrials = 120\n",
-            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
-            "perturb_halfwidth = 0.7\n",
-            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
-            "perturb_halfwidth = -0.1\n",
-            "command = Bounds\nn = [4, 0]\nk = 12\nd = 16\ns = 2\n",
-            "command = Bounds\nn = 4\nk = 12\nd = [16, 1]\ns = 2\n",
-            "command = Bounds\nn = 4\nk = 12\nd = 16\ns = [2, 0]\n",
-            "command = CodecRoundtrip\nd = 16\nk = 24\nsamples = -3\n",
-            "command = CodecRoundtrip\nd = [8, 1]\nk = 10\nsamples = 5\n",
-            "command = EstimateRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
-            "upper_constant = 0.0\n",
-            "command = SweepRisk\nn = 4\nk = 12\nd = 16\ns = 2\ntrials = 120\n"
-            "lower_constant = -1.0\n",
-            "command = Bounds\nn = 4\nk = 12\nd = 16\ns = 2\nupper_constant = 0\n",
-            "command = Bounds\nn = 4\nk = [0, -1]\nd = 16\ns = 2\n",
-            "command = Bounds\nn = 4\nk = 14\nd = 16\ns = 100\n",
-            "command = Bounds\nn = 4\nk = 14\nd = [64, 16]\ns = [8, 20]\n",
-        ],
-        ids=["risk_n_0", "risk_d_1", "risk_s_0", "perturb_above_half", "perturb_negative",
-             "bounds_n_0", "bounds_d_1", "bounds_s_0", "codec_samples_negative", "codec_d_1",
-             "risk_upper_c_0", "risk_lower_c_neg", "bounds_upper_c_0", "bounds_k_0",
-             "bounds_s_above_d", "bounds_s_above_second_d"],
-    )
-    def test_grid_values(self, tmp_path, monkeypatch, cfg):
-        for name in ("_risk_point", "_bound_columns", "_codec_point"):
-            monkeypatch.setattr(harness, name, must_not_run)
-        out = tmp_path / "g.csv"
-        path = write_config(tmp_path, cfg + f"workers = 1\nout = {out}\n")
-        assert run(path) == EXIT_PRECONDITION
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "cfg,message",
-        [
-            ("command = SweepRisk\nn = [4, 4]\nk = 12\nd = 16\ns = 2\ntrials = 120\n",
-             "'n' lists 4 twice"),
-            ("command = SweepRisk\nn = 4\nk = [12, 14, 12]\nd = 16\ns = 2\ntrials = 120\n",
-             "'k' lists 12 twice"),
-            ("command = SweepRisk\nn = 4\nk = 12\nd = [16, 16]\ns = 2\ntrials = 120\n",
-             "'d' lists 16 twice"),
-            ("command = SweepRisk\nn = 4\nk = 12\nd = 16\ns = [2, 2.0]\ntrials = 120\n",
-             "'s' lists 2.0 twice"),
-            ("command = CodecRoundtrip\nd = [16, 64, 16]\nk = 24\nsamples = 5\n",
-             "'d' lists 16 twice"),
-            ("command = CodecRoundtrip\nd = 16\nk = [24, 24]\nsamples = 5\n",
-             "'k' lists 24 twice"),
-            ("command = Bounds\nn = 4\nk = 12\nd = 16\ns = [2, 3, 2]\n", "'s' lists 2 twice"),
-        ],
-        ids=["risk_n", "risk_k", "risk_d", "risk_s_int_and_float", "codec_d", "codec_k",
-             "bounds_s"],
-    )
-    def test_repeated_grid_value(self, tmp_path, monkeypatch, cfg, message):
-        """A grid axis that lists a value twice would rerun a whole point."""
-        for name in ("_risk_point", "_bound_columns", "_codec_point"):
-            monkeypatch.setattr(harness, name, must_not_run)
-        out = tmp_path / "g.csv"
-        errors = []
-        path = write_config(tmp_path, cfg + f"workers = 1\nout = {out}\n")
-        assert run(path, errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == [
-            f"ERROR code=3 kind=PreconditionError message={message}; each value is a grid point"
-        ]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "grid,message",
-        [
-            ("k = [12, 3]\ns = 2\nprobes = [flat]\n",
-             "k=3 cannot hold the 5-bit count header of d=16 plus a payload bit"),
-            ("k = 12\ns = [4, 40]\nprobes = [flat]\n", "s=40 must be at most d/2=8.0"),
-            ("k = 12\ns = [4, 20]\nprobes = [half_flat]\n",
-             "probe half_flat needs s <= d, got s=20 d=16"),
-            ("k = 12\ns = [4, 0.5]\nprobes = [corner]\n",
-             "probe corner needs 1 <= floor(s) <= d, got s=0.5 d=16"),
-            ("k = 12\ns = 4\nprobes = [flat, middle]\n",
-             "unknown probe 'middle' (expected flat, half_flat, corner)"),
-        ],
-        ids=["budget_below_header", "flat_s_above_half_d", "half_flat_s_above_d",
-             "corner_floor_s_0", "unknown_probe"],
-    )
-    def test_risk_point_inputs(self, tmp_path, monkeypatch, grid, message):
-        monkeypatch.setattr(harness, "monte_carlo_risk", must_not_run)
-        out = tmp_path / "r.csv"
-        cfg = f"command = SweepRisk\nn = 4\nd = 16\ntrials = 120\n{grid}workers = 1\nout = {out}\n"
-        errors = []
-        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "grid", ["d = 16\nk = [3]\n", "d = [16, 64]\nk = [24, 6]\n"],
-        ids=["single_point", "second_dimension"],
-    )
-    def test_codec_budget_below_header(self, tmp_path, monkeypatch, grid):
-        monkeypatch.setattr(harness, "_codec_point", must_not_run)
-        out = tmp_path / "c.csv"
-        cfg = f"command = CodecRoundtrip\n{grid}samples = 5\nout = {out}\n"
-        errors = []
-        assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-        assert [e.split()[:3] for e in errors] == [["ERROR", "code=3", "kind=PreconditionError"]]
-        assert not out.exists()
-
-
 def test_stray_codec_error_is_a_runtime_error(tmp_path, monkeypatch):
     def malformed(*args, **kwargs):
         raise MalformedMessage("corrupt transcript")
@@ -1287,9 +1039,8 @@ _TRAINING_RULES = {
     "steps": "sgdsim.TrainConfig: a positive integer",
     "eta": "sgdsim.TrainConfig: positive rates, steps from 0 up",
     "init_scale": "sgdsim.TrainConfig: nonnegative",
-    # obj_eig_min <= obj_eig_max spans two keys: harness._training_setup states it
-    "obj_eig_min": "objectives.QuadraticObjective: every eigenvalue positive",
-    "obj_eig_max": "objectives.QuadraticObjective: every eigenvalue positive",
+    "obj_eig_min": "objectives.make_quadratic: at most obj_eig_max; every eigenvalue positive",
+    "obj_eig_max": "objectives.make_quadratic: at least obj_eig_min; every eigenvalue positive",
     "obj_reg": "objectives.LogisticObjective: nonnegative",
     "obj_heavy": "objectives.make_concentrated_quadratic: in [1, d]",
 }

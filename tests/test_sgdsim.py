@@ -31,7 +31,6 @@ from sparsecomm.sgdsim import (
     convergence_bound,
     convergence_order_terms,
     init_weights,
-    learning_rate,
     local_gradient,
     make_nodes,
     reference_sgd,
@@ -78,6 +77,15 @@ class TestObjectives:
         obj = make_quadratic(6, noise_std=0.3, seed=3)
         assert obj.loss(obj.minimizer) == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(obj.full_grad(obj.minimizer), 0.0)
+
+    @pytest.mark.parametrize(
+        "given,message",
+        [({"eig_range": (3.0, 1.0)}, "eig_range must not descend, got (3.0, 1.0)"),
+         ({"noise_std": [0.5, 0.5]}, "noise_std must be a number or d=4 numbers, got [0.5, 0.5]")],
+    )
+    def test_quadratic_builder_judges_its_spectrum_and_noise(self, given, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_quadratic(4, n_samples=5, **given)
 
     def test_logistic_single_sample_matches_analytic(self):
         x = np.array([[0.5, -1.0, 2.0]])
@@ -517,7 +525,7 @@ def dense_exchange(spec, cfg, t, weights, memories, grads, targets):
     agg /= n
     if cfg.aggregation == UNBIASED_RESCALE:
         agg *= spec.unbiased_rescale(d)
-    return updates, memories, weights - learning_rate(cfg.eta, t) * agg
+    return updates, memories, weights - cfg.rate(t) * agg
 
 
 def assert_same_bits(ours, theirs):
@@ -622,22 +630,16 @@ class TestExchange:
 
 class TestSchedules:
     def test_constant(self):
-        assert learning_rate(0.25, 999) == 0.25
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=0.25)
+        assert cfg.rate(0) == cfg.rate(999) == 0.25
 
     def test_piecewise_lookup(self):
         eta = [(0, 0.1), (100, 0.05), (400, 0.01)]
-        assert learning_rate(eta, 0) == 0.1
-        assert learning_rate(eta, 99) == 0.1
-        assert learning_rate(eta, 100) == 0.05
-        assert learning_rate(eta, 5000) == 0.01
-
-    def test_schedule_must_cover_step(self):
-        with pytest.raises(ValueError):
-            learning_rate([(10, 0.1)], 5)
-
-    def test_positive_rate_required(self):
-        with pytest.raises(ValueError):
-            learning_rate(0.0, 0)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
+        assert cfg.rate(0) == 0.1
+        assert cfg.rate(99) == 0.1
+        assert cfg.rate(100) == 0.05
+        assert cfg.rate(5000) == 0.01
 
     @pytest.mark.parametrize(
         "eta", [True, [(0, 0.1), (5, True)], float("inf"), [(0, float("inf"))], [(0, float("nan"))]]
@@ -657,7 +659,7 @@ class TestSchedules:
     def test_config_takes_numpy_integer_steps(self):
         eta = [(np.int64(0), 0.1), (np.int32(2), 0.05)]
         cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, eta=eta)
-        assert learning_rate(cfg.eta, 2) == 0.05
+        assert cfg.rate(2) == 0.05
 
     @pytest.mark.parametrize(
         "field,value",

@@ -27,16 +27,16 @@ def entries(update) -> dict:
     return dict(zip(update.indices.tolist(), update.values.tolist()))
 
 
-def assert_rows_match_naive(w, r, k, seeds):
+def assert_rows_match_naive(w, r, k, seeds, as_lists=False):
     """Each row of ``select_rows`` equals one naive single-vector selection
     on a generator with the same seed, draws included, for rtop-k, random-k
-    and top-r."""
+    and top-r; with ``as_lists`` the rows go in as a list of lists."""
     d = w.shape[1]
     for spec in (SparsifierSpec.rtop(r, k), SparsifierSpec.random(k), SparsifierSpec.top(r)):
         ours = [substream(seed) for seed in seeds]
         theirs = [substream(seed) for seed in seeds]
         targets = np.concatenate([spec.swap_targets(rng, d, 1) for rng in ours])
-        kept = spec.select_rows(w, targets)
+        kept = spec.select_rows(w.tolist() if as_lists else w, targets)
         for i, values in enumerate(w):
             if spec.kind == "rtop_k":
                 picked = naive_rtop_k(values, r, k, theirs[i])
@@ -320,7 +320,7 @@ class TestRowwiseSelection:
         r = data.draw(st.integers(1, d))
         k = data.draw(st.integers(1, r))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
-        assert_rows_match_naive(w, r, k, seeds)
+        assert_rows_match_naive(w, r, k, seeds, data.draw(st.booleans(), label="as lists"))
 
     @staticmethod
     def planted_rows(r):
