@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -205,10 +205,6 @@ def _at_least(low) -> Range:
     return Range(lambda v: v >= low, f">= {low}")
 
 
-def _above(low) -> Range:
-    return Range(lambda v: v > low, f"> {low}")
-
-
 class Key(NamedTuple):
     """One config key: its kind (a predicate in ``_KINDS``, checked by
     ``load_experiment``), its default (``_REQUIRED`` if the config must set
@@ -262,13 +258,14 @@ _COMMON_SCHEMA = {
     "workers": Key("positive_int", None),  # None: the cpu count
 }
 
-# make_config judges k and d, BoundCurve the constants, UniformPerturbation
-# the halfwidth; monte_carlo_risk judges trials only once a point runs.
+# make_config judges k and d, each probe's ParamVector s, BoundCurve the
+# constants, UniformPerturbation the halfwidth; monte_carlo_risk judges
+# trials only once a point runs.
 _RISK_SCHEMA = {
     "n": Key("int_or_list", check=_at_least(1), grid=True),
     "k": Key("int_or_list", grid=True),
     "d": Key("int_or_list", grid=True),
-    "s": Key("num_or_list", check=_above(0), grid=True),
+    "s": Key("num_or_list", grid=True),
     "trials": Key("int", 1000, _at_least(MIN_TRIALS)),
     "probes": Key("str_list", ["flat"]),
     "perturb_halfwidth": Key("float", 0.0),
@@ -313,7 +310,9 @@ _TRAINING_SCHEMA = {
 _TRAIN_SCHEMA = dict(_TRAINING_SCHEMA, r=Key("int", None))  # None: min(n*k, d)
 _COMPARE_SCHEMA = dict(_TRAINING_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
 
-# Bounds builds no codec config, so its k and d ranges are here.
+# Bounds builds no codec config, so its k and d ranges are here; s is
+# judged by the flat probe it builds for each s <= d/2, which with d >= 2
+# covers every s below 1.
 _BOUNDS_SCHEMA = {
     "n": _RISK_SCHEMA["n"],
     "k": Key("int_or_list", check=_at_least(1), grid=True),
@@ -344,8 +343,7 @@ def load_experiment(
     ``command``, ``seed`` and ``out`` given here (e.g. from the CLI)
     override or complete the file's values; a command that contradicts
     the file is a config error, and so is an ``out`` that names no file
-    (empty, ending in a separator, or an existing directory).  Ranges are
-    left to :func:`check_ranges`.
+    (see :func:`_names_a_file`).  Ranges are left to :func:`check_ranges`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -381,10 +379,23 @@ def load_experiment(
     final_out = out if out is not None else cfg_out
     if resolved != "CodecRoundtrip" and final_out is None:
         raise ConfigParseError(f"command {resolved} requires an output path ('out' or --out)")
-    if final_out is not None and (not os.path.basename(final_out) or os.path.isdir(final_out)):
+    if final_out is not None and not _names_a_file(final_out):
         raise ConfigParseError(f"key 'out': expected a file path, got {final_out!r}")
     final_seed = seed if seed is not None else cfg_seed
     return ExperimentConfig(resolved, raw, final_seed, final_out, workers or os.cpu_count() or 1)
+
+
+def _names_a_file(path: str) -> bool:
+    """Whether ``path`` can name a file to write: it is not empty, does not
+    end in a separator, is no existing directory, and the nearest of its
+    ancestors that exists is a directory (a path under a file cannot be
+    created)."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        return False
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    return os.path.isdir(parent)
 
 
 def check_ranges(config: ExperimentConfig) -> None:
@@ -456,8 +467,8 @@ def probe_param(name: str, d: int, s: float) -> ParamVector:
         return ParamVector(np.full(d, s / (2 * d)), s=float(s))
     if name == "corner":
         ones = int(s)
-        if not 1 <= ones <= d:
-            raise PreconditionError(f"probe corner needs 1 <= floor(s) <= d, got s={s} d={d}")
+        if ones > d:
+            raise PreconditionError(f"probe corner needs floor(s) <= d, got s={s} d={d}")
         values = np.zeros(d)
         values[:ones] = 1.0
         return ParamVector(values, s=float(s))
@@ -799,7 +810,7 @@ def _run_train(config: ExperimentConfig, echo) -> list[dict]:
         f"trained {config.params['objective']} d={obj.d} for {cfg.steps} rounds -> "
         f"final loss={result.final.loss:.6g}, grad_sq={result.final.grad_sq_norm:.6g}"
     )
-    return [asdict(record) for record in result.records]
+    return [vars(record) for record in result.records]
 
 
 def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:

@@ -28,10 +28,11 @@ VARIANTS = (PLAIN, SIGNED, SCALED)
 class ParamVector:
     """Mean-parameter vector with sparsity budget ``s``.
 
-    Invariants (checked by :func:`validate_param`, not the constructor):
-    plain/scaled components lie in [0, 1] with ``sum(values) <= s``; signed
-    components lie in [-1, 1] with ``sum(|values|) <= s``; ``s >= 1``.
-    Components exactly 0 or 1 are allowed (degenerate coordinates).
+    The constructor checks the invariants and raises ``ValueError`` naming
+    the first one broken: ``s >= 1``; finite components in [0, 1], or in
+    [-1, 1] when signed; ``sum(|values|) <= s`` up to the rounding of a
+    d-term sum; and, for the scaled variant, ``scale > 0``.  Components
+    exactly 0 or 1 are allowed (degenerate coordinates).
     """
 
     values: np.ndarray
@@ -43,10 +44,24 @@ class ParamVector:
         v = np.array(self.values, dtype=float, copy=True)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a nonempty 1-d vector")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not self.s >= 1:
+            raise ValueError(f"s={self.s} must be at least 1")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"component {int(np.flatnonzero(~np.isfinite(v))[0])} is not finite")
+        lo = -1.0 if self.variant == SIGNED else 0.0
+        outside = np.flatnonzero((v < lo) | (v > 1.0))
+        if outside.size:
+            j = int(outside[0])
+            raise ValueError(f"component {j}={v[j]:g} outside [{lo:g}, 1]")
+        total = float(np.sum(np.abs(v)))
+        if total > self.s * (1 + v.size * np.finfo(float).eps):
+            raise ValueError(f"sum|theta|={total:g} exceeds s={self.s}")
+        if self.variant == SCALED and not self.scale > 0:
+            raise ValueError(f"scale={self.scale} must be positive")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def d(self) -> int:
@@ -106,34 +121,6 @@ class Observation:
     @property
     def count(self) -> int:
         return int(self.support.size)
-
-
-@dataclass
-class ValidityReport:
-    ok: bool
-    violations: list[str]
-
-
-def validate_param(theta: ParamVector) -> ValidityReport:
-    """Check all ParamVector invariants, listing each violation found."""
-    violations = []
-    v = theta.values
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        violations.append(f"component {bad} is not finite")
-    else:
-        lo = -1.0 if theta.variant == SIGNED else 0.0
-        for j in np.flatnonzero((v < lo) | (v > 1.0)):
-            violations.append(f"component {int(j)}={v[j]:g} outside [{lo:g}, 1]")
-        total = float(np.sum(np.abs(v)))
-        if total > theta.s + 1e-12:
-            label = "sum|theta|" if theta.variant == SIGNED else "sum(theta)"
-            violations.append(f"{label}={total:g} > s={theta.s:g}")
-    if theta.s < 1.0:
-        violations.append(f"s={theta.s:g} < 1")
-    if theta.variant == SCALED and not theta.scale > 0:
-        violations.append(f"scale={theta.scale:g} must be positive")
-    return ValidityReport(ok=not violations, violations=violations)
 
 
 def sample_rows(

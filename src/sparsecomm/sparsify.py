@@ -160,10 +160,6 @@ class CompressionReport:
     mc_ok: bool
     bound_ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.mc_ok and self.bound_ok
-
 
 def check_compression(
     w, r: int, k: int, mc_trials: int, rng: np.random.Generator

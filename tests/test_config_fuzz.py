@@ -65,11 +65,13 @@ BASES["SweepRisk"] = BASES["EstimateRisk"]
 
 SEED = Edge(inside=("-1", str(2**64)))  # any int: seeds are taken mod 2^64
 
-# Every command's output path; "." is the directory the fuzz runs in.
+# Every command's output path; "." is the directory the fuzz runs in, and
+# exp.cfg the config file in it.
+OUT_OUTSIDE = ("", "sub/", ".", "exp.cfg/x.csv", "exp.cfg/sub/x.csv")
 OUT = Edge(
-    (('""', "key 'out': expected a file path, got ''"),
-     ("sub/", "key 'out': expected a file path, got 'sub/'"),
-     (".", "key 'out': expected a file path, got '.'")),
+    tuple(
+        (path or '""', f"key 'out': expected a file path, got {path!r}") for path in OUT_OUTSIDE
+    ),
     ("new/out.csv",),
     code=EXIT_CONFIG,
 )
@@ -92,15 +94,15 @@ RISK_EDGES = {
     "k": Edge((("5", f"k=5 {HEADER_16}"),), ("6",)),
     "d": Edge((("1", "d must be >= 2, got 1"),), ("2",)),
     "s": Edge(
-        (("0", "'s' must be > 0, got 0"), ("8.5", "s=8.5 must be at most d/2=8.0"),
-         ("[2, 2.0]", twice("s", 2.0))),
-        ("1e-9", "8"),
+        (("0.999", "s=0.999 must be at least 1"), ("0", "s=0.0 must be at least 1"),
+         ("8.5", "s=8.5 must be at most d/2=8.0"), ("[2, 2.0]", twice("s", 2.0))),
+        ("1", "8"),
     ),
     "trials": Edge((("99", "'trials' must be >= 100, got 99"),), ("100",)),
     "probes": Edge(
         (("[flat, middle]", "unknown probe 'middle' (expected flat, half_flat, corner)"),
          ("[half_flat]", "probe half_flat needs s <= d, got s=17 d=16", ("s", "17")),
-         ("[corner]", "probe corner needs 1 <= floor(s) <= d, got s=0.5 d=16", ("s", "0.5"))),
+         ("[corner]", "probe corner needs floor(s) <= d, got s=17 d=16", ("s", "17"))),
         ("[flat, half_flat, corner]",),
     ),
     "perturb_halfwidth": Edge(
@@ -131,7 +133,7 @@ SWEEP_EDGES = {
          ("[16, 16]", twice("d", 16))),
         ("2",),
     ),
-    "s": Edge((*RISK_EDGES["s"].outside, ("[4, 9]", "s=9 must be at most d/2=8.0")), ("1e-9", "8")),
+    "s": Edge((*RISK_EDGES["s"].outside, ("[4, 9]", "s=9 must be at most d/2=8.0")), ("1", "8")),
 }
 
 TRAINING_EDGES = {
@@ -219,7 +221,7 @@ FUZZ_EDGES = {
     },
     "Train": {
         **TRAINING_EDGES,
-        "k": Edge((("0", "need 1 <= k=0 <= r=0"),), ("1", "10")),
+        "k": Edge((("0", "need 1 <= k=0 <= r=0"), ("11", "need 1 <= k=11 <= r=10")), ("1", "10")),
         "r": Edge(
             (("0", "need 1 <= k=1 <= r=0"), ("11", "need 1 <= k=1 <= r=11 <= d=10")),
             ("1", "10"),
@@ -250,11 +252,11 @@ FUZZ_EDGES = {
         "k": Edge((("0", "'k' must be >= 1, got 0"), ("[1, 0]", "'k' must be >= 1, got 0")), ("1",)),
         "d": Edge((("1", "'d' must be >= 2, got 1"), ("[16, 1]", "'d' must be >= 2, got 1")), ("2",)),
         "s": Edge(
-            (("0", "'s' must be > 0, got 0"), ("[2, 0]", "'s' must be > 0, got 0"),
-             ("[2, 3, 2]", twice("s", 2)),
+            (("0.999", "s=0.999 must be at least 1"), ("0", "s=0.0 must be at least 1"),
+             ("[2, 0]", "s=0.0 must be at least 1"), ("[2, 3, 2]", twice("s", 2)),
              ("17", "Bounds needs s <= d, got s=17 d=16"),
              ("[8, 20]", "Bounds needs s <= d, got s=20 d=16", ("d", "[64, 16]"))),
-            ("1e-9", "16"),
+            ("1", "16"),
         ),
         "upper_constant": RISK_EDGES["upper_constant"],
         "lower_constant": RISK_EDGES["lower_constant"],
@@ -364,7 +366,7 @@ def subcommand(command: str) -> str:
 
 
 # ``--out`` meets the rule of the ``out`` key: the same edges, given unquoted.
-@pytest.mark.parametrize("value", ["", "sub/", "."])
+@pytest.mark.parametrize("value", OUT_OUTSIDE)
 @pytest.mark.parametrize("command", harness.COMMANDS)
 def test_out_flag_outside_fails_before_work(tmp_path, monkeypatch, capsys, command, value):
     path = set_up(tmp_path, monkeypatch, must_not_run, command, {})

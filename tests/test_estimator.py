@@ -29,7 +29,6 @@ from sparsecomm.model import (
     UniformPerturbation,
     perturb_and_quantize,
     sample_rows,
-    validate_param,
 )
 from sparsecomm.seeding import substream
 
@@ -127,9 +126,9 @@ class TestHardestParam:
         assert float(np.sum(theta.values)) == pytest.approx(theta.s)
 
     def test_always_valid(self):
+        # the constructor checks the invariants
         for d in range(2, 40, 3):
-            s = max(1, d // 3)
-            assert validate_param(hardest_param(d, s)).ok
+            hardest_param(d, max(1, d // 3))
 
     def test_rejects_oversized_budget(self):
         with pytest.raises(ValueError):

@@ -277,23 +277,6 @@ class TestRiskCommands:
         path = write_config(tmp_path, cfg.format(o=out))
         assert run(path) == EXIT_PRECONDITION
 
-    def test_trials_floor_is_a_precondition(self, tmp_path):
-        cfg = SWEEP_CFG.replace("trials = 120", "trials = 50")
-        out = str(tmp_path / "s.csv")
-        path = write_config(tmp_path, cfg.format(out=out))
-        assert run(path) == EXIT_PRECONDITION
-
-    def test_budget_below_header_is_a_precondition(self, tmp_path):
-        cfg = "command = SweepRisk\nn = 4\nk = 3\nd = 32\ns = 4\ntrials = 120\nout = {o}\n"
-        out = str(tmp_path / "s.csv")
-        path = write_config(tmp_path, cfg.format(o=out))
-        assert run(path) == EXIT_PRECONDITION
-
-    def test_oversized_budget_probe_is_a_precondition(self, tmp_path):
-        cfg = "command = SweepRisk\nn = 4\nk = 12\nd = 8\ns = 6\ntrials = 120\nout = {o}\n"
-        path = write_config(tmp_path, cfg.format(o=str(tmp_path / "s.csv")))
-        assert run(path) == EXIT_PRECONDITION
-
     def test_perturbed_sweep_runs(self, tmp_path):
         cfg = (
             "command = EstimateRisk\nn = 4\nk = 10\nd = 8\ns = 2\ntrials = 150\n"
@@ -623,22 +606,6 @@ class TestTrainCommands:
         path = write_config(tmp_path, cfg.format(o=out))
         assert run(path) == EXIT_OK
 
-    def test_bad_window_is_a_precondition(self, tmp_path, monkeypatch):
-        # r below k, r above d, then k above d with r unset: each exits 3
-        # before training starts
-        monkeypatch.setattr(harness, "train", must_not_run)
-        out = tmp_path / "t.csv"
-        for k, r, message in (
-            (4, "r = 1\n", "need 1 <= k=4 <= r=1"),
-            (4, "r = 999\n", "need 1 <= k=4 <= r=999 <= d=10"),
-            (12, "", "need 1 <= k=12 <= r=10"),
-        ):
-            cfg = f"command = Train\nd = 10\nn = 2\nk = {k}\n{r}steps = 5\nout = {out}\n"
-            errors = []
-            assert run(write_config(tmp_path, cfg), errcho=errors.append) == EXIT_PRECONDITION
-            assert errors == [f"ERROR code=3 kind=PreconditionError message={message}"]
-            assert not out.exists()
-
     def test_default_window_is_nk_capped_at_d(self, tmp_path, monkeypatch):
         trained = []
 
@@ -745,14 +712,6 @@ class TestTrainCommands:
         err = capfd.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("ERROR code=4 ")
-
-    def test_mismatched_budgets_pre(self, tmp_path):
-        cfg = (
-            "command = CompareSparsifiers\nd = 30\nn = 2\nk = 3\nsteps = 5\n"
-            "specs = [top:3, random:4]\nseeds = [1]\nout = {o}\n"
-        )
-        path = write_config(tmp_path, cfg.format(o=str(tmp_path / "x.csv")))
-        assert run(path) == EXIT_PRECONDITION
 
     def test_spec_string_parsing(self):
         assert parse_spec_string("top:5", 100, 4).label == "top_5"
@@ -1028,6 +987,7 @@ def doc_key_tables():
 _RISK_RULES = {
     "k": "codec.make_config: k >= header + 1",
     "d": "codec.make_config: d >= 2",
+    "s": "model.ParamVector: s >= 1",
     "perturb_halfwidth": "model.UniformPerturbation: in (0, 0.5]; 0 means none",
     "upper_constant": "estimator.BoundCurve: positive",
     "lower_constant": "estimator.BoundCurve: positive",
@@ -1051,7 +1011,7 @@ UNCHECKED_NUMERIC_KEYS = {
     "CodecRoundtrip": {"d": "codec.make_config: d >= 2"},
     "Train": {**_TRAINING_RULES, "r": "sparsify.SparsifierSpec: k <= r, and window(d): r <= d"},
     "CompareSparsifiers": {**_TRAINING_RULES, "seeds": "any int is a valid seed"},
-    "Bounds": {key: _RISK_RULES[key] for key in ("upper_constant", "lower_constant")},
+    "Bounds": {key: _RISK_RULES[key] for key in ("s", "upper_constant", "lower_constant")},
 }
 
 

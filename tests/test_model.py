@@ -15,42 +15,46 @@ from sparsecomm.model import (
     UniformPerturbation,
     perturb_and_quantize,
     sample_rows,
-    validate_param,
 )
 from sparsecomm.seeding import substream
 
 
-class TestValidateParam:
-    def test_plain_at_budget(self):
-        theta = ParamVector([0.9, 0.9, 0.1, 0.1], s=2)
-        assert validate_param(theta).ok
+class TestParamVectorInvariants:
+    def test_values_on_each_edge_build(self):
+        assert ParamVector([0.9, 0.9, 0.1, 0.1], s=2).d == 4
+        assert ParamVector([-0.5, 0.5], s=1, variant=SIGNED).d == 2
+        assert ParamVector([-1.0, 0.0], s=1, variant=SIGNED).values.tolist() == [-1.0, 0.0]
+        assert ParamVector([0.5, 0.5], s=1, variant=SCALED, scale=3.0).estimand()[0] == 1.5
+        assert ParamVector([0.5, 0.5], s=1, scale=0.0).d == 2  # scale is read only when scaled
 
-    def test_plain_over_budget_names_the_sum(self):
-        report = validate_param(ParamVector([0.9, 0.9, 0.0, 0.0], s=1))
-        assert not report.ok
-        assert any("1.8" in v and "s=1" in v for v in report.violations)
+    @pytest.mark.parametrize(
+        "values,s,variant,scale,message",
+        [
+            ([0.9, 0.9, 0.0, 0.0], 1, PLAIN, 1.0, "sum|theta|=1.8 exceeds s=1"),
+            ([-0.5, 0.6], 1, SIGNED, 1.0, "sum|theta|=1.1 exceeds s=1"),
+            ([0.5, 1.2], 2, PLAIN, 1.0, "component 1=1.2 outside [0, 1]"),
+            ([0.5, -0.1], 2, SCALED, 3.0, "component 1=-0.1 outside [0, 1]"),
+            ([-1.2, 0.0], 1, SIGNED, 1.0, "component 0=-1.2 outside [-1, 1]"),
+            ([0.1, float("nan")], 1, PLAIN, 1.0, "component 1 is not finite"),
+            ([0.1, 0.1], 0.5, PLAIN, 1.0, "s=0.5 must be at least 1"),
+            # s is judged first: a negative budget is named, not its components
+            ([-0.25, -0.25], -2.0, PLAIN, 1.0, "s=-2.0 must be at least 1"),
+            ([0.1, 0.1], float("nan"), PLAIN, 1.0, "s=nan must be at least 1"),
+            ([0.5, 0.5], 1, SCALED, 0.0, "scale=0.0 must be positive"),
+            ([0.5, 0.5], 1, SCALED, -3.0, "scale=-3.0 must be positive"),
+        ],
+    )
+    def test_constructor_names_the_broken_invariant(self, values, s, variant, scale, message):
+        with pytest.raises(ValueError) as raised:
+            ParamVector(values, s=s, variant=variant, scale=scale)
+        assert str(raised.value) == message
 
-    def test_signed_uses_absolute_budget(self):
-        assert validate_param(ParamVector([-0.5, 0.4], s=1, variant=SIGNED)).ok
-
-    def test_component_out_of_range_reports_index(self):
-        report = validate_param(ParamVector([0.5, 1.2], s=2))
-        assert not report.ok
-        assert any("component 1" in v for v in report.violations)
-
-    def test_signed_range_is_symmetric(self):
-        assert not validate_param(ParamVector([-1.2, 0.0], s=1, variant=SIGNED)).ok
-        assert validate_param(ParamVector([-1.0, 0.0], s=1, variant=SIGNED)).ok
-
-    def test_budget_below_one_rejected(self):
-        report = validate_param(ParamVector([0.1, 0.1], s=0.5))
-        assert not report.ok
-
-    def test_scaled_needs_positive_scale(self):
-        bad = ParamVector([0.5, 0.5], s=1, variant=SCALED, scale=0.0)
-        assert not validate_param(bad).ok
-        good = ParamVector([0.5, 0.5], s=1, variant=SCALED, scale=3.0)
-        assert validate_param(good).ok
+    def test_flat_probe_sum_rounding_is_within_budget(self):
+        # the d-term sum of s/d rounds above s (by about 7e-12 here)
+        d = 100_000
+        values = np.full(d, (d / 3) / d)
+        assert float(np.sum(values)) > d / 3
+        assert ParamVector(values, s=d / 3).d == d
 
 
 def draw_rows(theta, rng, rows):

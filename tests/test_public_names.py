@@ -31,7 +31,6 @@ ALLOWED = {
     # references the tests check against
     "deserialize",
     "reference_sgd",
-    "validate_param",
     "nnz",  # SparseUpdate's size, read beside to_dense
 }
 

@@ -246,18 +246,18 @@ class TestExpectedSqError:
 class TestCheckCompression:
     def test_worked_example_passes(self):
         report = check_compression([3.0, 2.0, 1.0], 2, 1, 2000, substream(12))
-        assert report.ok
+        assert report.mc_ok and report.bound_ok
         assert report.bound == pytest.approx((1 - 1 / 3) * 14.0)
 
     def test_zero_vector_passes(self):
         report = check_compression([0.0, 0.0], 1, 1, 200, substream(13))
-        assert report.ok
+        assert report.mc_ok and report.bound_ok
         assert report.expected == 0.0 and report.bound == 0.0
 
     def test_deterministic_case_passes(self):
         # k = r: every draw keeps the same mass; std error is zero.
         report = check_compression([3.0, 2.0, 1.0], 2, 2, 500, substream(14))
-        assert report.ok and report.mc_std_error == 0.0
+        assert report.mc_ok and report.bound_ok and report.mc_std_error == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -303,7 +303,8 @@ class TestCheckCompression:
             w = rng.normal(size=d)
             r = int(rng.integers(1, d + 1))
             k = int(rng.integers(1, r + 1))
-            assert check_compression(w, r, k, 400, rng).ok
+            report = check_compression(w, r, k, 400, rng)
+            assert report.mc_ok and report.bound_ok
 
 
 class TestRowwiseSelection:
