@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .model import Observation, as_support
 
 
@@ -156,8 +156,7 @@ def codebook_size(d: int, kprime: int) -> int:
     return _class_offset_ints(d, kprime)[-1]
 
 
-@dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(NamedTuple):
     """Derived field widths for a (dimension, bit budget) pair."""
 
     d: int
@@ -170,7 +169,7 @@ class CodecConfig:
     def degenerate(self) -> bool:
         return self.kprime == 0
 
-    @cached_property
+    @property
     def codebook(self) -> int:
         return codebook_size(self.d, self.kprime)
 
@@ -201,8 +200,7 @@ def make_config(d: int, k: int) -> CodecConfig:
     return CodecConfig(d=d, k=k, header_bits=header, payload_bits=payload, kprime=kprime)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A k-bit transcript: exact count plus enumerative payload index."""
 
     count: int
@@ -210,16 +208,13 @@ class Message:
     bit_length: int
 
 
-@dataclass(frozen=True, eq=False)
-class SubsampledObservation:
+class SubsampledObservation(Frozen):
     """A support capped at kprime ones, remembering the original count."""
 
-    d: int
-    support: np.ndarray
-    original_count: int
+    __slots__ = ("d", "support", "original_count")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", as_support(self.support))
+    def __init__(self, d: int, support: np.ndarray, original_count: int):
+        self._set(d=d, support=as_support(support), original_count=original_count)
 
 
 def rank_sparse(support: Sequence[int], d: int, kprime: int) -> int:

@@ -21,11 +21,11 @@ validity regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._frozen import Value
 from .codec import CodecConfig, _keep_largest_packed, ceil_log2
 # encode_batch and decode_batch stay importable here: bench/tracing.py wraps them by these names
 from .codec import decode_batch, encode_batch  # noqa: F401
@@ -92,8 +92,7 @@ def hardest_param(d: int, s: float) -> ParamVector:
     return ParamVector(np.full(d, s / d), s=float(s))
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
+class RiskEstimate(NamedTuple):
     """Monte Carlo estimate of E||theta_hat - theta||^2 with its std error."""
 
     mean_sq_error: float
@@ -229,22 +228,20 @@ CENTRALIZED = "centralized"
 _BOUND_KINDS = (UPPER_ACHIEVABLE, LOWER_MINIMAX, CENTRALIZED)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(Value):
     """A reference risk curve with a user-supplied leading constant."""
 
-    kind: str
-    constant: float = 1.0
+    __slots__ = ("kind", "constant")
 
-    def __post_init__(self):
-        if self.kind not in _BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if not self.constant > 0:
-            raise ValueError(f"{self.kind} constant must be positive, got {self.constant}")
+    def __init__(self, kind: str, constant: float = 1.0):
+        if kind not in _BOUND_KINDS:
+            raise ValueError(f"unknown bound kind {kind!r}")
+        if not constant > 0:
+            raise ValueError(f"{kind} constant must be positive, got {constant}")
+        self._set(kind=kind, constant=constant)
 
 
-@dataclass(frozen=True)
-class OutOfRegime:
+class OutOfRegime(NamedTuple):
     """Marker result: the curve's validity hypothesis failed."""
 
     reason: str

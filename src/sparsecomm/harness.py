@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -205,6 +204,10 @@ def _at_least(low) -> Range:
     return Range(lambda v: v >= low, f">= {low}")
 
 
+# A master seed is a 64-bit word: seeding would alias any other int to one.
+_SEED = Range(lambda v: 0 <= v < 1 << 64, "in [0, 2^64)")
+
+
 class Key(NamedTuple):
     """One config key: its kind (a predicate in ``_KINDS``, checked by
     ``load_experiment``), its default (``_REQUIRED`` if the config must set
@@ -253,7 +256,7 @@ _KINDS: dict[str, Callable[[object], bool]] = {
 
 # Keys every command takes; ``command`` itself is resolved first.
 _COMMON_SCHEMA = {
-    "seed": Key("int", 0),
+    "seed": Key("int", 0, _SEED),
     "out": Key("str", None),
     "workers": Key("positive_int", None),  # None: the cpu count
 }
@@ -308,7 +311,7 @@ _TRAINING_SCHEMA = {
 
 # Train's rtop window; CompareSparsifiers names each window in its specs.
 _TRAIN_SCHEMA = dict(_TRAINING_SCHEMA, r=Key("int", None))  # None: min(n*k, d)
-_COMPARE_SCHEMA = dict(_TRAINING_SCHEMA, specs=Key("str_list"), seeds=Key("int_list"))
+_COMPARE_SCHEMA = dict(_TRAINING_SCHEMA, specs=Key("str_list"), seeds=Key("int_list", check=_SEED))
 
 # Bounds builds no codec config, so its k and d ranges are here; s is
 # judged by the flat probe it builds for each s <= d/2, which with d >= 2
@@ -343,7 +346,8 @@ def load_experiment(
     ``command``, ``seed`` and ``out`` given here (e.g. from the CLI)
     override or complete the file's values; a command that contradicts
     the file is a config error, and so is an ``out`` that names no file
-    (see :func:`_names_a_file`).  Ranges are left to :func:`check_ranges`.
+    (see :func:`_names_a_file`) or names the config file.  Ranges, the
+    seed's included, are left to :func:`check_ranges`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -381,6 +385,8 @@ def load_experiment(
         raise ConfigParseError(f"command {resolved} requires an output path ('out' or --out)")
     if final_out is not None and not _names_a_file(final_out):
         raise ConfigParseError(f"key 'out': expected a file path, got {final_out!r}")
+    if final_out is not None and os.path.exists(final_out) and os.path.samefile(final_out, path):
+        raise ConfigParseError(f"key 'out': {final_out!r} is the config file itself")
     final_seed = seed if seed is not None else cfg_seed
     return ExperimentConfig(resolved, raw, final_seed, final_out, workers or os.cpu_count() or 1)
 
@@ -399,12 +405,12 @@ def _names_a_file(path: str) -> bool:
 
 
 def check_ranges(config: ExperimentConfig) -> None:
-    """PreconditionError unless every value of ``config`` (each element of
-    a list) lies in its key's range, and no grid axis lists a value twice
-    (each repeat would rerun a whole grid point); ``run`` calls it before
-    any work."""
-    schema = COMMANDS[config.command].schema
-    for key, value in config.params.items():
+    """PreconditionError unless every value of ``config``, its seed
+    included (each element of a list), lies in its key's range, and no
+    grid axis lists a value twice (each repeat would rerun a whole grid
+    point); ``run`` calls it before any work."""
+    schema = {**_COMMON_SCHEMA, **COMMANDS[config.command].schema}
+    for key, value in {"seed": config.seed, **config.params}.items():
         check = schema[key].check
         for item in _as_list(value) if check else ():
             if not check.holds(item):
@@ -799,7 +805,7 @@ def _training_setup(
             )
     for spec in sparsifiers:
         spec.window(obj.d)
-    return replace(cfg, sparsifier=sparsifiers[0]), obj, sparsifiers
+    return cfg.replace(sparsifier=sparsifiers[0]), obj, sparsifiers
 
 
 def _run_train(config: ExperimentConfig, echo) -> list[dict]:
@@ -810,7 +816,7 @@ def _run_train(config: ExperimentConfig, echo) -> list[dict]:
         f"trained {config.params['objective']} d={obj.d} for {cfg.steps} rounds -> "
         f"final loss={result.final.loss:.6g}, grad_sq={result.final.grad_sq_norm:.6g}"
     )
-    return [vars(record) for record in result.records]
+    return [record._asdict() for record in result.records]
 
 
 def parse_spec_string(text: str, d: int, n: int) -> SparsifierSpec:

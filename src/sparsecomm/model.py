@@ -12,10 +12,11 @@ quantization are matrix stages on caller-drawn uniforms and noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ._frozen import Frozen, Value
 
 PLAIN = "plain"
 SIGNED = "signed"
@@ -24,8 +25,7 @@ SCALED = "scaled"
 VARIANTS = (PLAIN, SIGNED, SCALED)
 
 
-@dataclass(frozen=True, eq=False)
-class ParamVector:
+class ParamVector(Frozen):
     """Mean-parameter vector with sparsity budget ``s``.
 
     The constructor checks the invariants and raises ``ValueError`` naming
@@ -35,33 +35,30 @@ class ParamVector:
     exactly 0 or 1 are allowed (degenerate coordinates).
     """
 
-    values: np.ndarray
-    s: float
-    variant: str = PLAIN
-    scale: float = 1.0
+    __slots__ = ("values", "s", "variant", "scale")
 
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
+    def __init__(self, values: np.ndarray, s: float, variant: str = PLAIN, scale: float = 1.0):
+        v = np.array(values, dtype=float, copy=True)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a nonempty 1-d vector")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not self.s >= 1:
-            raise ValueError(f"s={self.s} must be at least 1")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if not s >= 1:
+            raise ValueError(f"s={s} must be at least 1")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"component {int(np.flatnonzero(~np.isfinite(v))[0])} is not finite")
-        lo = -1.0 if self.variant == SIGNED else 0.0
+        lo = -1.0 if variant == SIGNED else 0.0
         outside = np.flatnonzero((v < lo) | (v > 1.0))
         if outside.size:
             j = int(outside[0])
             raise ValueError(f"component {j}={v[j]:g} outside [{lo:g}, 1]")
         total = float(np.sum(np.abs(v)))
-        if total > self.s * (1 + v.size * np.finfo(float).eps):
-            raise ValueError(f"sum|theta|={total:g} exceeds s={self.s}")
-        if self.variant == SCALED and not self.scale > 0:
-            raise ValueError(f"scale={self.scale} must be positive")
+        if total > s * (1 + v.size * np.finfo(float).eps):
+            raise ValueError(f"sum|theta|={total:g} exceeds s={s}")
+        if variant == SCALED and not scale > 0:
+            raise ValueError(f"scale={scale} must be positive")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self._set(values=v, s=s, variant=variant, scale=scale)
 
     @property
     def d(self) -> int:
@@ -78,15 +75,15 @@ class ParamVector:
         return np.asarray(self.values)
 
 
-@dataclass(frozen=True)
-class UniformPerturbation:
+class UniformPerturbation(Value):
     """Additive iid Uniform(-halfwidth, +halfwidth) noise, halfwidth <= 1/2."""
 
-    halfwidth: float = 0.49
+    __slots__ = ("halfwidth",)
 
-    def __post_init__(self):
-        if not 0.0 < self.halfwidth <= 0.5:
-            raise ValueError(f"halfwidth must lie in (0, 0.5], got {self.halfwidth}")
+    def __init__(self, halfwidth: float = 0.49):
+        if not 0.0 < halfwidth <= 0.5:
+            raise ValueError(f"halfwidth must lie in (0, 0.5], got {halfwidth}")
+        self._set(halfwidth=halfwidth)
 
 
 def as_support(values) -> np.ndarray:
@@ -102,21 +99,17 @@ def as_support(values) -> np.ndarray:
     return sup
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
+class Observation(Frozen):
     """One node's sample: a sorted support set, without signs (the k-bit
     transcript carries none; the Monte Carlo kernel keeps them per row)."""
 
-    d: int
-    support: np.ndarray
+    __slots__ = ("d", "support")
 
-    def __post_init__(self):
-        sup = as_support(self.support)
-        if sup.size and (
-            sup[0] < 0 or sup[-1] >= self.d or np.count_nonzero(sup[1:] <= sup[:-1])
-        ):
+    def __init__(self, d: int, support: np.ndarray):
+        sup = as_support(support)
+        if sup.size and (sup[0] < 0 or sup[-1] >= d or np.count_nonzero(sup[1:] <= sup[:-1])):
             raise ValueError("support must be strictly increasing indices in [0, d)")
-        object.__setattr__(self, "support", sup)
+        self._set(d=d, support=sup)
 
     @property
     def count(self) -> int:

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from numbers import Integral
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from ._frozen import Frozen
 from .seeding import substream
 from .sparsify import SparsifierSpec
 
@@ -74,61 +74,69 @@ class NonFiniteState(RuntimeError):
     """Weights or gradients left the finite range; the run is aborted."""
 
 
-@dataclass
 class NodeState:
     """One simulated node: its shard, carry-over memory, and rng streams."""
 
-    node_id: int
-    indices: np.ndarray
-    memory: np.ndarray
-    data_rng: np.random.Generator
-    selection_rng: np.random.Generator
+    __slots__ = ("node_id", "indices", "memory", "data_rng", "selection_rng")
+
+    def __init__(
+        self, node_id: int, indices: np.ndarray, memory: np.ndarray,
+        data_rng: np.random.Generator, selection_rng: np.random.Generator,
+    ):
+        self.node_id, self.indices, self.memory = node_id, indices, memory
+        self.data_rng, self.selection_rng = data_rng, selection_rng
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Frozen):
     """Simulator parameters; ``sparsifier`` is the operator every node
     applies each round, and its entries budget is the k of a run.
 
     ``eta`` is judged once, here: a constant, or (start, rate) breakpoints
     with integer starts from 0, strictly increasing, and finite positive
     rates.  The judged schedule is kept as its starts and float rates, off
-    the field list (``replace`` and equality see only ``eta``), and
+    the field list (``replace`` and the repr see only ``eta``), and
     ``rate(t)`` is a lookup with no check of its own."""
 
-    n: int
-    steps: int
-    sparsifier: SparsifierSpec
-    batch_size: int = 8
-    eta: Schedule = 0.1
-    aggregation: str = ERROR_FEEDBACK_MEAN
-    seed: int = 0
-    partition: str = "contiguous"
-    init_scale: float = 1.0
+    __slots__ = (
+        "n", "steps", "sparsifier", "batch_size", "eta", "aggregation", "seed", "partition",
+        "init_scale", "_starts", "_rates",
+    )
 
-    def __post_init__(self):
-        if self.aggregation not in _AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.partition not in ("contiguous", "interleaved"):
-            raise ValueError(f"unknown partition {self.partition!r}")
-        for name, value in (("n", self.n), ("steps", self.steps), ("batch_size", self.batch_size)):
+    def __init__(
+        self, n: int, steps: int, sparsifier: SparsifierSpec, batch_size: int = 8,
+        eta: Schedule = 0.1, aggregation: str = ERROR_FEEDBACK_MEAN, seed: int = 0,
+        partition: str = "contiguous", init_scale: float = 1.0,
+    ):
+        if aggregation not in _AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {aggregation!r}")
+        if partition not in ("contiguous", "interleaved"):
+            raise ValueError(f"unknown partition {partition!r}")
+        for name, value in (("n", n), ("steps", steps), ("batch_size", batch_size)):
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a narrow numpy int overflows in products
-        breakpoints = [(0, self.eta)] if isinstance(self.eta, (int, float)) else list(self.eta)
+        breakpoints = [(0, eta)] if isinstance(eta, (int, float)) else list(eta)
         starts = [start for start, _ in breakpoints]
         if any(isinstance(start, bool) or not isinstance(start, Integral) for start in starts):
             raise ValueError(f"eta steps must be integers, got {starts}")
         if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError(f"eta steps must start at 0 and strictly increase, got {starts}")
         if not all(rate > 0 for _, rate in breakpoints):
-            raise ValueError(f"learning rates must be positive, got {self.eta}")
+            raise ValueError(f"learning rates must be positive, got {eta}")
         if any(isinstance(rate, bool) or not math.isfinite(rate) for _, rate in breakpoints):
-            raise ValueError(f"learning rates must be finite numbers, got {self.eta}")
-        if not self.init_scale >= 0:
-            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale}")
-        object.__setattr__(self, "_starts", [int(start) for start in starts])
-        object.__setattr__(self, "_rates", [float(rate) for _, rate in breakpoints])
+            raise ValueError(f"learning rates must be finite numbers, got {eta}")
+        if not init_scale >= 0:
+            raise ValueError(f"init_scale must be nonnegative, got {init_scale}")
+        self._set(  # sizes as Python ints: a narrow numpy int overflows in products
+            n=int(n), steps=int(steps), sparsifier=sparsifier,
+            batch_size=int(batch_size), eta=eta, aggregation=aggregation, seed=seed,
+            partition=partition, init_scale=init_scale,
+            _starts=[int(start) for start in starts],
+            _rates=[float(rate) for _, rate in breakpoints],
+        )
+
+    def replace(self, **changes) -> "TrainConfig":
+        """A copy with ``changes`` applied, built (so checked) anew."""
+        return TrainConfig(**{**self._fields(), **changes})
 
     def rate(self, t: int) -> float:
         """The rate of the last breakpoint at or before step t (t >= 0)."""
@@ -182,8 +190,7 @@ def local_gradient(
     return obj.grad_minibatch(w, picks)
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
+class RoundMetrics(NamedTuple):
     """Per-round record, evaluated at the post-step weights."""
 
     t: int
@@ -322,8 +329,7 @@ def sgd_round(
     return new_weights[0], metrics
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     records: list[RoundMetrics]
     weights: np.ndarray
 
@@ -336,7 +342,7 @@ def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int], final_only: bool) -
     """The rounds of every seed in ``seeds``, advanced together; with
     ``final_only`` only the last round's record is computed and kept."""
     weights = np.array([init_weights(obj, seed, cfg.init_scale) for seed in seeds])
-    nodes = [node for seed in seeds for node in make_nodes(obj, replace(cfg, seed=seed))]
+    nodes = [node for seed in seeds for node in make_nodes(obj, cfg.replace(seed=seed))]
     spec = cfg.sparsifier
     shape = (len(seeds), cfg.n)
     memories = np.zeros((*shape, obj.d))
@@ -429,24 +435,25 @@ class HypothesisViolated(ValueError):
     """The step-size constant violates chat / sqrt(T) <= 1 / (2L)."""
 
 
-@dataclass(frozen=True)
-class ConvergenceBoundInputs:
-    """Inputs to the fixed-horizon convergence bound."""
+class ConvergenceBoundInputs(Frozen):
+    """Inputs to the fixed-horizon convergence bound: the smoothness L, the
+    second-moment bound G on per-sample gradients, batch size, nodes,
+    steps, k, d, ``f0_gap`` = E[f(w_0)] - f*, and the step constant
+    ``chat`` of eta = chat / sqrt(T)."""
 
-    smoothness: float  # L
-    grad_bound: float  # G, second-moment bound on per-sample gradients
-    batch_size: int
-    n: int
-    steps: int
-    k: int
-    d: int
-    f0_gap: float  # E[f(w_0)] - f*
-    chat: float  # step constant: eta = chat / sqrt(T)
+    __slots__ = ("smoothness", "grad_bound", "batch_size", "n", "steps", "k", "d", "f0_gap", "chat")
 
-    def __post_init__(self):
-        if any(getattr(self, f.name) <= 0 for f in fields(self)):
+    def __init__(
+        self, smoothness: float, grad_bound: float, batch_size: int, n: int, steps: int,
+        k: int, d: int, f0_gap: float, chat: float,
+    ):
+        self._set(
+            smoothness=smoothness, grad_bound=grad_bound, batch_size=batch_size, n=n,
+            steps=steps, k=k, d=d, f0_gap=f0_gap, chat=chat,
+        )
+        if any(value <= 0 for value in self._fields().values()):
             raise ValueError("all bound inputs must be positive")
-        if self.k > self.d:
+        if k > d:
             raise ValueError("k cannot exceed d")
 
 
@@ -508,7 +515,7 @@ def compare_sparsifiers(
         raise ValueError(f"specs disagree on the entries budget: {sorted(budgets)}")
     rows = []
     for spec in specs:
-        results = train_seeds(obj, replace(base_cfg, sparsifier=spec), seeds, final_only=True)
+        results = train_seeds(obj, base_cfg.replace(sparsifier=spec), seeds, final_only=True)
         losses = np.asarray([result.final.loss for result in results])
         grads = np.asarray([result.final.grad_sq_norm for result in results])
         rows.append(

@@ -20,19 +20,19 @@ the compression-operator property with contraction coefficient k/d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+from ._frozen import Value
 
 
 class BadRank(ValueError):
     """A sparsifier parameter lies outside 1 <= k <= r <= d."""
 
 
-@dataclass(eq=False)
-class SparseUpdate:
+class SparseUpdate(NamedTuple):
     """Sparse vector as int64 indices and float values in selection order;
     exact zeros are not stored."""
 
@@ -148,8 +148,7 @@ def expected_sq_error(w, r: int, k: int) -> float:
     return (1.0 - k / r) * head + tail
 
 
-@dataclass(frozen=True)
-class CompressionReport:
+class CompressionReport(NamedTuple):
     """Outcome of checking the compression-operator property on one vector."""
 
     expected: float
@@ -197,8 +196,7 @@ def check_compression(
     )
 
 
-@dataclass(frozen=True)
-class SparsifierSpec:
+class SparsifierSpec(Value):
     """Which operator a simulated node applies, with its parameters.
 
     ``kind`` is one of ``"top_r"``, ``"random_k"``, ``"rtop_k"``.  The
@@ -206,24 +204,23 @@ class SparsifierSpec:
     top-r and ``k`` for the other two.
     """
 
-    kind: str
-    k: int
-    r: Optional[int] = None
+    __slots__ = ("kind", "k", "r")
 
-    def __post_init__(self):
-        if self.kind not in ("top_r", "random_k", "rtop_k"):
-            raise ValueError(f"unknown sparsifier kind {self.kind!r}")
-        for name, value in (("r", self.r), ("k", self.k)):  # top_r's k is its r
+    def __init__(self, kind: str, k: int, r: Optional[int] = None):
+        if kind not in ("top_r", "random_k", "rtop_k"):
+            raise ValueError(f"unknown sparsifier kind {kind!r}")
+        for name, value in (("r", r), ("k", k)):  # top_r's k is its r
             if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, value if value is None else int(value))  # no numpy wrap
-        if self.kind == "rtop_k":
-            if self.r is None:
+        k, r = (v if v is None else int(v) for v in (k, r))  # no numpy wrap
+        if kind == "rtop_k":
+            if r is None:
                 raise ValueError("rtop_k needs an explicit r")
-            if not 1 <= self.k <= self.r:
-                raise BadRank(f"need 1 <= k={self.k} <= r={self.r}")
-        elif self.k < 1:
-            raise BadRank(f"{'r' if self.kind == 'top_r' else 'k'}={self.k} below 1")
+            if not 1 <= k <= r:
+                raise BadRank(f"need 1 <= k={k} <= r={r}")
+        elif k < 1:
+            raise BadRank(f"{'r' if kind == 'top_r' else 'k'}={k} below 1")
+        self._set(kind=kind, k=k, r=r)
 
     @staticmethod
     def top(r: int) -> "SparsifierSpec":

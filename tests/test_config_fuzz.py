@@ -1,8 +1,9 @@
 """Config fuzz: every key of every command, at a value of the wrong kind and
 at values just outside and just inside its rule.
 
-A wrong kind, and an ``out`` that names no file (in the config or given
-by ``--out``), exit 2; an out-of-range value exits 3.  Either prints one
+A wrong kind, and an ``out`` that names no file or names the config file
+(in the config or given by ``--out``), exit 2; an out-of-range value,
+``--seed`` included, exits 3.  Either prints one
 ERROR line, the one its case states, before any grid point or training run
 starts; a value just inside passes set-up and reaches the first unit of
 work.  No case exits 1 or 4, and no case writes a file.  Every config runs
@@ -63,15 +64,30 @@ BASES = {
 }
 BASES["SweepRisk"] = BASES["EstimateRisk"]
 
-SEED = Edge(inside=("-1", str(2**64)))  # any int: seeds are taken mod 2^64
+
+def seed_range(key, value) -> str:
+    return f"'{key}' must be in [0, 2^64), got {value}"
+
+
+# A seed is a 64-bit word: -1 and 2^64 would alias 2^64 - 1 and 0.
+SEED = Edge(
+    (("-1", seed_range("seed", -1)), (str(2**64), seed_range("seed", 2**64))),
+    ("0", str(2**64 - 1)),
+)
 
 # Every command's output path; "." is the directory the fuzz runs in, and
-# exp.cfg the config file in it.
-OUT_OUTSIDE = ("", "sub/", ".", "exp.cfg/x.csv", "exp.cfg/sub/x.csv")
+# exp.cfg the config file in it, which no run may overwrite.
+OUT_OUTSIDE = ("", "sub/", ".", "exp.cfg/x.csv", "exp.cfg/sub/x.csv", "exp.cfg", "./exp.cfg")
+
+
+def out_error(path: str) -> str:
+    if path.endswith("exp.cfg"):
+        return f"key 'out': {path!r} is the config file itself"
+    return f"key 'out': expected a file path, got {path!r}"
+
+
 OUT = Edge(
-    tuple(
-        (path or '""', f"key 'out': expected a file path, got {path!r}") for path in OUT_OUTSIDE
-    ),
+    tuple((path or '""', out_error(path)) for path in OUT_OUTSIDE),
     ("new/out.csv",),
     code=EXIT_CONFIG,
 )
@@ -243,7 +259,11 @@ FUZZ_EDGES = {
              ("[rtop:50:2]", "need 1 <= k=2 <= r=50 <= d=10", ("k", "2"))),
             ("[random:1]", "[rtop:10:1]"),
         ),
-        "seeds": Edge(inside=("[-1, 2]",)),
+        "seeds": Edge(
+            (("[-1, 2]", seed_range("seeds", -1)),
+             (f"[1, {2**64}]", seed_range("seeds", 2**64))),
+            (f"[0, {2**64 - 1}]",),
+        ),
     },
     "Bounds": {
         "seed": SEED,
@@ -314,8 +334,7 @@ def test_every_numeric_key_has_edges(command):
     numeric = {key for key, spec in keys.items() if spec.kind in NUMERIC_KINDS}
     assert numeric | {"out"} <= set(FUZZ_EDGES[command]) <= set(keys)
     for key, edge in FUZZ_EDGES[command].items():
-        has_rule = key not in ("seed", "seeds")
-        assert edge.inside and bool(edge.outside) == has_rule, key
+        assert edge.inside and edge.outside, key
 
 
 @pytest.mark.parametrize(
@@ -371,9 +390,32 @@ def subcommand(command: str) -> str:
 def test_out_flag_outside_fails_before_work(tmp_path, monkeypatch, capsys, command, value):
     path = set_up(tmp_path, monkeypatch, must_not_run, command, {})
     assert cli.main([subcommand(command), "--config", path, "--out", value]) == EXIT_CONFIG
-    message = f"key 'out': expected a file path, got {value!r}"
+    message = out_error(value)
     assert capsys.readouterr().err == f"ERROR code=2 kind=ConfigParseError message={message}\n"
     assert os.listdir() == ["exp.cfg"]
+
+
+# ``--seed`` meets the rule of the ``seed`` key.
+@pytest.mark.parametrize(
+    "value,message", [pytest.param(*edge, id=edge[0]) for edge in SEED.outside]
+)
+@pytest.mark.parametrize("command", harness.COMMANDS)
+def test_seed_flag_outside_fails_before_work(
+    tmp_path, monkeypatch, capsys, command, value, message
+):
+    path = set_up(tmp_path, monkeypatch, must_not_run, command, {})
+    assert cli.main([subcommand(command), "--config", path, "--seed", value]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"ERROR code=3 kind=PreconditionError message={message}\n"
+    assert os.listdir() == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("value", SEED.inside)
+@pytest.mark.parametrize("command", harness.COMMANDS)
+def test_seed_flag_inside_passes_set_up(tmp_path, monkeypatch, capsys, command, value):
+    path = set_up(tmp_path, monkeypatch, reach_work, command, {})
+    with pytest.raises(SetUpPassed):
+        cli.main([subcommand(command), "--config", path, "--seed", value])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", harness.COMMANDS)

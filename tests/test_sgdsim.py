@@ -2,7 +2,6 @@
 
 import itertools
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -442,10 +441,10 @@ class TestLockstep:
         finals = train_seeds(obj, cfg, seeds, final_only=True)
         assert len(results) == len(finals) == len(seeds)
         for seed, result, final in zip(seeds, results, finals):
-            lone = train(obj, replace(cfg, seed=seed))
+            lone = train(obj, cfg.replace(seed=seed))
             expected = signature(lone.weights, lone.records)
             assert signature(result.weights, result.records) == expected
-            assert signature(*naive_train(obj, replace(cfg, seed=seed))) == expected
+            assert signature(*naive_train(obj, cfg.replace(seed=seed))) == expected
             # the final-only path keeps the last record alone, same bits
             assert signature(final.weights, final.records) == signature(
                 lone.weights, lone.records[-1:]
@@ -456,7 +455,7 @@ class TestLockstep:
         obj = make_quadratic(15, n_samples=90, noise_std=0.6, seed=21)
         cfg = TrainConfig(n=3, steps=30, batch_size=3, eta=0.05, sparsifier=SPECS[spec](15))
         seeds = [5, 6, 7, 8]
-        lone = [train(obj, replace(cfg, seed=seed)) for seed in seeds]
+        lone = [train(obj, cfg.replace(seed=seed)) for seed in seeds]
         monkeypatch.setattr(sgdsim, "_DRAW_ELEMENTS", 7)
         for ours, theirs in zip(train_seeds(obj, cfg, seeds), lone):
             assert signature(ours.weights, ours.records) == signature(theirs.weights, theirs.records)
@@ -474,7 +473,7 @@ class TestLockstep:
         lone_errors = []
         for seed in seeds:
             try:
-                train(obj, replace(cfg, seed=seed))
+                train(obj, cfg.replace(seed=seed))
             except NonFiniteState as exc:
                 lone_errors.append(str(exc))
         assert [e.split(";")[0] for e in lone_errors] == [
