@@ -167,15 +167,17 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
     Trial t draws from the stream of ``substream(seed, t)``, derived in
     blocks of trials by :func:`trial_streams`, in this order: the (n, d)
     sample uniforms, the (n, d) perturbation noise when ``perturb`` is
-    set, the (n, d) subsample keys.  Each trial's uniforms go into one
-    reused (n, d) buffer and are sampled (and perturbed) at once into the
-    chunk's hits.  From there on the chunk works on the flat indices of
-    its hits: one ``bincount`` gives the counts, the codec's selection
-    rule runs on each row's hit keys packed into a (rows, widest count)
-    matrix (:func:`~sparsecomm.codec._keep_largest_packed`), and
-    :func:`reweight` sums the kept ones' weights.  The hits, keys and
-    per-row signs buffers are allocated once and reused by every chunk, so
-    the heap is not released and faulted in again chunk after chunk.
+    set, the (n, d) subsample keys.  Each trial's uniforms are drawn into
+    its rows of the chunk's keys, which its keys overwrite once they are
+    sampled (and perturbed) into the chunk's hits against the (n, d) tile
+    of |theta|, built once per call.  From there on the chunk works on the
+    flat indices of its hits: one ``bincount`` gives the counts, the
+    codec's selection rule runs on each row's hit keys packed into a
+    (rows, widest count) matrix (:func:`~sparsecomm.codec._keep_largest_packed`),
+    ``np.compress`` gathers the kept ones without branching on the mask,
+    and :func:`reweight` sums their weights.  The tile and the hits, keys
+    and per-row signs buffers are allocated once and reused by every chunk,
+    so the heap is not released and faulted in again chunk after chunk.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -188,7 +190,8 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
     per_chunk = max(1, _CHUNK_ELEMENTS // (n * d))
     # one set of buffers serves every chunk, the last one as a prefix
     shape = (min(per_chunk, trials), n, d)
-    draws = np.empty((n, d))
+    tile = np.tile(theta.probabilities(), (n, 1))
+    signs = theta.signs()
     all_hits = np.empty(shape, dtype=bool)
     all_keys = np.empty(shape)
     signed_noise = perturb is not None and theta.variant == SIGNED
@@ -200,8 +203,8 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
         row_signs = None if all_signs is None else all_signs[:size]
         for j in range(size):
             rng = next(streams)
-            rng.random(out=draws)
-            _, signs = sample_rows(theta, draws, out=hits[j])
+            rng.random(out=keys[j])  # the uniforms; the keys overwrite them below
+            sample_rows(tile, keys[j], out=hits[j])
             if perturb is not None:
                 noise = rng.uniform(-perturb.halfwidth, perturb.halfwidth, (n, d))
                 hits[j], perturbed_signs = perturb_and_quantize(hits[j], signs, noise)
@@ -212,7 +215,7 @@ def _trial_estimates(theta, n, cfg, trials, perturb, seed):
         rows = ones // d
         counts = np.bincount(rows, minlength=size * n)
         keep = _keep_largest_packed(rows, counts, cfg.kprime, keys.reshape(-1)[ones])
-        kept = ones[keep]
+        kept = np.compress(keep, ones)
         kept_signs = None
         if row_signs is not None:
             kept_signs = row_signs.reshape(-1)[kept]

@@ -55,7 +55,7 @@ from .objectives import (
     make_quadratic,
     make_tiny_mlp,
 )
-from .seeding import derive_seed, substream
+from .seeding import derive_seed, is_seed, substream
 from .sgdsim import TrainConfig, compare_sparsifiers, train
 from .sparsify import SparsifierSpec
 
@@ -204,8 +204,8 @@ def _at_least(low) -> Range:
     return Range(lambda v: v >= low, f">= {low}")
 
 
-# A master seed is a 64-bit word: seeding would alias any other int to one.
-_SEED = Range(lambda v: 0 <= v < 1 << 64, "in [0, 2^64)")
+# seeding's rule: a master seed is a 64-bit word
+_SEED = Range(is_seed, "in [0, 2^64)")
 
 
 class Key(NamedTuple):

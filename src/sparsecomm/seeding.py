@@ -6,7 +6,9 @@ plus integer path components, so any run is reproducible and independent
 streams can be handed to concurrent workers without coordination.
 
 The stream of ``(seed, *path)`` is numpy's PCG64 seeded by
-``SeedSequence([seed, *path])``, every value masked to 64 bits.
+``SeedSequence([seed, *path])``.  The seed and every path component lie in
+[0, 2^64) (:func:`is_seed`); any other value raises ``ValueError``, since
+seeding would alias it to one inside.
 :func:`trial_streams` yields the streams ``substream(seed, t)`` of a range
 of trial indices at a fraction of the cost: it replays ``SeedSequence``'s
 hash over a block of indices at once as uint32 array arithmetic and sets
@@ -26,12 +28,21 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
+def is_seed(value) -> bool:
+    """Whether ``value`` is an integer in [0, 2^64), as seeds and path components are."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and 0 <= value <= _MASK64
+
+
 def _words(*values: int) -> list[int]:
-    """The uint32 entropy words ``SeedSequence`` makes of ``values``, each
-    masked to 64 bits: its low word, then its high word if nonzero."""
+    """The uint32 entropy words ``SeedSequence`` makes of ``values``: each
+    one's low word, then its high word if nonzero.  ValueError unless each
+    value passes :func:`is_seed`."""
     words = []
     for value in values:
-        value = int(value) & _MASK64
+        if not is_seed(value):
+            raise ValueError(f"seed or path component {value!r} is not an integer in [0, 2^64)")
+        value = int(value)
         words.append(value & _MASK32)
         if value >> 32:
             words.append(value >> 32)
@@ -128,17 +139,21 @@ def trial_streams(seed: int, start: int, stop: int) -> Iterator[np.random.Genera
 
     The same generator object is yielded every time, set to trial t's state
     only when t is reached, so a stream is valid until the next one is
-    drawn.  The ``SeedSequence`` words of up to ``_BLOCK`` trials are
-    derived at once as array arithmetic, then each trial's 4 words become
-    the PCG64 set-seq state (``inc = initseq << 1 | 1``, two LCG steps).
+    drawn.  The seed and the ends of the range, whose indices are path
+    components, are checked once, before the first stream.  The
+    ``SeedSequence`` words of up to ``_BLOCK`` trials are derived at once
+    as array arithmetic, then each trial's 4 words become the PCG64
+    set-seq state (``inc = initseq << 1 | 1``, two LCG steps).
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     seed_words = _words(seed)
+    if start < stop:
+        _words(start, stop - 1)
     for lo in range(start, stop, _BLOCK):
-        t = np.arange(min(_BLOCK, stop - lo), dtype=np.uint64) + np.uint64(lo & _MASK64)
+        t = np.arange(min(_BLOCK, stop - lo), dtype=np.uint64) + np.uint64(lo)
         for state_hi, state_lo, seq_hi, seq_lo in _pcg_seeds(seed_words, t):
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
             pcg["state"] = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128

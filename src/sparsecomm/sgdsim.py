@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._frozen import Frozen
-from .seeding import substream
+from .seeding import is_seed, substream
 from .sparsify import SparsifierSpec
 
 ERROR_FEEDBACK_MEAN = "error_feedback_mean"
@@ -126,6 +126,8 @@ class TrainConfig(Frozen):
             raise ValueError(f"learning rates must be finite numbers, got {eta}")
         if not init_scale >= 0:
             raise ValueError(f"init_scale must be nonnegative, got {init_scale}")
+        if not is_seed(seed):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         self._set(  # sizes as Python ints: a narrow numpy int overflows in products
             n=int(n), steps=int(steps), sparsifier=sparsifier,
             batch_size=int(batch_size), eta=eta, aggregation=aggregation, seed=seed,

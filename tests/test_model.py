@@ -58,7 +58,8 @@ class TestParamVectorInvariants:
 
 
 def draw_rows(theta, rng, rows):
-    return sample_rows(theta, rng.random((rows, theta.d)))
+    """(hits, signs) of ``rows`` rows sampled from ``theta``."""
+    return sample_rows(theta.probabilities(), rng.random((rows, theta.d))), theta.signs()
 
 
 class TestSampling:
@@ -74,8 +75,27 @@ class TestSampling:
     def test_boundary_uniform_is_a_miss(self):
         # a hit needs u < |theta_j| strictly, so u = p is a miss
         theta = ParamVector([0.25, 0.5], s=1)
-        hits, _ = sample_rows(theta, np.array([[0.25, 0.4999], [0.0, 0.5]]))
+        hits = sample_rows(theta.probabilities(), np.array([[0.25, 0.4999], [0.0, 0.5]]))
         assert hits.tolist() == [[False, True], [True, False]]
+
+    @pytest.mark.parametrize("rows", [1, 16, 128])
+    def test_row_and_tile_give_the_elementwise_bits(self, rows):
+        # p in {0, s/d, 1}; row 0's uniforms equal p wherever p < 1, each a miss
+        d, s = 64, 8
+        p = np.full(d, s / d)
+        p[::8], p[1::16] = 0.0, 1.0
+        theta = ParamVector(p, s=float(np.sum(p)))
+        uniforms = substream(10, rows).random((rows, d))
+        uniforms[0] = np.where(p < 1, p, uniforms[0])
+        expected = np.array([[float(u) < float(q) for u, q in zip(row, p)] for row in uniforms])
+        assert not expected[0, p < 1].any()
+        assert expected[:, p == 1].all() and not expected[:, p == 0].any()
+        tile = np.tile(theta.probabilities(), (rows, 1))
+        for probabilities in (theta.probabilities(), tile):
+            assert np.array_equal(sample_rows(probabilities, uniforms), expected)
+        out = np.empty((rows, d), dtype=bool)
+        assert sample_rows(tile, uniforms, out=out) is out
+        assert np.array_equal(out, expected)
 
     def test_empirical_frequencies_match_means(self):
         # 1e5 draws; each component within 4 * sqrt(p(1-p)/N) of its mean.

@@ -672,6 +672,18 @@ class TestSchedules:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(sparsifier=SparsifierSpec.rtop(4, 2), **sizes)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_config_rejects_a_seed_outside_the_seeding_range(self, seed):
+        # -1 and 2^64 would train the runs of 2^64 - 1 and 0
+        message = re.escape(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_config_takes_a_seed_on_the_range_ends(self, seed):
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3, seed=seed)
+        assert cfg.seed == seed
+
     def test_config_takes_numpy_integer_sizes(self):
         obj = make_quadratic(6, n_samples=20, seed=1)
         sizes = {"n": np.int64(2), "steps": np.int32(3), "batch_size": np.int64(2)}
