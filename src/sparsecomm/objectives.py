@@ -77,10 +77,16 @@ class QuadraticObjective:
 
         The samples are gathered minibatch axis first, as (B, S*n, d), so
         the reduce over that leading axis adds each column as
-        ``mean(axis=0)`` over a (B, d) gather does, pairwise at d = 1 too."""
+        ``mean(axis=0)`` over a (B, d) gather does, pairwise at d = 1 too.
+        A power-of-two B = 2^j scales the sums by 2^-j instead of dividing
+        them: both round the same real number, so the bits are the mean's,
+        subnormals and -0.0 included."""
         seeds, n, batch = picks.shape
         grads = np.add.reduce(self.b_samples[picks.reshape(seeds * n, batch).T], axis=0)
-        grads /= batch
+        if batch & (batch - 1):
+            grads /= batch
+        else:
+            grads *= 1.0 / batch
         grads = grads.reshape(seeds, n, self.d)
         return np.subtract((self.diag * weights)[:, None, :], grads, out=grads)
 

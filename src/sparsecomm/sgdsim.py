@@ -25,14 +25,17 @@ from the objective's ``grad_rows`` and one ``SparsifierSpec.select_rows``
 call per round on the (S*n, d) carried rows.  The round then works on the
 sent entries alone: their values, an in-place update of the memories and
 one node-ordered ``bincount`` for the aggregate (``_exchange``); no dense
-update matrix is built.  ``train`` is its S = 1 case and
-``compare_sparsifiers`` calls it once per spec.  Every seed keeps its own
-streams, initial weights, node-ordered aggregation and records, so each
-seed's bits are those of a lone run.  The round metrics keep those bits
-too: the objectives' ``loss_rows`` and ``full_grad_rows`` reduce each
-seed's row as the single-vector call does (a stacked ``np.matmul`` for a
-dot product is BLAS ddot like ``np.dot``; ``W @ b`` is a gemv and gives
-other bits), and sums of squares reduce along the contiguous last axis.
+update matrix is built.  Two (S, n, d) memory buffers alternate: each
+round carries ``grads + memories`` into the one the last round left, and
+that becomes the new memories, so no round allocates its carried array.
+``train`` is its S = 1 case and ``compare_sparsifiers`` calls it once per
+spec.  Every seed keeps its own streams, initial weights, node-ordered
+aggregation and records, so each seed's bits are those of a lone run.
+The round metrics keep those bits too: the objectives' ``loss_rows`` and
+``full_grad_rows`` reduce each seed's row as the single-vector call does
+(a stacked ``np.matmul`` for a dot product is BLAS ddot like ``np.dot``;
+``W @ b`` is a gemv and gives other bits), and sums of squares reduce
+along the contiguous last axis.
 
 ``train`` keeps a record for every round.  ``compare_sparsifiers`` reads
 only the final one, so it asks ``train_seeds`` for that record alone
@@ -228,18 +231,21 @@ def _row_offsets(seeds: int, n: int, d: int) -> np.ndarray:
     return offsets
 
 
-def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
+def _exchange(obj, spec, cfg, t, weights, memories, picks, targets, out=None):
     """One synchronous round of S seeds on (S, n, d) node arrays, before
     any check; ``weights`` is (S, d), ``picks`` (S, n, B) and ``targets``
-    (S, n, k).
+    (S, n, k).  ``memories`` is never written.
 
     Returns the gradients, the flat positions in an (S, n, d) array of the
     entries the nodes send, as (S*n, k), their values, the new memories
     and the new weights.
 
     Only the sent entries are touched: in error-feedback mode the carried
-    array becomes the memories by subtracting each sent value in place,
-    and the aggregate is one ``bincount`` over the bins seed*d + column.
+    array ``grads + memories`` is built in ``out`` (a fresh array when
+    None; it must not be ``memories``) and becomes the new memories by
+    subtracting each sent value in place, and the aggregate is one
+    ``bincount`` over the bins seed*d + column.  The step is taken in the
+    aggregate's array: ``agg * rate`` is ``rate * agg`` bit for bit.
     These are the bits of the dense round (zero-filled updates, memories
     ``carried - updates``, node sums ``agg += updates[:, i]`` in node
     order):
@@ -256,10 +262,11 @@ def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
     seeds, n, d = memories.shape
     grads = obj.grad_rows(weights, picks)
     use_memory = cfg.aggregation == ERROR_FEEDBACK_MEAN
-    carried = grads + memories if use_memory else grads
+    carried = np.add(grads, memories, out=out) if use_memory else grads
     kept = spec.select_rows(carried.reshape(seeds * n, d), targets.reshape(seeds * n, -1))
     sent, bins = kept + _row_offsets(seeds, n, d)  # bins seed*d + column, node-major
-    values = carried.flat[sent] + 0.0
+    values = carried.flat[sent]  # a gathered copy
+    values += 0.0
     if use_memory:
         carried.flat[sent] -= values
         memories = carried
@@ -267,7 +274,8 @@ def _exchange(obj, spec, cfg, t, weights, memories, picks, targets):
     agg /= n
     if cfg.aggregation == UNBIASED_RESCALE:
         agg *= spec.unbiased_rescale(d)
-    return grads, sent, values, memories, weights - cfg.rate(t) * agg
+    agg *= cfg.rate(t)
+    return grads, sent, values, memories, np.subtract(weights, agg, out=agg)
 
 
 def _check_finite(t, weights, new_weights) -> None:
@@ -347,7 +355,8 @@ def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int], final_only: bool) -
     nodes = [node for seed in seeds for node in make_nodes(obj, cfg.replace(seed=seed))]
     spec = cfg.sparsifier
     shape = (len(seeds), cfg.n)
-    memories = np.zeros((*shape, obj.d))
+    # each round carries into the spare buffer, which becomes the memories
+    memories, spare = np.zeros((*shape, obj.d)), np.empty((*shape, obj.d))
     per_draw = max(1, _DRAW_ELEMENTS // (len(nodes) * max(cfg.batch_size, spec.k)))
     records = [[] for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteState reports divergence
@@ -357,9 +366,11 @@ def _train_lockstep(obj, cfg: TrainConfig, seeds: list[int], final_only: bool) -
             picks = picks.reshape(rounds, *shape, -1)
             targets = targets.reshape(rounds, *shape, -1)
             for t in range(start, start + rounds):
-                _, _, _, memories, new_weights = _exchange(
-                    obj, spec, cfg, t, weights, memories, picks[t - start], targets[t - start]
+                _, _, _, new_memories, new_weights = _exchange(
+                    obj, spec, cfg, t, weights, memories, picks[t - start], targets[t - start],
+                    out=spare,
                 )
+                memories, spare = new_memories, memories
                 _check_finite(t, weights, new_weights)
                 if not final_only or t == cfg.steps - 1:
                     metrics = _round_metrics(obj, spec, t, new_weights, memories)
@@ -382,6 +393,9 @@ def train_seeds(
     If the lockstep run fails, the seeds are rerun one at a time, so the
     error raised is the one the first failing seed raises on its own.
     """
+    for seed in seeds:
+        if not is_seed(seed):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ValueError("need at least one seed")

@@ -63,7 +63,7 @@ def _as_rows(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("expected a nonempty 2-d array of row vectors")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("vector has non-finite components")
     return w
 

@@ -129,6 +129,27 @@ class TestObjectives:
                     lone = obj.grad_minibatch(weights[s], picks[s, i])
                     assert rows[s, i].tobytes() == lone.tobytes(), (seeds, n, batch, s, i)
 
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("batch", [1, 2, 4, 8, 16, 3, 5, 9])
+    def test_quadratic_grad_rows_scaling_keeps_the_mean_bits_at_the_edges(self, batch, d):
+        # a power-of-two B scales the batch sums by 1/B, any other B divides:
+        # subnormal sums, -0.0 and +-1e300 must give the bits of the mean
+        rng = substream(71, batch, d)
+        edges = np.array([5e-324, -5e-324, 3e-320, -7.5e-310, 2.2250738585072014e-308,
+                          -0.0, 0.0, 1e300, -1e300, 1.0])
+        samples = rng.choice(edges, size=(24, d)) * rng.choice([1.0, 3.0, 5.0], size=(24, d))
+        samples[rng.random((24, d)) < 0.5] = -0.0
+        with np.errstate(over="ignore"):  # the loss offset overflows; no gradient reads it
+            obj = QuadraticObjective(np.full(d, 0.5), samples)
+        for seeds, n in ((1, 1), (2, 3), (1, 6)):
+            # weights of -0.0 and 0.0 let a gradient's signed zero through
+            weights = rng.choice([-0.0, 0.0, 1e-310, -1.0], size=(seeds, d))
+            picks = rng.integers(0, obj.n_samples, size=(seeds, n, batch))
+            rows = obj.grad_rows(weights, picks)
+            for s, i in itertools.product(range(seeds), range(n)):
+                lone = obj.grad_minibatch(weights[s], picks[s, i])
+                assert rows[s, i].tobytes() == lone.tobytes(), (seeds, n, s, i)
+
     def test_minibatch_gradient_is_unbiased(self):
         obj = make_quadratic(6, n_samples=128, noise_std=1.0, seed=7)
         node = single_node(obj)
@@ -460,6 +481,21 @@ class TestLockstep:
         for ours, theirs in zip(train_seeds(obj, cfg, seeds), lone):
             assert signature(ours.weights, ours.records) == signature(theirs.weights, theirs.records)
 
+    @pytest.mark.parametrize("aggregation", [ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE])
+    @pytest.mark.parametrize("seeds,n", [([5], 1), ([5, 6, 7], 2)])
+    def test_memory_buffers_swap_across_draw_blocks(self, monkeypatch, seeds, n, aggregation):
+        # blocks of 3 rounds (one node) and of 1 round (six nodes): the two
+        # memory buffers swap inside and across blocks, on either parity
+        obj = make_quadratic(15, n_samples=90, noise_std=0.6, seed=22)
+        cfg = TrainConfig(
+            n=n, steps=11, batch_size=2, eta=0.05, aggregation=aggregation,
+            sparsifier=SparsifierSpec.rtop(6, 2),
+        )
+        monkeypatch.setattr(sgdsim, "_DRAW_ELEMENTS", 7)
+        for seed, ours in zip(seeds, train_seeds(obj, cfg, seeds)):
+            expected = signature(*naive_train(obj, cfg.replace(seed=seed)))
+            assert signature(ours.weights, ours.records) == expected
+
     def test_divergence_raises_first_sequential_error(self):
         # Plain gradient descent that grows the first coordinate by 1.5x a
         # step: when the weights overflow depends only on each seed's
@@ -559,10 +595,11 @@ class TestExchange:
     """``_exchange`` works on the sent entries only; it must give the bits
     of the dense round it replaced."""
 
+    @pytest.mark.parametrize("out", [None, "spare"])
     @pytest.mark.parametrize("seeds", [1, 3])
     @pytest.mark.parametrize("aggregation", [ERROR_FEEDBACK_MEAN, UNBIASED_RESCALE])
     @pytest.mark.parametrize("d,n,spec", EXCHANGE_CASES)
-    def test_matches_dense_round(self, d, n, spec, aggregation, seeds):
+    def test_matches_dense_round(self, d, n, spec, aggregation, seeds, out):
         spec = parse_spec_string(spec, d, n)
         rng = substream(50, d, n, seeds)
         cfg = TrainConfig(n=n, steps=1, sparsifier=spec, eta=0.3, aggregation=aggregation)
@@ -572,9 +609,13 @@ class TestExchange:
             targets = spec.swap_targets(rng, d, seeds * n).reshape(seeds, n, -1)
             obj = PlantedGradients(grads)
             before = memories.copy()
+            # a spare buffer holds stale values, as in training: all are overwritten
+            spare = None if out is None else np.full(memories.shape, np.nan)
             got_grads, sent, values, new_memories, new_weights = sgdsim._exchange(
-                obj, spec, cfg, t, weights, memories, None, targets
+                obj, spec, cfg, t, weights, memories, None, targets, out=spare
             )
+            if spare is not None and aggregation == ERROR_FEEDBACK_MEAN:
+                assert new_memories is spare
             updates, want_memories, want_weights = dense_exchange(
                 spec, cfg, t, weights, before, grads, targets
             )
@@ -823,6 +864,23 @@ class TestCompareSparsifiers:
         cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3)
         with pytest.raises(ValueError, match="at least one seed"):
             compare_sparsifiers(obj, cfg, [SparsifierSpec.top(2)], [])
+
+    @pytest.mark.parametrize("seeds", [[1.5], [True], "12"])
+    def test_seeds_outside_the_seeding_range_are_refused(self, seeds):
+        # int() once trained 1.5 and True as seed 1, and "12" as seeds 1 and 2
+        obj = make_quadratic(6, seed=17)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3)
+        message = re.escape(f"seed must be an integer in [0, 2^64), got {seeds[0]!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_seeds(obj, cfg, seeds)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compare_sparsifiers(obj, cfg, [cfg.sparsifier], seeds)
+
+    def test_numpy_integer_seeds_are_taken(self):
+        obj = make_quadratic(6, seed=17)
+        cfg = TrainConfig(n=2, sparsifier=SparsifierSpec.rtop(4, 2), steps=3)
+        (ours,), (plain,) = train_seeds(obj, cfg, [np.uint64(1)]), train_seeds(obj, cfg, [1])
+        assert signature(ours.weights, ours.records) == signature(plain.weights, plain.records)
 
     def test_full_budget_specs_coincide(self):
         obj = make_quadratic(5, noise_std=0.4, seed=18)
