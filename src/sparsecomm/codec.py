@@ -12,12 +12,12 @@ dominates the looser rule of thumb ``(k - log d) / log d`` and can be 0 for
 very small budgets, in which case the config is flagged degenerate (the
 payload can only name the empty set).
 
-Scalar and batch functions read one cached comb table (built by Pascal's
-rule) and one cached table of class offsets, so a rank is a sum of table
-entries and each unrank step is a binary search in one nondecreasing row
-(Cover's enumerative code).  There is one unrank loop, ``_unrank_rows``:
-:func:`decode_batch` runs it on all its rows, and :func:`unrank_sparse`
-(so :func:`decode` too) on one.
+Scalar and batch functions read one cached record of tables per codebook,
+``_Tables``: a comb table built by Pascal's rule and the class offsets,
+so a rank is a sum of table entries and each unrank step is a binary
+search in one nondecreasing row (Cover's enumerative code).  There is one
+unrank loop, ``_unrank_rows``: :func:`decode_batch` runs it on all its
+rows, and :func:`unrank_sparse` (so :func:`decode` too) on one.
 
 The message rule is stated once, in :func:`_check_message`, which
 :func:`decode` and :func:`serialize` call; :func:`decode_batch` is its array form.
@@ -72,88 +72,77 @@ def ceil_log2(x: int) -> int:
     return (int(x) - 1).bit_length()
 
 
-# Ranks and tables are int64 when the codebook has at most this many
-# vectors, and object arrays of Python ints otherwise.  Past it the batch
-# paths still keep in int64 every number bounded by it: the rank terms and
-# unrank steps of the comb-table rows j < J, where C(d, j) is at most this
-# for every j < J (``_int64_rows``), and the remainders before those steps.
-# Only the class offsets and the rows j >= J stay Python ints.
+# The largest codebook whose ranks and tables are int64 (see ``_Tables``).
 _INT64_SAFE = 1 << 62
 
-# Tables kept per process: more than the distinct (d, kprime) pairs of any
-# shipped config or benchmark workload (at most 9), and few enough that a
-# sweep over large object tables does not keep every one alive.
+# Table records kept per process: more than the distinct (d, kprime) pairs
+# of any shipped config or benchmark workload (at most 9), and few enough
+# that a sweep over large object tables does not keep every one alive.
 _TABLES_CACHED = 16
 
 
-@lru_cache(maxsize=_TABLES_CACHED)
-def _class_offsets(d: int, kprime: int) -> np.ndarray:
-    """offsets[m] = number of codebook vectors with popcount < m, for
-    0 <= m <= kprime + 1, read-only; ``offsets[-1]`` is the codebook size."""
-    offsets = [0]
-    for m in range(kprime + 1):
-        offsets.append(offsets[-1] + math.comb(d, m))
-    table = np.array(offsets, dtype=np.int64 if offsets[-1] <= _INT64_SAFE else object)
-    table.setflags(write=False)
-    return table
+class _Tables(NamedTuple):
+    """The read-only tables of one (d, kprime) codebook, built together by
+    :func:`_tables`.
 
+    - ``offsets[m]`` is the number of codebook vectors with popcount < m,
+      for 0 <= m <= kprime + 1; ``offsets[-1]`` is the codebook size.
+    - ``comb[j, c] == comb(c, j)`` for 0 <= j <= kprime, 0 <= c <= d,
+      C-contiguous, built by Pascal's rule; each class j is one row.
+    - ``fits`` is the leading J rows of ``comb`` as int64: the largest
+      J <= kprime + 1 with C(d, j) <= ``_INT64_SAFE`` for every j < J.
+    - ``offset_ints`` and ``comb_ints`` are ``offsets`` and the rows of
+      ``comb`` as tuples of Python ints, which the scalar rank and message
+      checks index without comparing numpy scalars.
 
-@lru_cache(maxsize=_TABLES_CACHED)
-def _comb_table(d: int, kprime: int) -> np.ndarray:
-    """``table[j, c] == comb(c, j)`` for 0 <= j <= kprime, 0 <= c <= d,
-    C-contiguous and read-only, in the dtype of :func:`_class_offsets` (no
-    entry exceeds the codebook size); each class j is one contiguous row.
-    Row j's largest entry is C(d, j), so in an object table the rows of
-    :func:`_int64_rows` fit int64 too."""
-    table = np.zeros((d + 1, kprime + 1), dtype=_class_offsets(d, kprime).dtype)
-    table[:, 0] = 1
-    for i in range(1, d + 1):  # Pascal's rule, one row per step
-        table[i, 1:] = table[i - 1, 1:] + table[i - 1, :-1]
-    table = np.ascontiguousarray(table.T)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=_TABLES_CACHED)
-def _int64_rows(d: int, kprime: int) -> np.ndarray:
-    """The leading J rows of :func:`_comb_table` as int64, read-only: the
-    largest J <= kprime + 1 with C(d, j) <= ``_INT64_SAFE`` for every j < J.
-    An int64 table is returned itself (J = kprime + 1).
-
-    These rows bound the numbers the batch paths keep in int64.  A rank's
-    terms from a row's first J - 1 kept ones, sum_{i < J} C(s_{i-1}, i),
-    are the colex rank of a (J - 1)-subset of [0, d), so they sum below
-    C(d, J - 1); and the unrank remainder before row p's step lies below
-    C(d, p).  Both are at most ``_INT64_SAFE`` for p < J.
+    ``offsets`` and ``comb`` are int64 when the codebook has at most
+    ``_INT64_SAFE`` vectors, and object arrays of Python ints otherwise;
+    no table entry exceeds the codebook size.  An int64 codebook's ``fits``
+    is ``comb`` itself (J = kprime + 1), which the batch paths test with
+    ``is``.  Past int64 the batch paths still keep in int64 every number
+    the ``fits`` rows bound.  A rank's terms from a row's first J - 1 kept
+    ones, sum_{i < J} C(s_{i-1}, i), are the colex rank of a (J - 1)-subset
+    of [0, d), so they sum below C(d, J - 1); and the unrank remainder
+    before row p's step lies below C(d, p).  Both are at most
+    ``_INT64_SAFE`` for p < J, so only the class offsets, the rank terms
+    and unrank steps of the rows j >= J, and the remainders before those
+    steps are Python ints.
     """
-    table = _comb_table(d, kprime)
-    if table.dtype != object:
-        return table
-    fits = 0
-    while fits <= kprime and math.comb(d, fits) <= _INT64_SAFE:
-        fits += 1
-    rows = table[:fits].astype(np.int64)
-    rows.setflags(write=False)
-    return rows
+
+    offsets: np.ndarray
+    comb: np.ndarray
+    fits: np.ndarray
+    offset_ints: tuple[int, ...]
+    comb_ints: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=_TABLES_CACHED)
-def _comb_columns(d: int, kprime: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of :func:`_comb_table` as tuples of Python ints, so
-    ``cols[j][c] == comb(c, j)``; the scalar rank loop reads these."""
-    return tuple(map(tuple, _comb_table(d, kprime).tolist()))
-
-
-@lru_cache(maxsize=_TABLES_CACHED)
-def _class_offset_ints(d: int, kprime: int) -> tuple[int, ...]:
-    """:func:`_class_offsets` as a tuple of Python ints, so the scalar
-    rank and message checks index it without comparing numpy scalars."""
-    return tuple(_class_offsets(d, kprime).tolist())
+def _tables(d: int, kprime: int) -> _Tables:
+    """The :class:`_Tables` of the at-most-kprime-ones codebook of length d."""
+    offset_ints = [0]
+    for m in range(kprime + 1):
+        offset_ints.append(offset_ints[-1] + math.comb(d, m))
+    dtype = np.int64 if offset_ints[-1] <= _INT64_SAFE else object
+    offsets = np.array(offset_ints, dtype=dtype)
+    comb = np.zeros((d + 1, kprime + 1), dtype=dtype)
+    comb[:, 0] = 1
+    for i in range(1, d + 1):  # Pascal's rule, one row per step
+        comb[i, 1:] = comb[i - 1, 1:] + comb[i - 1, :-1]
+    comb = np.ascontiguousarray(comb.T)
+    fits = comb
+    if dtype == object:
+        rows = 0
+        while rows <= kprime and math.comb(d, rows) <= _INT64_SAFE:
+            rows += 1
+        fits = comb[:rows].astype(np.int64)
+    for table in (offsets, comb, fits):
+        table.setflags(write=False)
+    return _Tables(offsets, comb, fits, tuple(offset_ints), tuple(map(tuple, comb.tolist())))
 
 
 def codebook_size(d: int, kprime: int) -> int:
     """Number of binary vectors of length d with at most kprime ones."""
-    return _class_offset_ints(d, kprime)[-1]
+    return _tables(d, kprime).offset_ints[-1]
 
 
 class CodecConfig(NamedTuple):
@@ -248,8 +237,9 @@ def _rank_sum(support: list[int], d: int, kprime: int) -> int:
     """The rank sum of :func:`rank_sparse` with none of its checks: the
     caller guarantees at most kprime strictly increasing Python ints in
     [0, d)."""
-    cols = _comb_columns(d, kprime)
-    rank = _class_offset_ints(d, kprime)[len(support)]
+    tables = _tables(d, kprime)
+    cols = tables.comb_ints
+    rank = tables.offset_ints[len(support)]
     for i, idx in enumerate(support, 1):
         rank += cols[i][idx]
     return rank
@@ -261,7 +251,7 @@ def unrank_sparse(rank: int, d: int, kprime: int) -> list[int]:
     if rank.__class__ is bool:
         raise TypeError("rank must be an integer, not bool")
     rank = operator.index(rank)
-    offsets = _class_offsets(d, kprime)
+    offsets = _tables(d, kprime).offsets
     if rank < 0 or rank >= offsets[-1]:
         raise RankOutOfRange(f"rank {rank} outside codebook of size {offsets[-1]}")
     m = offsets.searchsorted(rank, side="right") - 1  # popcount class of the rank
@@ -337,7 +327,7 @@ def _check_message(msg: Message, cfg: CodecConfig) -> None:
     if msg.bit_length != cfg.k:
         raise MalformedMessage(f"bit length {msg.bit_length} != k={cfg.k}")
     count, payload = msg.count, msg.payload_index
-    offsets = _class_offset_ints(cfg.d, cfg.kprime)
+    offsets = _tables(cfg.d, cfg.kprime).offset_ints
     e = min(count, cfg.kprime)
     if not (0 <= count <= cfg.d and offsets[e] <= payload < offsets[e + 1]):
         raise _malformed(count, payload, cfg)
@@ -400,12 +390,8 @@ def deserialize(bits: str, cfg: CodecConfig) -> Message:
 # ``decode_batch``) and the codec tests check.  Exhaustive and property
 # tests pin the batch paths to the scalar functions and to math.comb
 # oracles, the packed layout to the dense one.  Payloads take the tables'
-# dtype: int64 up to 2^62 vectors, object arrays of Python ints past it.
-# In the object case only the numbers that can pass 2^62 are Python ints
-# (the class offsets, the rank terms and unrank steps of the comb-table
-# rows j >= J of ``_int64_rows``, and the remainders before those steps);
-# the rest is int64 arithmetic, exact by the two bounds stated there.  So
-# one code path serves every codebook size.
+# dtype, and one code path serves every codebook size: ``_Tables`` states
+# which numbers stay int64 and why that is exact.
 
 
 def subsample_mask(x: np.ndarray, kprime: int, keys: np.ndarray) -> np.ndarray:
@@ -558,23 +544,24 @@ def encode_batch(
     counts = np.count_nonzero(nonzero, axis=1).astype(np.int64)
     mask = _keep_largest_keys(nonzero, counts, kprime, keys)
     kept = np.minimum(counts, kprime)
-    payloads = _class_offsets(d, kprime)[kept]
+    tables = _tables(d, kprime)
+    payloads = tables.offsets[kept]
     ones = np.flatnonzero(mask)  # row-major: each row's kept columns ascending
     if ones.size:
         rows, cols = np.divmod(ones, d)
         ends = np.cumsum(kept)
         j = np.arange(ones.size) - (ends - kept)[rows] + 1  # each one's table row
-        table, fits = _comb_table(d, kprime), _int64_rows(d, kprime)
+        fits = tables.fits
         # the int64 part of each rank lies below C(d, J - 1); an int64
         # codebook adds straight into its payloads
-        ranks = payloads if fits is table else np.zeros(payloads.size, dtype=np.int64)
+        ranks = payloads if fits is tables.comb else np.zeros(payloads.size, dtype=np.int64)
         if len(fits) > kprime:  # every row fits
             np.add.at(ranks, rows, fits[j, cols])
         else:
             low = j < len(fits)
             np.add.at(ranks, rows[low], fits[j[low], cols[low]])
             high = ~low
-            np.add.at(payloads, rows[high], table[j[high], cols[high]])
+            np.add.at(payloads, rows[high], tables.comb[j[high], cols[high]])
         if ranks is not payloads:
             payloads += ranks
     return counts, payloads, mask
@@ -592,7 +579,7 @@ def decode_batch(
     payload in ``[offsets[e], offsets[e + 1])`` for e = min(count, kprime).
     """
     d, kprime = cfg.d, cfg.kprime
-    offsets = _class_offsets(d, kprime)
+    offsets = _tables(d, kprime).offsets
     counts = _field_array(counts, np.int64)
     payloads = _field_array(payloads, offsets.dtype)
     if counts.ndim != 1 or payloads.shape != counts.shape:
@@ -617,15 +604,14 @@ def _unrank_rows(e: np.ndarray, rem: np.ndarray, d: int, kprime: int) -> np.ndar
     popcount classes ``e``.  Step i unranks the i-th ones of all rows holding
     more than i ones; sorted by popcount, descending, they are a prefix.
 
-    Step i searches comb-table row i + 1.  Every remainder before it lies
-    below C(d, i + 1), so in an object codebook the steps of rows below
-    the J of :func:`_int64_rows` run on an int64 copy of the remainders and
-    of those rows; only the steps of rows J and up use Python ints."""
+    Step i searches comb-table row i + 1, in int64 on an int64 copy of the
+    remainders once that row is one of the ``fits`` rows (:class:`_Tables`)."""
     order = np.argsort(-e, kind="stable")
     rem = rem[order]
     starts = order * d
     holding = np.cumsum(np.bincount(e)[::-1])[::-1]  # up to the widest row's class
-    table, fits = _comb_table(d, kprime), _int64_rows(d, kprime)
+    tables = _tables(d, kprime)
+    table, fits = tables.comb, tables.fits
     flat = np.zeros(e.size * d, dtype=bool)
     for i in range(holding.size - 2, 0, -1):
         if table is not fits and i + 1 < len(fits):

@@ -92,12 +92,15 @@ class UniformPerturbation(Value):
 
 def as_support(values) -> np.ndarray:
     """A fresh read-only 1-d int64 copy of ``values``; ValueError unless
-    they are integers (an empty support may have any dtype)."""
+    they are integers (an empty support may have any dtype).  Bools are
+    not integers, also where numpy would cast them among ints."""
     sup = np.array(values, copy=True)
     if sup.ndim != 1:
         raise ValueError("support must be 1-d")
     if sup.size and sup.dtype.kind not in "iu":
         raise ValueError(f"support must hold integers, got dtype {sup.dtype}")
+    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError("support must hold integers, got a bool")
     sup = sup.astype(np.int64, copy=False)
     sup.setflags(write=False)
     return sup

@@ -56,9 +56,12 @@ class QuadraticObjective:
             raise ValueError("diagonal must be positive definite")
         self.d = int(self.diag.size)
         self.n_samples = int(self.b_samples.shape[0])
-        self.b_mean = self.b_samples.mean(axis=0)
-        self.minimizer = self.b_mean / self.diag
-        self._offset = 0.5 * float(np.dot(self.b_mean, self.minimizer))
+        # samples past about 1e154 make the offset inf or nan, silently:
+        # make_quadratic refuses them, and the gradients never read it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.b_mean = self.b_samples.mean(axis=0)
+            self.minimizer = self.b_mean / self.diag
+            self._offset = 0.5 * float(np.dot(self.b_mean, self.minimizer))
         self.smoothness = float(self.diag.max())
 
     def loss(self, w) -> float:
@@ -118,6 +121,7 @@ def make_quadratic(
     ``eig_range[1]``, so the range must not descend.  ``noise_std`` may be
     a scalar or a per-coordinate vector of d numbers, which allows
     concentrating the stochastic-gradient mass on a few coordinates.
+    Samples so large that the loss offset is not finite raise ValueError.
     """
     noise_std = np.asarray(noise_std, dtype=float)
     if noise_std.shape not in ((), (d,)):
@@ -131,8 +135,13 @@ def make_quadratic(
     if b_mean is None:
         b_mean = rng.normal(0.0, 1.0, d)
     b_mean = np.asarray(b_mean, dtype=float)
-    noise = rng.normal(0.0, 1.0, (n_samples, d)) * noise_std
-    return QuadraticObjective(diag, b_mean + noise)
+    with np.errstate(over="ignore"):  # overflowing samples leave the offset not finite
+        noise = rng.normal(0.0, 1.0, (n_samples, d)) * noise_std
+        objective = QuadraticObjective(diag, b_mean + noise)
+    if not np.isfinite(objective._offset):
+        raise ValueError(f"the loss offset of the samples is {objective._offset}: "
+                         "noise_std or b_mean is too large")
+    return objective
 
 
 def make_concentrated_quadratic(

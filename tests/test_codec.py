@@ -148,18 +148,36 @@ class TestRanking:
         assert rank_sparse(np.array([1, 3], dtype=np.uint8), 8, 2) == 13
 
     def test_table_caches_stay_bounded(self):
-        caches = (codec._comb_table, codec._class_offsets, codec._comb_columns)
-        cap = codec._comb_table.cache_info().maxsize
-        assert all(cache.cache_info().maxsize == cap for cache in caches)
+        cap = codec._tables.cache_info().maxsize
+        assert cap == codec._TABLES_CACHED
         assert cap >= 9  # the distinct (d, kprime) pairs of any shipped config
-        first = codec._comb_table(40, 0).copy()
-        first_columns = codec._comb_columns(40, 3)
+        first = codec._tables(40, 0).comb.copy()
+        first_columns = codec._tables(40, 3).comb_ints
         for kprime in range(cap + 5):
-            codec._comb_columns(40, kprime)
-            assert all(cache.cache_info().currsize <= cap for cache in caches)
+            codec._tables(40, kprime)
+            assert codec._tables.cache_info().currsize <= cap
         # rebuilt after eviction
-        assert np.array_equal(codec._comb_table(40, 0), first)
-        assert codec._comb_columns(40, 3) == first_columns
+        assert np.array_equal(codec._tables(40, 0).comb, first)
+        assert codec._tables(40, 3).comb_ints == first_columns
+
+    def test_int64_switch_survives_eviction(self):
+        """An int64 codebook's ``fits`` is its ``comb`` in every record,
+        also one rebuilt after the cache dropped it."""
+        cfg = make_config(64, 47)
+        assert cfg.kprime == 11 and cfg.codebook <= 2**62
+        x = substream(64, 11).random((40, 64)) < 0.3
+        keys = substream(64, 12).random(x.shape)
+        before = encode_batch(x, cfg, keys)
+        first = codec._tables(64, 11)
+        assert first.fits is first.comb
+        for kprime in range(codec._TABLES_CACHED + 4):
+            codec._tables(40, kprime)
+        again = codec._tables(64, 11)
+        assert again is not first and again.fits is again.comb
+        after = encode_batch(x, cfg, keys)
+        for old, new in zip(before, after):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+        assert np.array_equal(decode_batch(after[0], after[1], cfg), before[2])
 
 
 class TiedKeys:
@@ -222,7 +240,7 @@ class TestSubsample:
         assert np.all(np.abs(counts / draws - 0.1) < tol)
 
     def test_subsampled_support_must_hold_integers(self):
-        for support in ([1.5, 2.7], [1.0, 2.0], [False, True]):
+        for support in ([1.5, 2.7], [1.0, 2.0], [False, True], [0, True], [np.True_, 2]):
             with pytest.raises(ValueError, match="integers"):
                 SubsampledObservation(8, support, 3)
         for support in ([], np.array([]), np.array([1, 3], dtype=np.uint8)):
@@ -376,7 +394,7 @@ class TestSerialization:
 
     def test_roundtrip_fuzz(self):
         cfg = make_config(12, 17)
-        offsets = codec._class_offsets(cfg.d, cfg.kprime)
+        offsets = codec._tables(cfg.d, cfg.kprime).offsets
         rng = substream(7)
         for _ in range(10_000):
             count = int(rng.integers(0, cfg.d + 1))
@@ -429,7 +447,7 @@ class TestMessageContract:
     def test_every_path_accepts_and_rejects_the_same_messages(self, d, k):
         cfg = make_config(d, k)
         kprime = cfg.kprime
-        table = codec._class_offsets(d, kprime)
+        table = codec._tables(d, kprime).offsets
         offsets = table.tolist()
         counts = sorted({-1, 0, 1, kprime, kprime + 1, d, d + 1})
         edges = {-1, cfg.codebook}
@@ -605,7 +623,7 @@ class TestBatchEquivalence:
 
     def test_batch_decode_takes_python_int_payloads_past_int64(self):
         cfg = make_config(64, 96)  # saturated Python-int codebook: rank 2^64 - 1 is all ones
-        assert codec._class_offsets(cfg.d, cfg.kprime).dtype == object
+        assert codec._tables(cfg.d, cfg.kprime).offsets.dtype == object
         payloads = [2**64 - 1, 5]  # as a list, numpy alone would infer float64
         for form in (payloads, np.array(payloads, dtype=object)):
             mask = decode_batch([64, 1], form, cfg)
@@ -638,7 +656,7 @@ class TestBatchEquivalence:
 
 # Codebooks past 2^62 vectors, as (d, k, kprime, J): the batch paths keep
 # Python ints only for the class offsets and the comb-table rows j >= J
-# (``codec._int64_rows``).
+# (the ``fits`` rows of ``codec._tables``).
 WIDE = [
     (64, 96, 64, 65),  # the 2^64 codebook: every row fits int64
     (256, 96, 17, 11),  # 87 bits: rows 11..17 are Python ints
@@ -675,13 +693,14 @@ class TestWideCodebooks:
     def test_int64_rows_are_the_rows_that_fit(self, d, k, kprime, fits):
         cfg = make_config(d, k)
         assert cfg.kprime == kprime and cfg.codebook > 2**62
-        rows = codec._int64_rows(d, kprime)
+        tables = codec._tables(d, kprime)
+        rows = tables.fits
         assert rows.dtype == np.int64 and len(rows) == fits
         assert all(math.comb(d, j) <= 2**62 for j in range(fits))
         assert fits == kprime + 1 or math.comb(d, fits) > 2**62
-        assert rows.tolist() == codec._comb_table(d, kprime)[:fits].tolist()
-        table = codec._comb_table(256, 10)  # an int64 codebook keeps its one table
-        assert codec._int64_rows(256, 10) is table and table.dtype == np.int64
+        assert rows.tolist() == tables.comb[:fits].tolist()
+        tables = codec._tables(256, 10)  # an int64 codebook keeps its one table
+        assert tables.fits is tables.comb and tables.comb.dtype == np.int64
 
     @pytest.mark.parametrize("poison", [False, True])
     @pytest.mark.parametrize(
@@ -696,10 +715,10 @@ class TestWideCodebooks:
         x = support_matrix(d, supports)
         keys = substream(d, k).random(x.shape)
         if poison and cfg.codebook > 2**62:
-            codec._int64_rows(d, kprime)  # cached from the true table
-            poisoned = codec._comb_table(d, kprime).copy()
+            true = codec._tables(d, kprime)  # its int64 rows are from the true table
+            poisoned = true.comb.copy()
             poisoned[:fits] = -1
-            monkeypatch.setattr(codec, "_comb_table", lambda *_: poisoned)
+            monkeypatch.setattr(codec, "_tables", lambda *_: true._replace(comb=poisoned))
         counts, payloads, mask = encode_batch(x, cfg, keys)
         kept = [np.flatnonzero(row).tolist() for row in mask]
         for support, ones in zip(supports, kept):

@@ -97,6 +97,8 @@ def twice(key, value) -> str:
     return f"'{key}' lists {value} twice; each value is a grid point"
 
 
+OFFSET_TOO_LARGE = "the loss offset of the samples is {}: noise_std or b_mean is too large"
+
 HEADER_16 = "cannot hold the 5-bit count header of d=16 plus a payload bit"
 
 RISK_EDGES = {
@@ -179,8 +181,10 @@ TRAINING_EDGES = {
     "obj_noise": Edge(
         (("-1e-9", "'obj_noise' must be >= 0, got -1e-09"),
          ("[0.5, -1, 0.1]", "'obj_noise' must be >= 0, got -1"),
-         ("[0.5, 0.5]", "noise_std must be a number or d=10 numbers, got [0.5, 0.5]")),
-        ("0.0", "[" + ", ".join(["0"] * 10) + "]"),
+         ("[0.5, 0.5]", "noise_std must be a number or d=10 numbers, got [0.5, 0.5]"),
+         ("1e200", OFFSET_TOO_LARGE.format("inf")),  # the loss offset overflows
+         ("1e308", OFFSET_TOO_LARGE.format("nan"))),  # the samples overflow too
+        ("0.0", "[" + ", ".join(["0"] * 10) + "]", "1e150"),
     ),
     "obj_eig_min": Edge(
         (("0.0", "diagonal must be positive definite"),

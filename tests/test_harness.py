@@ -18,7 +18,7 @@ from sparsecomm import cli, harness, sgdsim
 from sparsecomm.codec import (
     MalformedMessage,
     Message,
-    _class_offsets,
+    _tables,
     decode,
     encode,
     make_config,
@@ -383,7 +383,7 @@ class TestCodecRoundtripCommand:
         for index, d in enumerate(dims):
             codec_cfg = make_config(d, k)
             assert len(seen[d]) > 1
-            assert {p.dtype for _, p, _ in seen[d]} == {_class_offsets(d, codec_cfg.kprime).dtype}
+            assert {p.dtype for _, p, _ in seen[d]} == {_tables(d, codec_cfg.kprime).offsets.dtype}
             counts = np.concatenate([c for c, _, _ in seen[d]]).tolist()
             payloads = [int(p) for _, block, _ in seen[d] for p in block]
             masks = np.concatenate([m for _, _, m in seen[d]])

@@ -200,7 +200,8 @@ class TestObservationInvariants:
             Observation(4, [-1, 2])
 
     def test_support_must_hold_integers(self):
-        for support in ([1.5, 2.7], [1.0, 2.0], [False, True], np.array([0.0])):
+        for support in ([1.5, 2.7], [1.0, 2.0], [False, True], np.array([0.0]), [0, True],
+                        [np.True_, 2]):
             with pytest.raises(ValueError):
                 Observation(8, support)
         assert Observation(8, np.array([1, 3], dtype=np.uint8)).support.tolist() == [1, 3]

@@ -42,6 +42,8 @@ from sparsecomm.sparsify import SparseUpdate, SparsifierSpec, top_r
 
 from oracles import naive_train
 
+OFFSET_TOO_LARGE = "the loss offset of the samples is {}: noise_std or b_mean is too large"
+
 
 def noiseless_quadratic(d, diag=None, b_mean=None, n_samples=64):
     return make_quadratic(
@@ -80,7 +82,9 @@ class TestObjectives:
     @pytest.mark.parametrize(
         "given,message",
         [({"eig_range": (3.0, 1.0)}, "eig_range must not descend, got (3.0, 1.0)"),
-         ({"noise_std": [0.5, 0.5]}, "noise_std must be a number or d=4 numbers, got [0.5, 0.5]")],
+         ({"noise_std": [0.5, 0.5]}, "noise_std must be a number or d=4 numbers, got [0.5, 0.5]"),
+         ({"noise_std": 1e200}, OFFSET_TOO_LARGE.format("inf")),
+         ({"b_mean": [1e200, 0, 0, 0]}, OFFSET_TOO_LARGE.format("inf"))],
     )
     def test_quadratic_builder_judges_its_spectrum_and_noise(self, given, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
